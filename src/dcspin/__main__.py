@@ -1,0 +1,7 @@
+"""``python -m dcspin``: the command-line interface, without installing it."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

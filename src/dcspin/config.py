@@ -205,6 +205,9 @@ def _parse_sweep(block: _Block, kind: str) -> SweepPlan:
         nu_mhz=block.get("nu_mhz", _NUMBER),
         detuning_mhz=detuning,
     )
+    if axis == "total_time_ms" and not 0 <= plan.start < plan.stop:
+        raise ConfigError(f"{block.path}.stop: a total_time_ms sweep must increase "
+                          f"from a start >= 0, got start {plan.start}, stop {plan.stop}")
     if axis != "total_time_ms" and plan.total_time_ms is None:
         raise ConfigError(f"{block.path}.total_time_ms: required for axis {axis!r}")
     if axis == "nu_mhz" and kind not in ("dcs", "pm"):
@@ -222,18 +225,17 @@ def _parse_sweep(block: _Block, kind: str) -> SweepPlan:
 
 
 def _parse_integration(block: _Block) -> IntegrationPolicy:
+    """Fields left out of the block take the IntegrationPolicy defaults."""
     block.reject_unknown({"max_step_ns", "ramp_substeps", "unitarity_check_interval",
                           "tolerance", "fast_forward"})
+    kwargs = {key: block.get(key, expected) for key, expected in (
+        ("ramp_substeps", int), ("unitarity_check_interval", int),
+        ("tolerance", _NUMBER), ("fast_forward", bool)) if key in block.data}
     max_step_ns = block.get("max_step_ns", _NUMBER)
+    if max_step_ns is not None:
+        kwargs["max_step"] = max_step_ns * 1e-9
     try:
-        return IntegrationPolicy(
-            max_step=None if max_step_ns is None else max_step_ns * 1e-9,
-            ramp_substeps=block.get("ramp_substeps", int, default=32),
-            unitarity_check_interval=block.get("unitarity_check_interval", int,
-                                               default=1000),
-            tolerance=block.get("tolerance", _NUMBER, default=1e-9),
-            fast_forward=block.get("fast_forward", bool, default=True),
-        )
+        return IntegrationPolicy(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{block.path}: {exc}") from None
 
@@ -274,11 +276,16 @@ def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
             raise ConfigError(f"{source}.{block_name}: required block is missing "
                               "(or use 'preset')")
     protocol = _parse_protocol(root.child("protocol"))
+    system = _parse_system(root.child("system"))
+    sweep = _parse_sweep(root.child("sweep"), protocol.kind)
+    if sweep.detuning_mhz == "auto" and not system.nuclei:
+        raise ConfigError(f"{source}.sweep.detuning_mhz: 'auto' solves for the "
+                          f"resonance of nucleus 1, but {source}.system.nuclei is empty")
     return ExperimentConfig(
         raw=raw,
-        system=_parse_system(root.child("system")),
+        system=system,
         protocol=protocol,
-        sweep=_parse_sweep(root.child("sweep"), protocol.kind),
+        sweep=sweep,
         policy=(_parse_integration(root.child("integration"))
                 if "integration" in data else IntegrationPolicy()),
         output=output,

@@ -15,6 +15,7 @@ power of the single-period propagator.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -29,6 +30,7 @@ from .spincore import (
     SPIN_MINUS,
     SPIN_PLUS,
     SPIN_Z,
+    SYSTEM_CACHE_SIZE,
     SpinSystem,
     build_hamiltonian,
     embed_matrix,
@@ -112,7 +114,7 @@ class CompiledSchedule:
     steps: tuple[tuple[Hashable, float], ...] = ()
     constant_key: Hashable | None = None
 
-    @property
+    @functools.cached_property
     def boundaries(self) -> np.ndarray:
         return np.concatenate([[0.0], np.cumsum([d for _, d in self.steps])])
 
@@ -352,10 +354,18 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     )
 
 
-def standard_observables(system: SpinSystem) -> list[Observable]:
-    obs = [sigma_z_observable(system)]
-    obs += [nuclear_z_observable(system, j) for j in range(1, system.n_nuclei + 1)]
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _standard_observables(system: SpinSystem) -> tuple[Observable, ...]:
+    obs = (sigma_z_observable(system),
+           *(nuclear_z_observable(system, j) for j in range(1, system.n_nuclei + 1)))
+    for o in obs:
+        o.matrix.flags.writeable = False
     return obs
+
+
+def standard_observables(system: SpinSystem) -> list[Observable]:
+    """sigma_z and every nuclear I_z, built once per system (read-only matrices)."""
+    return list(_standard_observables(system))
 
 
 def propagate(system: SpinSystem, w: Waveform, state0: QuantumState, T: float,

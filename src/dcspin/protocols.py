@@ -35,8 +35,9 @@ from .spincore import (
     SIGMA_X,
     SIGMA_Z,
     SpinSystem,
+    _operators,
     build_hamiltonian,
-    embed_operator,
+    embed_operator,  # noqa: F401  perfbench/tracing.py wraps this name here
     expectation,
     initial_state,
 )
@@ -266,10 +267,9 @@ def _pm_point(args) -> tuple[float, ...]:
 
 def _topdnp_hamiltonians(system: SpinSystem, rabi: float, detuning: float):
     base = build_hamiltonian(system, 0.0).matrix
-    x0 = embed_operator(SIGMA_X, 0, system).matrix
-    z0 = embed_operator(SIGMA_Z, 0, system).matrix
-    pulse = 0.5 * detuning * x0 + 0.5 * rabi * z0 + base
-    delay = 0.5 * detuning * x0 + base
+    ops = _operators(system)
+    pulse = 0.5 * detuning * ops.sigma_x + rabi * ops.z_half + base
+    delay = 0.5 * detuning * ops.sigma_x + base
     return {"pulse": pulse, "delay": delay}
 
 

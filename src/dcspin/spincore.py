@@ -13,6 +13,7 @@ and operations are pure functions, safe for concurrent sweep evaluation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +25,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
 NORM_TOL = 1e-12
+
+# distinct SpinSystems whose operators, observables and initial states stay
+# cached per process; a sweep reuses one system for every point
+SYSTEM_CACHE_SIZE = 8
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -275,24 +280,59 @@ def nuclear_frequency(nucleus: Nucleus, field_z: float) -> float:
     return nucleus.gyromagnetic_ratio * field_z + 0.5 * nucleus.hyperfine_z
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only (cached arrays are shared by every caller)."""
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class _Operators:
+    """Embedded operators of one SpinSystem, all read-only.
+
+    ``nuclear_terms[j-1]`` holds nucleus j's two Hamiltonian terms:
+    omega_nj * I_z[j] and (sigma_x/2) @ (A_xj * I_x[j] + A_zj * I_z[j]).
+    """
+
+    z_half: np.ndarray  # electron sigma_z/2
+    sigma_x: np.ndarray  # electron sigma_x
+    nuclear_terms: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _operators(system: SpinSystem) -> _Operators:
+    z_half = _read_only(embed_matrix(0.5 * SIGMA_Z, 0, system))
+    sx = _read_only(embed_matrix(SIGMA_X, 0, system))
+    terms = []
+    for j, nuc in enumerate(system.nuclei, start=1):
+        iz = embed_matrix(SPIN_Z, j, system)
+        ix = embed_matrix(SPIN_X, j, system)
+        terms.append((
+            _read_only(nuclear_frequency(nuc, system.field_z) * iz),
+            _read_only(0.5 * sx @ (nuc.hyperfine_x * ix + nuc.hyperfine_z * iz)),
+        ))
+    return _Operators(z_half=z_half, sigma_x=sx, nuclear_terms=tuple(terms))
+
+
 def build_hamiltonian(system: SpinSystem, omega_e: float) -> Observable:
     """Rotating-frame Hamiltonian at drive splitting ``omega_e``.
 
     H = omega_e * sigma_z/2
         + sum_j omega_nj * I_z[j]
         + (sigma_x/2) * sum_j (A_xj * I_x[j] + A_zj * I_z[j])
+
+    The terms are summed in this order, nucleus by nucleus, from operators
+    built once per system.
     """
     if not math.isfinite(omega_e):
         raise ValueError("omega_e must be finite")
+    ops = _operators(system)
     dim = system.dimension
     h = np.zeros((dim, dim), dtype=complex)
-    h += omega_e * embed_operator(0.5 * SIGMA_Z, 0, system).matrix
-    sx = embed_operator(SIGMA_X, 0, system).matrix
-    for j, nuc in enumerate(system.nuclei, start=1):
-        iz = embed_operator(SPIN_Z, j, system).matrix
-        ix = embed_operator(SPIN_X, j, system).matrix
-        h += nuclear_frequency(nuc, system.field_z) * iz
-        h += 0.5 * sx @ (nuc.hyperfine_x * ix + nuc.hyperfine_z * iz)
+    h += omega_e * ops.z_half
+    for zeeman, hyperfine in ops.nuclear_terms:
+        h += zeeman
+        h += hyperfine
     return Observable(h, name="H")
 
 
@@ -324,17 +364,26 @@ _ELECTRON_VECTORS = {
 }
 
 
+def _read_only_state(state: QuantumState) -> QuantumState:
+    for array in (state._vector, state._branch_weights, state._branch_vectors):
+        if array is not None:
+            _read_only(array)
+    return state
+
+
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def initial_state(kind: InitialStateKind | str, system: SpinSystem) -> QuantumState:
     """Electron prepared per ``kind``, nuclei in the maximally mixed state.
 
     The nuclear identity is expanded over the 2**N basis states as equally
-    weighted pure branches, which propagation handles by linearity.
+    weighted pure branches, which propagation handles by linearity.  The
+    state is cached per (kind, system) and its arrays are read-only.
     """
     kind = InitialStateKind(kind)
     electron = _ELECTRON_VECTORS[kind]
     n = system.n_nuclei
     if n == 0:
-        return QuantumState.pure(electron)
+        return _read_only_state(QuantumState.pure(electron))
     dim_n = 2 ** n
     vectors = np.zeros((2 * dim_n, dim_n), dtype=complex)
     for b in range(dim_n):
@@ -342,4 +391,4 @@ def initial_state(kind: InitialStateKind | str, system: SpinSystem) -> QuantumSt
         basis[b] = 1.0
         vectors[:, b] = np.kron(electron, basis)
     weights = np.full(dim_n, 1.0 / dim_n)
-    return QuantumState.mixture(weights, vectors)
+    return _read_only_state(QuantumState.mixture(weights, vectors))

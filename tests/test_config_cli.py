@@ -6,6 +6,7 @@ import pytest
 from dcspin import ConfigError, angular_from_khz, angular_from_mhz, load_config
 from dcspin.cli import main, run_experiment
 from dcspin.config import parse_config
+from dcspin.dynamics import IntegrationPolicy
 from dcspin.presets import (
     CARBON_RESONANCE,
     DELAY_FIG3,
@@ -53,6 +54,13 @@ def test_minimal_explicit_config_resolves_defaults(tmp_path):
     assert config.policy.ramp_substeps == 64  # defaults applied
     assert config.output.polarization_convention == "doubled"
     assert config.sweep.points == 7
+
+
+def test_integration_block_defaults_come_from_policy(tmp_path):
+    data = dict(EXPLICIT, integration={"tolerance": 1e-8})
+    policy = load_config(write_config(tmp_path, data)).policy
+    assert policy == IntegrationPolicy(tolerance=1e-8)
+    assert policy.ramp_substeps == 64
 
 
 def test_annotation_keys_are_ignored(tmp_path):
@@ -311,6 +319,33 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert record["error"] == "ConfigError"
     assert main(["preset", "not-a-preset"]) == 2
     assert main(["verify", "not-a-preset"]) == 2
+
+
+def _cli_config_error(tmp_path, capsys, data) -> dict:
+    assert main(["run", str(write_config(tmp_path, data)),
+                 "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    return record
+
+
+def test_cli_rejects_auto_detuning_without_nuclei(tmp_path, capsys):
+    data = {
+        "system": {"field_tesla": 0.35, "nuclei": []},
+        "protocol": {"kind": "topdnp", "rabi_mhz": 2.0, "pulse_len_ns": 56,
+                     "delay_ns": 28},
+        "sweep": {"axis": "total_time_ms", "start": 0.0, "stop": 0.05,
+                  "points": 3, "detuning_mhz": "auto"},
+    }
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert "sweep.detuning_mhz" in record["message"]
+
+
+def test_cli_rejects_descending_time_sweep(tmp_path, capsys):
+    data = dict(EXPLICIT, sweep={"axis": "total_time_ms", "start": 0.05, "stop": 0.0,
+                                 "points": 3, "nu_mhz": 10.713})
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert "sweep.stop" in record["message"]
 
 
 def test_cli_verification_failure_exit_code(monkeypatch, capsys):

@@ -27,6 +27,7 @@ from dcspin import (
     solve_topdnp_detuning,
     topdnp_average_power,
 )
+from dcspin import dynamics, spincore
 from dcspin.protocols import pm_resonant_period
 from dcspin.spincore import SIGMA_Z
 from dcspin.sweep import SweepResult, parallel_map
@@ -304,12 +305,32 @@ def _square(x):
     return x * x
 
 
+def _clear_system_caches():
+    for cached in (spincore._operators, spincore.initial_state,
+                   dynamics._standard_observables):
+        cached.cache_clear()
+
+
 def test_parallel_sensing_matches_serial(carbon_system, carbon_rabi):
+    """Rows do not depend on the worker count or on what the per-system
+    caches held before the sweep."""
     omega_n = nuclear_frequency(carbon_system.nuclei[0], 1.0)
     grid = omega_n + TWO_PI * np.linspace(-2e3, 2e3, 6)
-    serial = run_dcs_sensing(carbon_system, carbon_rabi, grid, T=0.05e-3, workers=1)
-    parallel = run_dcs_sensing(carbon_system, carbon_rabi, grid, T=0.05e-3, workers=2)
-    npt.assert_array_equal(serial.column("sigma_z"), parallel.column("sigma_z"))
+
+    def sweep(workers):
+        return run_dcs_sensing(carbon_system, carbon_rabi, grid, T=0.05e-3,
+                               workers=workers).columns
+
+    sweep(1)
+    warm = sweep(1)
+    _clear_system_caches()
+    cold = sweep(1)
+    _clear_system_caches()
+    parallel = sweep(2)
+    assert list(warm) == list(cold) == list(parallel)
+    for name in warm:
+        npt.assert_array_equal(cold[name], warm[name])
+        npt.assert_array_equal(parallel[name], warm[name])
 
 
 def test_sweep_result_csv_roundtrip(tmp_path):

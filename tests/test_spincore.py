@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcspin import (
     Nucleus,
@@ -15,12 +17,15 @@ from dcspin import (
     initial_state,
     nuclear_frequency,
 )
+from dcspin.dynamics import standard_observables
 from dcspin.spincore import (
     DimensionMismatchError,
     IDENTITY_2,
     SIGMA_X,
     SIGMA_Z,
+    SPIN_X,
     SPIN_Z,
+    _operators,
     nuclear_x_observable,
     nuclear_z_observable,
     sigma_x_observable,
@@ -137,6 +142,54 @@ def test_hamiltonian_matches_hand_assembly(carbon_system, carbon_rabi):
     ], dtype=complex)
     h = build_hamiltonian(carbon_system, carbon_rabi).matrix
     npt.assert_allclose(h, expected, atol=1e-9)
+
+
+def _kron_hamiltonian(system, omega_e):
+    """Reference: every operator re-embedded with np.kron, terms summed in
+    build_hamiltonian's order."""
+    def embed(op, slot):
+        out = np.ones((1, 1), dtype=complex)
+        for i in range(system.n_slots):
+            out = np.kron(out, op if i == slot else IDENTITY_2)
+        return out
+
+    h = np.zeros((system.dimension, system.dimension), dtype=complex)
+    h += omega_e * embed(0.5 * SIGMA_Z, 0)
+    sx = embed(SIGMA_X, 0)
+    for j, nuc in enumerate(system.nuclei, start=1):
+        iz, ix = embed(SPIN_Z, j), embed(SPIN_X, j)
+        h += nuclear_frequency(nuc, system.field_z) * iz
+        h += 0.5 * sx @ (nuc.hyperfine_x * ix + nuc.hyperfine_z * iz)
+    return h
+
+
+_RATE = st.floats(-1e8, 1e8, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nuclei=st.lists(st.builds(Nucleus, _RATE, _RATE, _RATE), max_size=3),
+       field=st.floats(0.0, 10.0), omega_e=_RATE)
+def test_hamiltonian_equals_kron_construction(nuclei, field, omega_e):
+    system = SpinSystem(field_z=field, nuclei=tuple(nuclei))
+    for _ in range(2):  # cold, then from the cached operators
+        assert np.array_equal(build_hamiltonian(system, omega_e).matrix,
+                              _kron_hamiltonian(system, omega_e))
+
+
+def test_cached_operators_and_states_are_read_only(carbon_system):
+    ops = _operators(carbon_system)
+    arrays = [ops.z_half, ops.sigma_x, *(a for pair in ops.nuclear_terms for a in pair)]
+    for kind in ("sensing", "topdnp_parallel"):
+        for system in (carbon_system, SpinSystem(field_z=1.0)):
+            weights, vectors = initial_state(kind, system).branches
+            arrays += [weights, vectors]
+    arrays.append(initial_state("sensing", SpinSystem(field_z=1.0)).vector)
+    arrays += [o.matrix for o in standard_observables(carbon_system)]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert initial_state("sensing", carbon_system) is initial_state("sensing",
+                                                                     carbon_system)
 
 
 def test_hamiltonian_hermitian_random(rng):
