@@ -25,76 +25,38 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .constants import angular_from_mhz
 from .dynamics import PropagationError
 from .presets import PRESETS, run_preset, verify_preset
-from .protocols import (
-    run_amplitude_error_sweep,
-    run_constant,
-    run_dcs_dnp,
-    run_dcs_sensing,
-    run_pm,
-    run_topdnp,
-    solve_topdnp_detuning,
-)
+from .protocols import run_sweep, solve_topdnp_detuning
 from .spincore import nuclear_frequency
 from .sweep import SweepResult
 from .waveform import FactorizationError, QuadratureError
 
+#: config sweep axis -> run_sweep axis and the conversion from config units
+_AXES = {
+    "nu_mhz": ("nu", angular_from_mhz),
+    "detuning_mhz": ("detuning", angular_from_mhz),
+    "total_time_ms": ("T", lambda ms: ms * 1e-3),
+    "amplitude_error": ("amplitude_error", float),
+}
 
-def _resolve_detuning(system, spec, plan) -> float | None:
-    if plan.detuning_mhz is None or spec.kind != "topdnp":
+
+def _operating_point(system, spec, plan) -> float | None:
+    """nu (dcs, pm) or the pulse detuning (topdnp) when the sweep holds it fixed."""
+    fixed = plan.detuning_mhz if spec.kind == "topdnp" else plan.nu_mhz
+    if fixed is None or plan.axis in ("nu_mhz", "detuning_mhz"):
         return None
-    if plan.detuning_mhz == "auto":
+    if fixed == "auto":
         omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
         return solve_topdnp_detuning(spec.rabi, spec.pulse_len, spec.delay, omega_n)
-    return angular_from_mhz(plan.detuning_mhz)
+    return angular_from_mhz(fixed)
 
 
 def _execute_explicit(config: ExperimentConfig, workers: int | None) -> list[SweepResult]:
-    system, spec, plan, policy = (config.system, config.protocol, config.sweep,
-                                  config.policy)
-    grid_display = plan.grid_display
-    kw = {"policy": policy, "amplitude_error": spec.amplitude_error}
-    if plan.axis == "nu_mhz":
-        grid = np.array([angular_from_mhz(v) for v in grid_display])
-        if spec.kind == "dcs":
-            res = run_dcs_sensing(system, spec.omega_max, grid,
-                                  plan.total_time_ms * 1e-3, workers=workers,
-                                  switch_fraction=spec.switch_fraction,
-                                  t_initial=spec.t_initial, **kw)
-        else:
-            res = run_pm(system, spec.omega0, spec.omega1, nu_grid=grid,
-                         T=plan.total_time_ms * 1e-3, workers=workers,
-                         initial_state_kind=spec.initial_state_kind, **kw)
-    elif plan.axis == "detuning_mhz":
-        grid = np.array([angular_from_mhz(v) for v in grid_display])
-        res = run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay,
-                         detuning_grid=grid, T=plan.total_time_ms * 1e-3,
-                         workers=workers,
-                         initial_state_kind=spec.initial_state_kind, **kw)
-    elif plan.axis == "amplitude_error":
-        res = run_amplitude_error_sweep(
-            system, spec, grid_display, plan.total_time_ms * 1e-3,
-            nu=None if plan.nu_mhz is None else angular_from_mhz(plan.nu_mhz),
-            detuning=_resolve_detuning(system, spec, plan),
-            policy=policy, workers=workers)
-    else:  # total_time_ms
-        T_grid = grid_display * 1e-3
-        if spec.kind == "dcs":
-            res = run_dcs_dnp(system, spec.omega_max, angular_from_mhz(plan.nu_mhz),
-                              T_grid, switch_fraction=spec.switch_fraction,
-                              t_initial=spec.t_initial,
-                              reset_every=spec.reset_every, **kw)
-        elif spec.kind == "pm":
-            res = run_pm(system, spec.omega0, spec.omega1,
-                         nu=angular_from_mhz(plan.nu_mhz), T_grid=T_grid,
-                         initial_state_kind=spec.initial_state_kind, **kw)
-        elif spec.kind == "topdnp":
-            res = run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay,
-                             detuning=_resolve_detuning(system, spec, plan),
-                             T_grid=T_grid,
-                             initial_state_kind=spec.initial_state_kind, **kw)
-        else:
-            res = run_constant(system, spec.omega_e, T_grid,
-                               initial_state_kind=spec.initial_state_kind, **kw)
+    system, spec, plan = config.system, config.protocol, config.sweep
+    axis, to_si = _AXES[plan.axis]
+    res = run_sweep(system, spec, axis, [to_si(v) for v in plan.grid_display],
+                    T=None if plan.total_time_ms is None else plan.total_time_ms * 1e-3,
+                    point=_operating_point(system, spec, plan), policy=config.policy,
+                    workers=workers)
     columns = res.columns
     if spec.measured:
         unknown = [m for m in spec.measured if m not in columns]
@@ -103,7 +65,7 @@ def _execute_explicit(config: ExperimentConfig, workers: int | None) -> list[Swe
                               f"available: {sorted(columns)}")
         columns = {m: columns[m] for m in spec.measured}
     metadata = {"config": config.raw, "version": __version__}
-    return [SweepResult(res.name, plan.axis, grid_display, columns, metadata)]
+    return [SweepResult(res.name, plan.axis, plan.grid_display, columns, metadata)]
 
 
 def _apply_polarization_convention(results: list[SweepResult],

@@ -152,8 +152,7 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         "kind": kind,
         "amplitude_error": block.get("amplitude_error", _NUMBER, default=0.0),
     }
-    default_init = "topdnp_parallel" if kind == "topdnp" else "sensing"
-    kwargs["initial_state_kind"] = block.get("initial_state", str, default=default_init)
+    kwargs["initial_state_kind"] = block.get("initial_state", str)
     measured = block.get("measured", list, default=[])
     if not all(isinstance(m, str) for m in measured):
         raise ConfigError(f"{block.path}.measured: expected a list of column names")
@@ -184,9 +183,10 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         raise ConfigError(f"{block.path}: {exc}") from None
 
 
-def _parse_sweep(block: _Block, kind: str) -> SweepPlan:
+def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
     block.reject_unknown({"axis", "start", "stop", "points", "total_time_ms",
                           "nu_mhz", "detuning_mhz"})
+    kind = protocol.kind
     axis = block.require("axis", str)
     if axis not in SWEEP_AXES:
         raise ConfigError(f"{block.path}.axis: must be one of {SWEEP_AXES}")
@@ -221,6 +221,15 @@ def _parse_sweep(block: _Block, kind: str) -> SweepPlan:
         if kind == "topdnp" and plan.detuning_mhz is None:
             raise ConfigError(f"{block.path}.detuning_mhz: required for a {axis} "
                               "sweep of 'topdnp' (a number, or 'auto')")
+    # the dcs drive needs nu > rabi_mhz, the pm drive nu > omega0_mhz
+    floor = {"dcs": ("rabi_mhz", protocol.omega_max), "pm": ("omega0_mhz", protocol.omega0)}
+    if kind in floor:
+        nus = ({"start": plan.start, "stop": plan.stop} if axis == "nu_mhz"
+               else {"nu_mhz": plan.nu_mhz})
+        name, lowest = min(nus.items(), key=lambda item: item[1])
+        if not angular_from_mhz(lowest) > floor[kind][1]:
+            raise ConfigError(f"{block.path}.{name}: every nu of a {kind!r} drive must "
+                              f"exceed protocol.{floor[kind][0]}, got {lowest} MHz")
     return plan
 
 
@@ -277,7 +286,7 @@ def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
                               "(or use 'preset')")
     protocol = _parse_protocol(root.child("protocol"))
     system = _parse_system(root.child("system"))
-    sweep = _parse_sweep(root.child("sweep"), protocol.kind)
+    sweep = _parse_sweep(root.child("sweep"), protocol)
     if sweep.detuning_mhz == "auto" and not system.nuclei:
         raise ConfigError(f"{source}.sweep.detuning_mhz: 'auto' solves for the "
                           f"resonance of nucleus 1, but {source}.system.nuclei is empty")

@@ -1,10 +1,12 @@
 """The four experiment families: DCS sensing, DCS DNP, PM, and TOP-DNP.
 
-Each run_* function sweeps one axis (drive frequency, total time, or pulse
-detuning), propagates the exact dynamics per point, and reduces the
-trajectories to the observables the comparison figures use.  Sweep points
-are independent and can execute on a process pool; results merge in sweep
-order, so output is deterministic for any worker count.
+A ProtocolSpec and its operating point (nu for dcs and pm, the pulse
+detuning for topdnp) turn into one trajectory in ``_trajectory``, and
+``run_sweep`` is the one runner over every sweep axis: total time, the
+operating point, or the amplitude error.  The run_* functions are short
+front ends that build a spec and call it.  Sweep points are independent and
+can execute on a process pool; results merge in sweep order, so output is
+deterministic for any worker count.
 
 Amplitude errors model miscalibrated drive power: every drive amplitude is
 scaled by (1 + delta) while timing parameters stay at their nominal values,
@@ -20,16 +22,19 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
+from .constants import TWO_PI
 from .dynamics import (
     CompiledSchedule,
     IntegrationPolicy,
     Trajectory,
     _split_durations,
+    _UnitaryCache,
     propagate,
     propagate_compiled,
     standard_observables,
 )
 from .spincore import (
+    _ELECTRON_VECTORS,
     InitialStateKind,
     QuantumState,
     SIGMA_X,
@@ -42,13 +47,7 @@ from .spincore import (
     initial_state,
 )
 from .sweep import SweepResult, parallel_map
-from .waveform import (
-    ConstantWaveform,
-    DcsWaveform,
-    PmWaveform,
-    TWO_PI,
-    optimal_dwell_times,
-)
+from .waveform import ConstantWaveform, DcsWaveform, PmWaveform, optimal_dwell_times
 
 PROTOCOL_KINDS = ("dcs", "pm", "topdnp", "constant")
 
@@ -94,17 +93,19 @@ class ProtocolSpec:
     amplitude_error delta scales only the drive amplitudes of the built
     waveform.  t_initial is 'symmetric' (positive segment centered on t=0),
     'zero', or a number interpreted as a fraction of the switching period.
+    initial_state_kind defaults to 'topdnp_parallel' for topdnp and to
+    'sensing' otherwise.
     """
 
     kind: str
-    initial_state_kind: str = "sensing"
+    initial_state_kind: str | None = None
     measured: tuple[str, ...] = ()  # empty: keep every recorded observable
     amplitude_error: float = 0.0
     # dcs
     omega_max: float | None = None
     switch_fraction: float = 0.0
     t_initial: float | str = "symmetric"
-    reset_every: float | None = None  # electron reprojection interval (time sweeps)
+    reset_every: float | None = None  # interval of electron reprojection onto its initial state
     # pm
     omega0: float | None = None
     omega1: float | None = None
@@ -128,6 +129,9 @@ class ProtocolSpec:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         if not self.amplitude_error > -1:
             raise ValueError("amplitude_error must exceed -1")
+        if self.initial_state_kind is None:
+            object.__setattr__(self, "initial_state_kind",
+                               "topdnp_parallel" if self.kind == "topdnp" else "sensing")
         InitialStateKind(self.initial_state_kind)
         missing = [f for f in self._REQUIRED[self.kind] if getattr(self, f) is None]
         if missing:
@@ -135,6 +139,14 @@ class ProtocolSpec:
         if self.kind == "dcs" and isinstance(self.t_initial, str) \
                 and self.t_initial not in ("symmetric", "zero"):
             raise ValueError("t_initial must be 'symmetric', 'zero', or a period fraction")
+        if self.kind == "dcs" and not (self.omega_max > 0 and 0 <= self.switch_fraction < 1):
+            raise ValueError("dcs requires omega_max > 0 and 0 <= switch_fraction < 1")
+        if self.reset_every is not None and not (self.kind == "dcs" and self.reset_every > 0):
+            raise ValueError("reset_every must be positive and applies to dcs only")
+        if self.kind == "pm" and min(self.omega0, self.omega1) < 0:
+            raise ValueError("omega0 and omega1 must be nonnegative")
+        if self.kind == "topdnp" and min(self.pulse_len, self.delay) <= 0:
+            raise ValueError("pulse_len and delay must be positive")
 
 
 def apply_amplitude_error(spec: ProtocolSpec, delta: float) -> ProtocolSpec:
@@ -193,11 +205,6 @@ def build_pm_waveform(omega0: float, omega1: float, omega_n: float, *,
 # TOP-DNP effective field and resonance
 # ---------------------------------------------------------------------------
 
-def _expm_2x2(h: np.ndarray, dt: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * dt)) @ vecs.conj().T
-
-
 def effective_field_topdnp(rabi: float, detuning: float, pulse_len: float,
                            delay: float) -> float:
     """Rotation rate of the electron over one pulse-train period.
@@ -207,14 +214,14 @@ def effective_field_topdnp(rabi: float, detuning: float, pulse_len: float,
     In the dressed basis used throughout, the lab-frame detuning acts along
     sigma_x and the pulse drive along sigma_z.
     """
-    if pulse_len <= 0 or delay <= 0:
-        raise ValueError("pulse_len and delay must be positive")
-    u_pulse = _expm_2x2(0.5 * detuning * SIGMA_X + 0.5 * rabi * SIGMA_Z, pulse_len)
-    u_delay = _expm_2x2(0.5 * detuning * SIGMA_X, delay)
-    u = u_delay @ u_pulse
+    train = PulseTrain(rabi, pulse_len, delay, detuning)  # checks the lengths
+    hams = {"pulse": 0.5 * detuning * SIGMA_X + 0.5 * rabi * SIGMA_Z,
+            "delay": 0.5 * detuning * SIGMA_X}
+    cache = _UnitaryCache(hams.__getitem__)
+    u = cache.unitary("delay", delay) @ cache.unitary("pulse", pulse_len)
     half_trace = min(1.0, abs(np.trace(u)) / 2.0)
     beta = 2.0 * math.acos(half_trace)
-    return beta / (pulse_len + delay)
+    return beta / train.period
 
 
 def solve_topdnp_detuning(rabi: float, pulse_len: float, delay: float,
@@ -243,26 +250,16 @@ def topdnp_average_power(rabi: float, pulse_len: float, delay: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sweep workers (module level so they pickle into process pools)
+# one trajectory per operating point, one runner for every sweep axis
 # ---------------------------------------------------------------------------
 
-def _final_row(traj: Trajectory) -> tuple[float, ...]:
-    return tuple(traj.observables[name][-1] for name in traj.observables)
-
-
-def _dcs_point(args) -> tuple[float, ...]:
-    system, omega_max, nu, T, policy, switch_fraction, t_initial, amp_err, init_kind = args
-    w = build_dcs_waveform(omega_max, nu, switch_fraction=switch_fraction,
-                           t_initial=t_initial, amplitude_error=amp_err)
-    traj = propagate(system, w, initial_state(init_kind, system), T, policy)
-    return _final_row(traj)
-
-
-def _pm_point(args) -> tuple[float, ...]:
-    system, omega0, omega1, nu, T, policy, amp_err, init_kind = args
-    w = build_pm_waveform(omega0, omega1, nu, amplitude_error=amp_err)
-    traj = propagate(system, w, initial_state(init_kind, system), T, policy)
-    return _final_row(traj)
+#: result table (and CSV file) name of every (kind, axis) pair run_sweep accepts
+TABLE_NAMES = {("dcs", "nu"): "dcs_sensing", ("dcs", "T"): "dcs_dnp",
+               ("pm", "nu"): "pm", ("pm", "T"): "pm",
+               ("topdnp", "detuning"): "topdnp", ("topdnp", "T"): "topdnp",
+               ("constant", "T"): "constant",
+               **{(kind, "amplitude_error"): "amplitude_error_sweep"
+                  for kind in PROTOCOL_KINDS}}
 
 
 def _topdnp_hamiltonians(system: SpinSystem, rabi: float, detuning: float):
@@ -273,118 +270,49 @@ def _topdnp_hamiltonians(system: SpinSystem, rabi: float, detuning: float):
     return {"pulse": pulse, "delay": delay}
 
 
-def _run_topdnp_trajectory(system, train: PulseTrain, state0, sample_times, policy,
-                           amp_scale: float) -> Trajectory:
-    hams = _topdnp_hamiltonians(system, train.rabi * amp_scale, train.detuning)
-    return propagate_compiled(hams.__getitem__, train.compiled_schedule(policy),
-                              state0, sample_times, policy,
-                              standard_observables(system))
+def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
+                sample_times: Sequence[float], policy: IntegrationPolicy) -> Trajectory:
+    """Evolve ``spec`` at its operating point from its initial state.
 
-
-def _topdnp_point(args) -> tuple[float, ...]:
-    system, rabi, pulse_len, delay, det, T, policy, amp_err, init_kind = args
-    train = PulseTrain(rabi, pulse_len, delay, det)
-    traj = _run_topdnp_trajectory(system, train, initial_state(init_kind, system),
-                                  [T], policy, 1 + amp_err)
-    return _final_row(traj)
-
-
-def _result_from_rows(name: str, axis: str, values, rows,
-                      metadata: dict | None = None,
-                      column_names: Sequence[str] | None = None) -> SweepResult:
-    rows = np.asarray(rows, dtype=float)
-    columns = {n: rows[:, i] for i, n in enumerate(column_names)}
-    if "I_z[1]" in columns:
-        columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]
-    return SweepResult(name=name, axis=axis, values=np.asarray(values, dtype=float),
-                       columns=columns, metadata=metadata or {})
-
-
-def _result_from_trajectory(name: str, traj: Trajectory, requested=None,
-                            metadata: dict | None = None) -> SweepResult:
-    columns = dict(traj.observables)
-    values = traj.times
-    if requested is not None and len(traj.times) == len(requested) + 1:
-        # the propagator always starts at t = 0; drop it if not asked for
-        columns = {k: v[1:] for k, v in columns.items()}
-        values = traj.times[1:]
-    if "I_z[1]" in columns:
-        columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]
-    return SweepResult(name=name, axis="T", values=values,
-                       columns=columns, metadata=metadata or {})
-
-
-def _column_names(system: SpinSystem) -> list[str]:
-    return [o.name for o in standard_observables(system)]
-
-
-# ---------------------------------------------------------------------------
-# protocol runs
-# ---------------------------------------------------------------------------
-
-def run_dcs_sensing(system: SpinSystem, omega_max: float, nu_grid: Sequence[float],
-                    T: float, policy: IntegrationPolicy | None = None, *,
-                    switch_fraction: float = 0.0,
-                    t_initial: float | str = "symmetric",
-                    amplitude_error: float = 0.0,
-                    workers: int | None = 1) -> SweepResult:
-    """Spectral response: per target frequency nu, drive with the optimal
-    switching waveform for time T and record the qubit signal."""
-    policy = policy or IntegrationPolicy()
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    if np.any(nu_grid <= omega_max):
-        raise ValueError("every nu in the grid must exceed omega_max")
-    args = [(system, omega_max, nu, T, policy, switch_fraction, t_initial,
-             amplitude_error, "sensing") for nu in nu_grid]
-    rows = parallel_map(_dcs_point, args, workers)
-    return _result_from_rows("dcs_sensing", "nu", nu_grid, rows,
-                             column_names=_column_names(system))
-
-
-def run_dcs_dnp(system: SpinSystem, omega_max: float, nu: float,
-                T_grid: Sequence[float], policy: IntegrationPolicy | None = None, *,
-                switch_fraction: float = 0.0,
-                t_initial: float | str = "symmetric",
-                amplitude_error: float = 0.0,
-                reset_every: float | None = None) -> SweepResult:
-    """Nuclear polarization buildup: one continuous evolution at fixed nu,
-    sampled at every time in T_grid.
-
-    reset_every optionally reprojects the electron onto |+> at fixed
-    intervals (off by default and excluded from the acceptance checks).
+    The point is nu for dcs and pm and the pulse detuning for topdnp;
+    constant has none.  The evolution runs to the last sample time.
     """
-    policy = policy or IntegrationPolicy()
-    if not nu > omega_max:
-        raise ValueError("requires nu > omega_max")
-    T_grid = np.asarray(T_grid, dtype=float)
-    w = build_dcs_waveform(omega_max, nu, switch_fraction=switch_fraction,
-                           t_initial=t_initial, amplitude_error=amplitude_error)
-    state0 = initial_state("dnp_dcs", system)
-    if reset_every is None:
-        traj = propagate(system, w, state0, float(T_grid[-1]), policy,
-                         sample_times=T_grid)
-        return _result_from_trajectory("dcs_dnp", traj, requested=T_grid)
-    return _dnp_with_resets(system, w, state0, T_grid, policy, reset_every)
+    state0 = initial_state(spec.initial_state_kind, system)
+    scale = 1 + spec.amplitude_error
+    if spec.kind == "topdnp":
+        train = PulseTrain(spec.rabi, spec.pulse_len, spec.delay, point)
+        hams = _topdnp_hamiltonians(system, spec.rabi * scale, point)
+        return propagate_compiled(hams.__getitem__, train.compiled_schedule(policy),
+                                  state0, sample_times, policy,
+                                  standard_observables(system))
+    if spec.kind == "dcs":
+        w = build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
+                               t_initial=spec.t_initial,
+                               amplitude_error=spec.amplitude_error)
+        if spec.reset_every is not None:
+            return _dnp_with_resets(system, w, spec, state0, sample_times, policy)
+    elif spec.kind == "pm":
+        w = build_pm_waveform(spec.omega0, spec.omega1, point,
+                              amplitude_error=spec.amplitude_error)
+    else:
+        w = ConstantWaveform(spec.omega_e * scale)
+    return propagate(system, w, state0, float(sample_times[-1]), policy,
+                     sample_times=sample_times)
 
 
-def _reset_electron(rho: np.ndarray, n_nuclei: int) -> np.ndarray:
-    """Project the electron back onto |+>, keeping the nuclear state."""
-    dim_n = 2 ** n_nuclei
-    blocks = rho.reshape(2, dim_n, 2, dim_n)
-    rho_nuclear = blocks[0, :, 0, :] + blocks[1, :, 1, :]
-    plus = np.zeros((2, 2), dtype=complex)
-    plus[0, 0] = 1.0
-    return np.kron(plus, rho_nuclear)
-
-
-def _dnp_with_resets(system, w, state0, T_grid, policy, reset_every) -> SweepResult:
-    if reset_every <= 0:
-        raise ValueError("reset_every must be positive")
+def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
+                     state0: QuantumState, T_grid: Sequence[float],
+                     policy: IntegrationPolicy) -> Trajectory:
+    """propagate, but every spec.reset_every the electron is projected back
+    onto its initial state while the nuclear state is kept; the trajectory
+    holds exactly the times in T_grid."""
+    electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
+    rho_electron = np.outer(electron, electron.conj())
+    dim_n = 2 ** system.n_nuclei
     obs = standard_observables(system)
-    names = [o.name for o in obs]
     T_grid = np.asarray(T_grid, dtype=float)
     t_end = float(T_grid[-1])
-    resets = np.arange(reset_every, t_end, reset_every)
+    resets = np.arange(spec.reset_every, t_end, spec.reset_every)
     events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
     samples = {float(t) for t in T_grid}
     rho = state0.density_matrix()
@@ -399,116 +327,141 @@ def _dnp_with_resets(system, w, state0, T_grid, policy, reset_every) -> SweepRes
                          policy, sample_times=[t - t_now])
         rho = traj.final_state.density_matrix()
         if t in samples:
-            rows.append(tuple(traj.observables[n][-1] for n in names))
+            rows.append(tuple(series[-1] for series in traj.observables.values()))
         if np.any(np.isclose(t, resets, rtol=0, atol=1e-15 * t_end)) and t < t_end:
-            rho = _reset_electron(rho, system.n_nuclei)
+            blocks = rho.reshape(2, dim_n, 2, dim_n)
+            rho = np.kron(rho_electron, blocks[0, :, 0, :] + blocks[1, :, 1, :])
         t_now = t
-    return _result_from_rows("dcs_dnp", "T", T_grid, rows, column_names=names,
-                             metadata={"reset_every_s": reset_every})
+    table = np.asarray(rows, dtype=float)
+    return Trajectory(times=T_grid,
+                      observables={o.name: table[:, i] for i, o in enumerate(obs)},
+                      final_state=QuantumState.from_density(rho))
+
+
+def _final_row(args) -> tuple[float, ...]:
+    """Observables at the end of one sweep point (module level, so it pickles)."""
+    return tuple(series[-1] for series in _trajectory(*args).observables.values())
+
+
+def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
+              grid: Sequence[float], *, T: float | None = None,
+              point: float | None = None, policy: IntegrationPolicy | None = None,
+              workers: int | None = 1) -> SweepResult:
+    """Run ``spec`` over ``grid`` along one axis.
+
+    Axis "T" is one evolution at ``point``, sampled at the grid times.  The
+    other axes record the observables at time T per grid value: "nu" (dcs,
+    pm) and "detuning" (topdnp) move the operating point, and
+    "amplitude_error" scales the drive amplitudes by (1 + delta) on top of
+    ``spec.amplitude_error`` at the fixed ``point``.
+    """
+    if (spec.kind, axis) not in TABLE_NAMES:
+        raise ValueError(f"axis {axis!r} does not apply to protocol {spec.kind!r}")
+    if point is None and axis in ("T", "amplitude_error") and spec.kind != "constant":
+        raise ValueError(f"a {axis} sweep of {spec.kind!r} needs the operating point")
+    if T is None and axis != "T":
+        raise ValueError(f"a {axis} sweep needs T")
+    policy = policy or IntegrationPolicy()
+    grid = np.asarray(grid, dtype=float)
+    if axis == "T":
+        traj = _trajectory(system, spec, point, grid, policy)
+        first = len(traj.times) - len(grid)  # the t = 0 sample, unless asked for
+        columns = {name: series[first:] for name, series in traj.observables.items()}
+    else:
+        if axis == "amplitude_error":
+            items = [(system, apply_amplitude_error(spec, d), point, [T], policy)
+                     for d in grid]
+        else:
+            items = [(system, spec, value, [T], policy) for value in grid]
+        rows = np.asarray(parallel_map(_final_row, items, workers), dtype=float)
+        columns = {o.name: rows[:, i] for i, o in enumerate(standard_observables(system))}
+    if "I_z[1]" in columns:
+        columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]
+    metadata = {} if spec.reset_every is None else {"reset_every_s": spec.reset_every}
+    return SweepResult(TABLE_NAMES[spec.kind, axis], axis, grid, columns, metadata)
+
+
+# ---------------------------------------------------------------------------
+# front ends
+# ---------------------------------------------------------------------------
+
+def run_dcs_sensing(system: SpinSystem, omega_max: float, nu_grid: Sequence[float],
+                    T: float, policy: IntegrationPolicy | None = None, *,
+                    switch_fraction: float = 0.0,
+                    t_initial: float | str = "symmetric",
+                    amplitude_error: float = 0.0,
+                    workers: int | None = 1) -> SweepResult:
+    """Spectral response: per target frequency nu, drive with the optimal
+    switching waveform for time T and record the qubit signal."""
+    spec = ProtocolSpec("dcs", omega_max=omega_max, switch_fraction=switch_fraction,
+                        t_initial=t_initial, amplitude_error=amplitude_error)
+    return run_sweep(system, spec, "nu", nu_grid, T=T, policy=policy, workers=workers)
+
+
+def run_dcs_dnp(system: SpinSystem, omega_max: float, nu: float,
+                T_grid: Sequence[float], policy: IntegrationPolicy | None = None, *,
+                switch_fraction: float = 0.0,
+                t_initial: float | str = "symmetric",
+                amplitude_error: float = 0.0,
+                reset_every: float | None = None) -> SweepResult:
+    """Nuclear polarization buildup: one continuous evolution at fixed nu,
+    sampled at every time in T_grid.
+
+    reset_every optionally reprojects the electron onto its initial state at
+    fixed intervals (off by default and excluded from the acceptance checks).
+    """
+    spec = ProtocolSpec("dcs", omega_max=omega_max, switch_fraction=switch_fraction,
+                        t_initial=t_initial, amplitude_error=amplitude_error,
+                        reset_every=reset_every)
+    return run_sweep(system, spec, "T", T_grid, point=nu, policy=policy)
+
+
+def _spectrum_or_time(system, spec, axis, grid, T, point, T_grid, policy, workers):
+    """Spectrum mode (``axis`` grid + T) or time mode (point + T_grid)."""
+    if (grid is None) == (T_grid is None):
+        raise ValueError("provide exactly one of a spectrum grid (with T) or T_grid")
+    if grid is None:
+        return run_sweep(system, spec, "T", T_grid, point=point, policy=policy)
+    return run_sweep(system, spec, axis, grid, T=T, policy=policy, workers=workers)
 
 
 def run_pm(system: SpinSystem, omega0: float, omega1: float, *,
            nu_grid: Sequence[float] | None = None, T: float | None = None,
            nu: float | None = None, T_grid: Sequence[float] | None = None,
            policy: IntegrationPolicy | None = None,
-           initial_state_kind: str = "sensing",
+           initial_state_kind: str | None = None,
            amplitude_error: float = 0.0,
            workers: int | None = 1) -> SweepResult:
     """PM protocol: spectrum mode (nu_grid + T) scans the resonance through
     the modulation period; time mode (nu + T_grid) follows one evolution."""
-    if omega0 < 0 or omega1 < 0:
-        raise ValueError("omega0 and omega1 must be nonnegative")
-    policy = policy or IntegrationPolicy()
-    spectrum = nu_grid is not None
-    if spectrum == (T_grid is not None):
-        raise ValueError("provide exactly one of nu_grid (with T) or T_grid (with nu)")
-    if spectrum:
-        if T is None:
-            raise ValueError("spectrum mode requires T")
-        nu_grid = np.asarray(nu_grid, dtype=float)
-        args = [(system, omega0, omega1, nu_i, T, policy, amplitude_error,
-                 initial_state_kind) for nu_i in nu_grid]
-        rows = parallel_map(_pm_point, args, workers)
-        return _result_from_rows("pm", "nu", nu_grid, rows,
-                                 column_names=_column_names(system))
-    if nu is None:
-        raise ValueError("time mode requires nu")
-    T_grid = np.asarray(T_grid, dtype=float)
-    w = build_pm_waveform(omega0, omega1, nu, amplitude_error=amplitude_error)
-    traj = propagate(system, w, initial_state(initial_state_kind, system),
-                     float(T_grid[-1]), policy, sample_times=T_grid)
-    return _result_from_trajectory("pm", traj, requested=T_grid)
+    spec = ProtocolSpec("pm", initial_state_kind, amplitude_error=amplitude_error,
+                        omega0=omega0, omega1=omega1)
+    return _spectrum_or_time(system, spec, "nu", nu_grid, T, nu, T_grid, policy, workers)
 
 
 def run_topdnp(system: SpinSystem, rabi: float, pulse_len: float, delay: float, *,
                detuning_grid: Sequence[float] | None = None, T: float | None = None,
                detuning: float | None = None, T_grid: Sequence[float] | None = None,
                policy: IntegrationPolicy | None = None,
-               initial_state_kind: str = "topdnp_parallel",
+               initial_state_kind: str | None = None,
                amplitude_error: float = 0.0,
                workers: int | None = 1) -> SweepResult:
     """Pulse-train DNP: sweep the pulse detuning (detuning_grid + T) or
     follow the polarization buildup at fixed detuning (detuning + T_grid)."""
-    if pulse_len <= 0 or delay <= 0:
-        raise ValueError("pulse_len and delay must be positive")
-    policy = policy or IntegrationPolicy()
-    spectrum = detuning_grid is not None
-    if spectrum == (T_grid is not None):
-        raise ValueError("provide exactly one of detuning_grid (with T) or T_grid")
-    if spectrum:
-        if T is None:
-            raise ValueError("spectrum mode requires T")
-        detuning_grid = np.asarray(detuning_grid, dtype=float)
-        args = [(system, rabi, pulse_len, delay, det, T, policy, amplitude_error,
-                 initial_state_kind) for det in detuning_grid]
-        rows = parallel_map(_topdnp_point, args, workers)
-        return _result_from_rows("topdnp", "detuning", detuning_grid, rows,
-                                 column_names=_column_names(system))
-    if detuning is None:
-        raise ValueError("time mode requires detuning")
-    T_grid = np.asarray(T_grid, dtype=float)
-    train = PulseTrain(rabi, pulse_len, delay, detuning)
-    traj = _run_topdnp_trajectory(system, train,
-                                  initial_state(initial_state_kind, system),
-                                  T_grid, policy, 1 + amplitude_error)
-    return _result_from_trajectory("topdnp", traj, requested=T_grid)
+    spec = ProtocolSpec("topdnp", initial_state_kind, amplitude_error=amplitude_error,
+                        rabi=rabi, pulse_len=pulse_len, delay=delay)
+    return _spectrum_or_time(system, spec, "detuning", detuning_grid, T, detuning, T_grid,
+                             policy, workers)
 
 
 def run_constant(system: SpinSystem, omega_e: float, T_grid: Sequence[float],
                  policy: IntegrationPolicy | None = None, *,
-                 initial_state_kind: str = "sensing",
+                 initial_state_kind: str | None = None,
                  amplitude_error: float = 0.0) -> SweepResult:
     """Continuous constant drive (the Hartmann-Hahn reference case)."""
-    policy = policy or IntegrationPolicy()
-    T_grid = np.asarray(T_grid, dtype=float)
-    w = ConstantWaveform(omega_e * (1 + amplitude_error))
-    traj = propagate(system, w, initial_state(initial_state_kind, system),
-                     float(T_grid[-1]), policy, sample_times=T_grid)
-    return _result_from_trajectory("constant", traj, requested=T_grid)
-
-
-def _amplitude_error_point(args) -> tuple[float, ...]:
-    system, spec, delta, T, nu, detuning, policy = args
-    erred = apply_amplitude_error(spec, delta)
-    if spec.kind == "dcs":
-        res = run_dcs_dnp(system, spec.omega_max, nu, [T], policy,
-                          switch_fraction=spec.switch_fraction,
-                          t_initial=spec.t_initial,
-                          amplitude_error=erred.amplitude_error)
-    elif spec.kind == "pm":
-        res = run_pm(system, spec.omega0, spec.omega1, nu=nu, T_grid=[T],
-                     policy=policy, initial_state_kind=spec.initial_state_kind,
-                     amplitude_error=erred.amplitude_error)
-    elif spec.kind == "topdnp":
-        res = run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay,
-                         detuning=detuning, T_grid=[T], policy=policy,
-                         initial_state_kind=spec.initial_state_kind,
-                         amplitude_error=erred.amplitude_error)
-    else:
-        res = run_constant(system, spec.omega_e, [T], policy,
-                           initial_state_kind=spec.initial_state_kind,
-                           amplitude_error=erred.amplitude_error)
-    return tuple(res.columns[n][-1] for n in _column_names(system))
+    spec = ProtocolSpec("constant", initial_state_kind, amplitude_error=amplitude_error,
+                        omega_e=omega_e)
+    return run_sweep(system, spec, "T", T_grid, policy=policy)
 
 
 def run_amplitude_error_sweep(system: SpinSystem, spec: ProtocolSpec,
@@ -523,9 +476,6 @@ def run_amplitude_error_sweep(system: SpinSystem, spec: ProtocolSpec,
     detuning for topdnp); each delta scales the drive amplitudes on top of
     any error already carried by ``spec``.
     """
-    policy = policy or IntegrationPolicy()
-    deltas = np.asarray(deltas, dtype=float)
-    args = [(system, spec, d, T, nu, detuning, policy) for d in deltas]
-    rows = parallel_map(_amplitude_error_point, args, workers)
-    return _result_from_rows("amplitude_error_sweep", "amplitude_error", deltas,
-                             rows, column_names=_column_names(system))
+    point = detuning if spec.kind == "topdnp" else nu
+    return run_sweep(system, spec, "amplitude_error", deltas, T=T, point=point,
+                     policy=policy, workers=workers)

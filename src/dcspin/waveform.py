@@ -29,7 +29,7 @@ from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .constants import TWO_PI
 
 #: relative tolerance for the oscillatory quadrature (configurable per call)
 DEFAULT_QUAD_TOL = 1e-10

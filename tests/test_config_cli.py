@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from dcspin import ConfigError, angular_from_khz, angular_from_mhz, load_config
+from dcspin import (
+    ConfigError,
+    angular_from_khz,
+    angular_from_mhz,
+    load_config,
+    run_amplitude_error_sweep,
+    run_constant,
+    run_dcs_dnp,
+    run_dcs_sensing,
+    run_pm,
+    run_topdnp,
+)
 from dcspin.cli import main, run_experiment
 from dcspin.config import parse_config
 from dcspin.dynamics import IntegrationPolicy
@@ -372,3 +383,142 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert main(["preset", "fig1f", "--out", "/tmp/dcspin-x"]) == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "PropagationError"
+
+
+# ---------------------------------------------------------------------------
+# every (kind, axis) pair: the CLI equals the library front ends
+# ---------------------------------------------------------------------------
+
+PROTON = {"field_tesla": 0.35,
+          "nuclei": [{"isotope": "1H", "hyperfine_x_khz": 0.5, "hyperfine_z_khz": 0.5}]}
+PAIR_PROTOCOLS = {
+    "dcs": {"kind": "dcs", "rabi_mhz": 2.0, "amplitude_error": 0.003},
+    "pm": {"kind": "pm", "omega0_mhz": 1.0, "omega1_mhz": 1.0, "amplitude_error": 0.003},
+    "topdnp": {"kind": "topdnp", "rabi_mhz": 2.0, "pulse_len_ns": 56, "delay_ns": 28,
+               "amplitude_error": 0.003},
+    "constant": {"kind": "constant", "omega_e_mhz": 14.9, "amplitude_error": 0.003},
+}
+PAIR_SWEEPS = {
+    "nu_mhz": {"start": 14.88, "stop": 14.92, "points": 5, "total_time_ms": 0.05},
+    "detuning_mhz": {"start": 2.64, "stop": 2.74, "points": 5, "total_time_ms": 0.05},
+    "total_time_ms": {"start": 0.0, "stop": 0.05, "points": 5},
+    "amplitude_error": {"start": -0.01, "stop": 0.01, "points": 5, "total_time_ms": 0.05},
+}
+PAIR_POINTS = {"dcs": {"nu_mhz": 14.902375}, "pm": {"nu_mhz": 14.902375},
+               "topdnp": {"detuning_mhz": 2.69}, "constant": {}}
+PAIRS = [("dcs", "nu_mhz", "dcs_sensing"), ("dcs", "total_time_ms", "dcs_dnp"),
+         ("pm", "nu_mhz", "pm"), ("pm", "total_time_ms", "pm"),
+         ("topdnp", "detuning_mhz", "topdnp"), ("topdnp", "total_time_ms", "topdnp"),
+         ("constant", "total_time_ms", "constant")]
+PAIRS += [(kind, "amplitude_error", "amplitude_error_sweep") for kind in PAIR_PROTOCOLS]
+
+
+def _library_result(config):
+    """The same run through the library front end of its (kind, axis) pair."""
+    system, spec, plan = config.system, config.protocol, config.sweep
+    T = None if plan.total_time_ms is None else plan.total_time_ms * 1e-3
+    nu = None if plan.nu_mhz is None else angular_from_mhz(plan.nu_mhz)
+    det = None if plan.detuning_mhz is None else angular_from_mhz(plan.detuning_mhz)
+    grid = np.array([angular_from_mhz(v) for v in plan.grid_display])
+    T_grid = plan.grid_display * 1e-3
+    common = {"policy": config.policy, "amplitude_error": spec.amplitude_error}
+    if plan.axis == "amplitude_error":
+        return run_amplitude_error_sweep(system, spec, plan.grid_display, T, nu=nu,
+                                         detuning=det, policy=config.policy)
+    if spec.kind == "dcs" and plan.axis == "nu_mhz":
+        return run_dcs_sensing(system, spec.omega_max, grid, T, **common)
+    if spec.kind == "dcs":
+        return run_dcs_dnp(system, spec.omega_max, nu, T_grid, **common)
+    if spec.kind == "pm" and plan.axis == "nu_mhz":
+        return run_pm(system, spec.omega0, spec.omega1, nu_grid=grid, T=T, **common)
+    if spec.kind == "pm":
+        return run_pm(system, spec.omega0, spec.omega1, nu=nu, T_grid=T_grid, **common)
+    if plan.axis == "detuning_mhz":
+        return run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay,
+                          detuning_grid=grid, T=T, **common)
+    if spec.kind == "topdnp":
+        return run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay, detuning=det,
+                          T_grid=T_grid, **common)
+    return run_constant(system, spec.omega_e, T_grid, **common)
+
+
+def _csv_columns(path) -> dict[str, np.ndarray]:
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+    return {name: rows[:, i] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("kind,axis,table", PAIRS)
+def test_every_kind_axis_pair_runs_and_matches_the_library(tmp_path, kind, axis, table):
+    sweep = dict(PAIR_SWEEPS[axis], axis=axis)
+    if axis in ("total_time_ms", "amplitude_error"):
+        sweep.update(PAIR_POINTS[kind])
+    path = write_config(tmp_path, {"system": PROTON, "protocol": PAIR_PROTOCOLS[kind],
+                                   "sweep": sweep})
+    library = _library_result(load_config(path))
+    assert library.name == table
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert main(["run", str(path), "--out", str(out), "--workers", workers]) == 0
+        columns = _csv_columns(out / f"{table}.csv")
+        assert list(columns)[1:] == list(library.columns)
+        for name, values in library.columns.items():
+            assert np.array_equal(columns[name], values), name
+
+
+# ---------------------------------------------------------------------------
+# configs the drives cannot run, and dcs settings that used to be ignored
+# ---------------------------------------------------------------------------
+
+DCS_TIME = {"axis": "total_time_ms", "start": 0.0, "stop": 0.05, "points": 3}
+PM = {"kind": "pm", "omega0_mhz": 11.0, "omega1_mhz": 1.0}
+
+
+@pytest.mark.parametrize("protocol,sweep,field", [
+    # a dcs drive needs every nu above rabi_mhz
+    ({}, {"start": 0.5, "stop": 10.73}, "sweep.start"),
+    ({}, dict(DCS_TIME, nu_mhz=1.0), "sweep.nu_mhz"),
+    # a pm drive needs every nu above omega0_mhz
+    (PM, {"start": 10.70, "stop": 10.73}, "sweep.start"),
+    (PM, {"start": 11.5, "stop": 10.9}, "sweep.stop"),
+    (PM, dict(DCS_TIME, nu_mhz=10.713), "sweep.nu_mhz"),
+    ({"reset_every_ms": 0}, {}, "protocol"),
+    ({"rabi_mhz": 0.0}, {}, "protocol"),
+    ({"switch_fraction": 1.0}, {}, "protocol"),
+    ({"kind": "pm", "omega0_mhz": 1.0, "omega1_mhz": -1.0}, {}, "protocol"),
+], ids=["dcs-grid", "dcs-nu", "pm-grid-start", "pm-grid-stop", "pm-nu", "zero-reset",
+        "zero-rabi", "full-switch-fraction", "negative-omega1"])
+def test_cli_rejects_configs_the_drive_cannot_run(tmp_path, capsys, protocol, sweep, field):
+    data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], **protocol),
+                sweep=dict(EXPLICIT["sweep"], **sweep))
+    if protocol.get("kind") == "pm":
+        del data["protocol"]["rabi_mhz"]
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert f"{field}:" in record["message"]
+
+
+def test_cli_rejects_topdnp_without_positive_lengths(tmp_path, capsys):
+    data = {"system": PROTON,
+            "protocol": {"kind": "topdnp", "rabi_mhz": 2.0, "pulse_len_ns": 0,
+                         "delay_ns": 28},
+            "sweep": dict(DCS_TIME, detuning_mhz=2.69)}
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert "protocol:" in record["message"]
+
+
+def _explicit_columns(tmp_path, name, **protocol) -> dict[str, np.ndarray]:
+    data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], **protocol))
+    config = load_config(write_config(tmp_path, data, f"{name}.json"))
+    run_experiment(config, out_dir=tmp_path / name, workers=1)
+    return _csv_columns(tmp_path / name / "dcs_sensing.csv")
+
+
+def test_dcs_spectrum_honours_initial_state_and_resets(tmp_path):
+    default = _explicit_columns(tmp_path, "default")
+    parallel = _explicit_columns(tmp_path, "parallel", initial_state="topdnp_parallel")
+    sensing = _explicit_columns(tmp_path, "sensing", initial_state="sensing")
+    resets = _explicit_columns(tmp_path, "resets", reset_every_ms=0.02)
+    assert np.array_equal(sensing["sigma_z"], default["sigma_z"])
+    assert not np.allclose(parallel["sigma_z"], default["sigma_z"], atol=1e-3)
+    assert not np.allclose(resets["sigma_z"], default["sigma_z"], atol=1e-6)

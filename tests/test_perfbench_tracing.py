@@ -1,0 +1,39 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+perfbench/tracing.py wraps functions by name in dcspin's module namespaces
+and raises KeyError when one is missing, so a refactor that drops one of
+them breaks the traced benchmark run.  This test runs the tracer around a
+small sweep.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from dcspin import nuclear_frequency, protocols
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_spans_a_sensing_sweep_and_restores_everything(monkeypatch, carbon_system,
+                                                              carbon_rabi):
+    tracing = _load_tracing(monkeypatch)
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    grid = omega_n + 2 * np.pi * np.array([-1e3, 0.0, 1e3])
+    with tracing.Tracer() as tracer:
+        protocols.run_dcs_sensing(carbon_system, carbon_rabi, grid, 0.02e-3, workers=1)
+    totals = tracer.totals()
+    for span in ("dynamics.propagate", "sweep.parallel_map", "spincore.build_hamiltonian"):
+        assert totals[span]["calls"] > 0, span
+    assert totals["dynamics.propagate"]["calls"] == 3
+    assert totals["sweep.parallel_map"]["amount"] == 3
+    assert tracing.leftover_wrappers() == []

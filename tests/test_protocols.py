@@ -28,7 +28,7 @@ from dcspin import (
     topdnp_average_power,
 )
 from dcspin import dynamics, spincore
-from dcspin.protocols import pm_resonant_period
+from dcspin.protocols import pm_resonant_period, run_sweep
 from dcspin.spincore import SIGMA_Z
 from dcspin.sweep import SweepResult, parallel_map
 
@@ -168,6 +168,39 @@ def test_dnp_reset_flag(carbon_system, carbon_rabi):
     assert plain.column("sigma_z")[3] < 0.97
     assert reset.column("nuclear_polarization")[3] == pytest.approx(
         reset.column("nuclear_polarization")[2], abs=1e-3)
+
+
+def test_reset_reprojects_onto_the_initial_electron_state(carbon_system, carbon_rabi):
+    """Just after a reset the electron is back in its prepared state: |+>
+    (sigma_z = 1) for sensing, the lab-frame |1> (sigma_z = 0) for
+    topdnp_parallel."""
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    times = np.array([0.0, 0.9e-4, 1.0e-4 + 1e-9])
+    for kind, sigma_z in (("sensing", 1.0), ("topdnp_parallel", 0.0)):
+        spec = ProtocolSpec("dcs", kind, omega_max=carbon_rabi, reset_every=1.0e-4)
+        res = run_sweep(carbon_system, spec, "T", times, point=omega_n)
+        assert res.column("sigma_z")[0] == pytest.approx(sigma_z, abs=1e-12)
+        assert res.column("sigma_z")[2] == pytest.approx(sigma_z, abs=1e-3)
+        assert res.metadata == {"reset_every_s": 1.0e-4}
+
+
+def test_run_sweep_rejects_what_a_kind_cannot_sweep(carbon_system, carbon_rabi):
+    dcs = ProtocolSpec("dcs", omega_max=carbon_rabi)
+    with pytest.raises(ValueError, match="does not apply"):
+        run_sweep(carbon_system, dcs, "detuning", [1.0], T=1e-5)
+    with pytest.raises(ValueError, match="operating point"):
+        run_sweep(carbon_system, dcs, "T", [1e-5])
+    with pytest.raises(ValueError, match="needs T"):
+        run_sweep(carbon_system, dcs, "nu", [angular_from_mhz(10.7)])
+    with pytest.raises(ValueError, match="reset_every"):
+        ProtocolSpec("pm", omega0=1.0, omega1=1.0, reset_every=1e-4)
+
+
+def test_spec_resolves_the_initial_state_default():
+    assert ProtocolSpec("dcs", omega_max=1.0).initial_state_kind == "sensing"
+    assert ProtocolSpec("topdnp", rabi=1.0, pulse_len=1e-8,
+                        delay=1e-8).initial_state_kind == "topdnp_parallel"
+    assert ProtocolSpec("constant", "dnp_dcs", omega_e=1.0).initial_state_kind == "dnp_dcs"
 
 
 # ---------------------------------------------------------------------------
