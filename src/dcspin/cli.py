@@ -46,7 +46,11 @@ def _operating_point(system, spec, plan) -> float | None:
         return None
     if fixed == "auto":
         omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
-        return solve_topdnp_detuning(spec.rabi, spec.pulse_len, spec.delay, omega_n)
+        try:
+            return solve_topdnp_detuning(spec.rabi, spec.pulse_len, spec.delay, omega_n)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.detuning_mhz: 'auto' finds no pulse-train "
+                              f"resonance with nucleus 1: {exc}") from None
     return angular_from_mhz(fixed)
 
 

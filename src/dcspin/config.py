@@ -230,6 +230,13 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
         if not angular_from_mhz(lowest) > floor[kind][1]:
             raise ConfigError(f"{block.path}.{name}: every nu of a {kind!r} drive must "
                               f"exceed protocol.{floor[kind][0]}, got {lowest} MHz")
+    # a field the (kind, axis) pair never reads is rejected, not ignored
+    fixed = axis in ("total_time_ms", "amplitude_error")
+    for key, used in (("total_time_ms", axis != "total_time_ms"),
+                      ("nu_mhz", fixed and kind in ("dcs", "pm")),
+                      ("detuning_mhz", fixed and kind == "topdnp")):
+        if key in block.data and not used:
+            raise ConfigError(f"{block.path}.{key}: not used by a {axis} sweep of {kind!r}")
     return plan
 
 

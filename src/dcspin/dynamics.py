@@ -172,62 +172,33 @@ class _UnitaryCache:
 
 
 class _Representation:
-    """Evolving state: weighted pure branches, or a density matrix."""
+    """Evolving state: the weighted pure branches of a QuantumState."""
 
     def __init__(self, state: QuantumState):
-        branches = state.branches
-        if branches is not None:
-            self.weights, vectors = branches
-            self.psi = vectors.copy()
-            self.rho = None
-        else:
-            self.rho = state.density_matrix().copy()
-            self.psi = None
-
-    @property
-    def dimension(self) -> int:
-        return self.psi.shape[0] if self.psi is not None else self.rho.shape[0]
+        self.weights, vectors = state.branches
+        self.psi = vectors.copy()
 
     def apply(self, u: np.ndarray) -> None:
-        if self.psi is not None:
-            self.psi = u @ self.psi
-        else:
-            self.rho = u @ self.rho @ u.conj().T
+        self.psi = u @ self.psi
 
     def expectation(self, matrix: np.ndarray) -> float:
-        if self.psi is not None:
-            val = complex(np.einsum("ib,ij,jb,b->", self.psi.conj(), matrix, self.psi,
-                                    self.weights))
-        else:
-            val = complex(np.einsum("ij,ji->", self.rho, matrix))
+        val = complex(np.einsum("ib,ij,jb,b->", self.psi.conj(), matrix, self.psi,
+                                self.weights))
         if abs(val.imag) >= 1e-10:
             raise PropagationError(f"observable developed imaginary part {val.imag:.3e}")
         return val.real
 
     def health_defect(self) -> float:
-        if self.psi is not None:
-            if not np.all(np.isfinite(self.psi)):
-                raise PropagationError("state became non-finite")
-            return float(np.max(np.abs(np.linalg.norm(self.psi, axis=0) - 1.0)))
-        if not np.all(np.isfinite(self.rho)):
+        if not np.all(np.isfinite(self.psi)):
             raise PropagationError("state became non-finite")
-        trace_defect = abs(np.trace(self.rho).real - 1.0)
-        herm_defect = float(np.max(np.abs(self.rho - self.rho.conj().T)))
-        return max(trace_defect, herm_defect)
+        return float(np.max(np.abs(np.linalg.norm(self.psi, axis=0) - 1.0)))
 
     def to_state(self, tolerance: float) -> QuantumState:
         # drift below the policy tolerance is removed when materializing
         defect = self.health_defect()
         if defect >= tolerance:
             raise PropagationError(f"state drift {defect:.3e} >= tolerance {tolerance}")
-        if self.psi is not None:
-            psi = self.psi / np.linalg.norm(self.psi, axis=0)
-            if psi.shape[1] == 1:
-                return QuantumState.pure(psi[:, 0])
-            return QuantumState.mixture(self.weights, psi)
-        rho = 0.5 * (self.rho + self.rho.conj().T)
-        rho = rho / np.trace(rho).real
-        return QuantumState.from_density(rho)
+        return QuantumState.mixture(self.weights, self.psi / np.linalg.norm(self.psi, axis=0))
 
 
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:

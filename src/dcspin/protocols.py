@@ -307,15 +307,13 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
     onto its initial state while the nuclear state is kept; the trajectory
     holds exactly the times in T_grid."""
     electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
-    rho_electron = np.outer(electron, electron.conj())
-    dim_n = 2 ** system.n_nuclei
     obs = standard_observables(system)
     T_grid = np.asarray(T_grid, dtype=float)
     t_end = float(T_grid[-1])
     resets = np.arange(spec.reset_every, t_end, spec.reset_every)
     events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
     samples = {float(t) for t in T_grid}
-    rho = state0.density_matrix()
+    state = state0
     rows: list[tuple[float, ...]] = []
     if 0.0 in samples:
         rows.append(tuple(expectation(state0, o) for o in obs))
@@ -323,19 +321,31 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
     for t in events:
         # continue the waveform phase across segments by shifting its anchor
         w_seg = replace(w, t_initial=w.t_initial - t_now)
-        traj = propagate(system, w_seg, QuantumState.from_density(rho), t - t_now,
-                         policy, sample_times=[t - t_now])
-        rho = traj.final_state.density_matrix()
+        traj = propagate(system, w_seg, state, t - t_now, policy,
+                         sample_times=[t - t_now])
+        state = traj.final_state
         if t in samples:
             rows.append(tuple(series[-1] for series in traj.observables.values()))
         if np.any(np.isclose(t, resets, rtol=0, atol=1e-15 * t_end)) and t < t_end:
-            blocks = rho.reshape(2, dim_n, 2, dim_n)
-            rho = np.kron(rho_electron, blocks[0, :, 0, :] + blocks[1, :, 1, :])
+            state = _reset_electron(state, electron)
         t_now = t
     table = np.asarray(rows, dtype=float)
     return Trajectory(times=T_grid,
                       observables={o.name: table[:, i] for i, o in enumerate(obs)},
-                      final_state=QuantumState.from_density(rho))
+                      final_state=state)
+
+
+def _reset_electron(state: QuantumState, electron: np.ndarray) -> QuantumState:
+    """|electron><electron| (x) Tr_e rho, as at most 2**N weighted branches.
+
+    Tr_e rho = M M^H for the stack M = [sqrt(w) psi_up, sqrt(w) psi_down] of
+    the branches' electron-up and electron-down halves, so the SVD
+    M = U S V^H gives its eigenvectors U and eigenvalues S**2.
+    """
+    weights, psi = state.branches
+    halves = np.sqrt(weights) * psi.reshape(2, -1, psi.shape[1])
+    u, s, _ = np.linalg.svd(np.concatenate(halves, axis=1), full_matrices=False)
+    return QuantumState.mixture(s ** 2 / np.sum(s ** 2), np.kron(electron[:, None], u))
 
 
 def _final_row(args) -> tuple[float, ...]:

@@ -132,12 +132,12 @@ class Observable:
 
 
 class QuantumState:
-    """A state of the composite system: pure vector or density matrix.
+    """A state of the composite system as weighted pure branches.
 
-    A state may additionally carry a decomposition into weighted pure
-    branches (used for product states of a pure electron with maximally
-    mixed nuclei); propagation exploits that decomposition by evolving
-    the branch vectors instead of the full density matrix.
+    rho = sum_b w_b |psi_b><psi_b|, one column of ``branches[1]`` per
+    branch.  A pure vector is a single branch; a density matrix enters as
+    its eigendecomposition (eigenvalues as weights, eigenvectors as
+    branches), so propagation only ever evolves branch vectors.
     """
 
     def __init__(self, *, vector: np.ndarray | None = None,
@@ -146,16 +146,11 @@ class QuantumState:
                  branch_vectors: np.ndarray | None = None):
         if (vector is None) == (matrix is None) and branch_vectors is None:
             raise ValueError("provide exactly one of vector, matrix, or branches")
-        self._vector = None
-        self._matrix = None
-        self._branch_weights = None
-        self._branch_vectors = None
         if vector is not None:
             v = np.asarray(vector, dtype=complex).ravel()
             norm = np.linalg.norm(v)
             if abs(norm - 1.0) >= NORM_TOL:
                 raise ValueError(f"pure-state vector norm {norm} differs from 1 beyond {NORM_TOL}")
-            self._vector = v
             self._branch_weights = np.array([1.0])
             self._branch_vectors = v[:, None]
         elif branch_vectors is not None:
@@ -170,8 +165,6 @@ class QuantumState:
                 raise ValueError("branch vectors must be unit norm")
             self._branch_weights = w
             self._branch_vectors = vs
-            if w.size == 1:
-                self._vector = vs[:, 0]
         else:
             m = np.asarray(matrix, dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -181,9 +174,14 @@ class QuantumState:
             tr = np.trace(m).real
             if abs(tr - 1.0) >= TRACE_TOL:
                 raise ValueError(f"density matrix trace {tr} differs from 1 beyond {TRACE_TOL}")
-            if np.min(np.linalg.eigvalsh(m)) < EIGENVALUE_FLOOR:
+            vals, vecs = np.linalg.eigh(m)
+            if vals[0] < EIGENVALUE_FLOOR:
                 raise ValueError("density matrix has an eigenvalue below the tolerance floor")
-            self._matrix = m
+            # zero-weight branches are kept; clipping the negative rounding
+            # may lift the sum above 1 by at most dimension * |floor|
+            w = np.clip(vals, 0.0, None)
+            self._branch_weights = w / w.sum()
+            self._branch_vectors = vecs
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "QuantumState":
@@ -201,31 +199,25 @@ class QuantumState:
 
     @property
     def dimension(self) -> int:
-        if self._matrix is not None:
-            return self._matrix.shape[0]
         return self._branch_vectors.shape[0]
 
     @property
     def is_pure(self) -> bool:
-        return self._vector is not None
+        return self._branch_weights.size == 1
 
     @property
     def vector(self) -> np.ndarray:
-        if self._vector is None:
-            raise ValueError("state is not stored as a pure vector")
-        return self._vector
+        if not self.is_pure:
+            raise ValueError("state is not pure: it has more than one branch")
+        return self._branch_vectors[:, 0]
 
     @property
-    def branches(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(weights, vectors) decomposition if available, else None."""
-        if self._branch_vectors is None:
-            return None
+    def branches(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, vectors): one weight and one unit column per branch."""
         return self._branch_weights, self._branch_vectors
 
     def density_matrix(self) -> np.ndarray:
         """Materialize the density operator."""
-        if self._matrix is not None:
-            return self._matrix
         vs = self._branch_vectors
         return (vs * self._branch_weights) @ vs.conj().T
 
@@ -342,12 +334,8 @@ def expectation(state: QuantumState, obs: Observable) -> float:
         raise DimensionMismatchError(
             f"state dimension {state.dimension} != observable dimension {obs.matrix.shape[0]}"
         )
-    branches = state.branches
-    if branches is not None:
-        w, vs = branches
-        value = complex(np.einsum("ib,ij,jb,b->", vs.conj(), obs.matrix, vs, w))
-    else:
-        value = complex(np.trace(state.density_matrix() @ obs.matrix))
+    w, vs = state.branches
+    value = complex(np.einsum("ib,ij,jb,b->", vs.conj(), obs.matrix, vs, w))
     if abs(value.imag) >= 1e-10:
         raise ValueError(f"expectation value has imaginary residue {value.imag}")
     return value.real
@@ -365,9 +353,8 @@ _ELECTRON_VECTORS = {
 
 
 def _read_only_state(state: QuantumState) -> QuantumState:
-    for array in (state._vector, state._branch_weights, state._branch_vectors):
-        if array is not None:
-            _read_only(array)
+    for array in state.branches:
+        _read_only(array)
     return state
 
 

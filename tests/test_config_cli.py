@@ -507,6 +507,35 @@ def test_cli_rejects_topdnp_without_positive_lengths(tmp_path, capsys):
     assert "protocol:" in record["message"]
 
 
+@pytest.mark.parametrize("field_tesla,pulse_len_ns,delay_ns", [
+    (0.35, 30, 20),  # 14.9 MHz nucleus, below the 20 MHz modulation alone
+    (0.5, 56, 28),  # 21.3 MHz nucleus, above 11.9 MHz modulation + at most 6 MHz
+], ids=["already-above", "not-reachable"])
+def test_cli_rejects_auto_detuning_without_a_resonance(tmp_path, capsys, field_tesla,
+                                                       pulse_len_ns, delay_ns):
+    data = {"system": dict(PROTON, field_tesla=field_tesla),
+            "protocol": {"kind": "topdnp", "rabi_mhz": 2.0, "pulse_len_ns": pulse_len_ns,
+                         "delay_ns": delay_ns},
+            "sweep": dict(DCS_TIME, detuning_mhz="auto")}
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert "sweep.detuning_mhz:" in record["message"]
+
+
+@pytest.mark.parametrize("kind,sweep,field", [
+    ("constant", {"nu_mhz": 3.0}, "nu_mhz"),
+    ("constant", {"detuning_mhz": 7.0}, "detuning_mhz"),
+    ("dcs", {"nu_mhz": 14.902375, "detuning_mhz": 2.69}, "detuning_mhz"),
+    ("topdnp", {"detuning_mhz": 2.69, "nu_mhz": 14.9}, "nu_mhz"),
+    ("pm", {"nu_mhz": 14.902375, "total_time_ms": 5.0}, "total_time_ms"),
+])
+def test_cli_rejects_sweep_fields_the_pair_does_not_use(tmp_path, capsys, kind, sweep,
+                                                        field):
+    data = {"system": PROTON, "protocol": PAIR_PROTOCOLS[kind],
+            "sweep": dict(DCS_TIME, **sweep)}
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert f"sweep.{field}:" in record["message"]
+
+
 def _explicit_columns(tmp_path, name, **protocol) -> dict[str, np.ndarray]:
     data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], **protocol))
     config = load_config(write_config(tmp_path, data, f"{name}.json"))

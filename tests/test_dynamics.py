@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dcspin import (
@@ -23,10 +25,11 @@ from dcspin import (
     propagate,
     propagate_spin_pair,
 )
-from dcspin.dynamics import sample_grid
+from dcspin.dynamics import sample_grid, standard_observables
 from dcspin.spincore import (
     nuclear_x_observable,
     nuclear_z_observable,
+    sigma_x_observable,
     sigma_z_observable,
 )
 from dcspin.waveform import ResonanceConditionError
@@ -86,6 +89,64 @@ def test_branch_and_density_propagation_agree(carbon_system, carbon_rabi):
         npt.assert_allclose(t1.observables[name], t2.observables[name], atol=1e-11)
     npt.assert_allclose(t1.final_state.density_matrix(),
                         t2.final_state.density_matrix(), atol=1e-11)
+
+
+@st.composite
+def densities(draw):
+    """(system, rho): a random density matrix of an electron and 0-2 nuclei,
+    with full rank, deficient rank, or a degenerate spectrum."""
+    n = draw(st.integers(0, 2))
+    spectrum = draw(st.sampled_from(["full", "deficient", "degenerate"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2 * 2 ** n
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    vals = rng.uniform(0.05, 1.0, dim)
+    if spectrum == "deficient":
+        vals[rng.integers(1, dim):] = 0.0  # rank 1 to dim - 1
+    elif spectrum == "degenerate":
+        vals[:max(2, dim // 2)] = vals[0]
+    rho = (q * (vals / vals.sum())) @ q.conj().T
+    nuclei = tuple(Nucleus(angular_from_mhz(10.7 + 0.3 * j), angular_from_khz(13.0 + 5 * j),
+                           angular_from_khz(17.0 - 4 * j)) for j in range(n))
+    return SpinSystem(field_z=1.0, nuclei=nuclei), 0.5 * (rho + rho.conj().T)
+
+
+def _probe_observables(system):
+    return [*standard_observables(system), sigma_x_observable(system),
+            *(nuclear_x_observable(system, j) for j in range(1, system.n_nuclei + 1))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(densities())
+def test_density_enters_as_its_eigendecomposition(case):
+    system, rho = case
+    state = QuantumState.from_density(rho)
+    weights, vectors = state.branches
+    assert weights.shape == (system.dimension,)  # zero-weight branches are kept
+    assert np.all(weights >= 0) and weights.sum() == pytest.approx(1.0, abs=1e-14)
+    npt.assert_allclose((vectors * weights) @ vectors.conj().T, rho, rtol=0, atol=1e-14)
+    for obs in _probe_observables(system):
+        assert expectation(state, obs) == pytest.approx(
+            np.trace(rho @ obs.matrix).real, abs=1e-14), obs.name
+
+
+@settings(max_examples=15, deadline=None)
+@given(densities())
+def test_density_propagation_matches_an_expm_reference(case):
+    system, rho = case
+    w = build_dcs_waveform(angular_from_mhz(1.0), angular_from_mhz(10.8))
+    n_periods = 3
+    traj = propagate(system, w, QuantumState.from_density(rho), n_periods * w.period)
+    u = np.eye(system.dimension)
+    for _ in range(n_periods):
+        for piece in w.pieces():  # constant pieces, from phase 0
+            u = expm(-1j * build_hamiltonian(system, piece.v0).matrix * piece.duration) @ u
+    expected = u @ rho @ u.conj().T
+    npt.assert_allclose(traj.final_state.density_matrix(), expected, rtol=0, atol=1e-11)
+    for obs in standard_observables(system):
+        assert traj.observables[obs.name][-1] == pytest.approx(
+            np.trace(expected @ obs.matrix).real, abs=1e-11), obs.name
 
 
 def test_sampling_does_not_change_the_evolution(carbon_system, carbon_rabi):

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from dcspin import (
@@ -8,6 +12,7 @@ from dcspin import (
     Nucleus,
     ProtocolSpec,
     PulseTrain,
+    QuantumState,
     SpinSystem,
     angular_from_khz,
     angular_from_mhz,
@@ -17,8 +22,10 @@ from dcspin import (
     build_pm_waveform,
     effective_field_topdnp,
     effective_flipflop_signal,
+    expectation,
     initial_state,
     nuclear_frequency,
+    propagate,
     run_constant,
     run_dcs_dnp,
     run_dcs_sensing,
@@ -28,8 +35,9 @@ from dcspin import (
     topdnp_average_power,
 )
 from dcspin import dynamics, spincore
-from dcspin.protocols import pm_resonant_period, run_sweep
-from dcspin.spincore import SIGMA_Z
+from dcspin.dynamics import standard_observables
+from dcspin.protocols import _reset_electron, pm_resonant_period, run_sweep
+from dcspin.spincore import _ELECTRON_VECTORS, SIGMA_Z, InitialStateKind
 from dcspin.sweep import SweepResult, parallel_map
 
 TWO_PI = 2 * np.pi
@@ -182,6 +190,67 @@ def test_reset_reprojects_onto_the_initial_electron_state(carbon_system, carbon_
         assert res.column("sigma_z")[0] == pytest.approx(sigma_z, abs=1e-12)
         assert res.column("sigma_z")[2] == pytest.approx(sigma_z, abs=1e-3)
         assert res.metadata == {"reset_every_s": 1.0e-4}
+
+
+def _density_reset(rho, electron):
+    """|e><e| (x) Tr_e rho, the density-matrix formula of the electron reset."""
+    dim_n = rho.shape[0] // 2
+    blocks = rho.reshape(2, dim_n, 2, dim_n)
+    return np.kron(np.outer(electron, electron.conj()), blocks[0, :, 0, :] + blocks[1, :, 1, :])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), n_branches=st.integers(1, 17), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["sensing", "topdnp_parallel"]))
+def test_branch_reset_equals_the_density_formula(n, n_branches, seed, kind):
+    rng = np.random.default_rng(seed)
+    psi = (rng.standard_normal((2 * 2 ** n, n_branches))
+           + 1j * rng.standard_normal((2 * 2 ** n, n_branches)))
+    weights = rng.uniform(0.0, 1.0, n_branches)
+    state = QuantumState.mixture(weights / weights.sum(), psi / np.linalg.norm(psi, axis=0))
+    electron = _ELECTRON_VECTORS[InitialStateKind(kind)]
+    reset = _reset_electron(state, electron)
+    reset_weights, reset_vectors = reset.branches
+    assert reset_vectors.shape[1] <= 2 ** n
+    assert reset_weights.sum() == pytest.approx(1.0, abs=1e-15)
+    npt.assert_allclose(reset.density_matrix(), _density_reset(state.density_matrix(), electron),
+                        rtol=0, atol=1e-13)
+
+
+def _density_reset_loop(system, w, T_grid, reset_every):
+    """The reset loop as it ran on density matrices before the branch form."""
+    electron = _ELECTRON_VECTORS[InitialStateKind.SENSING]
+    obs = standard_observables(system)
+    t_end = T_grid[-1]
+    resets = np.arange(reset_every, t_end, reset_every)
+    events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
+    samples = {float(t) for t in T_grid}
+    rho = initial_state("sensing", system).density_matrix()
+    rows = [[expectation(QuantumState.from_density(rho), o) for o in obs]]
+    t_now = 0.0
+    for t in events:
+        w_seg = replace(w, t_initial=w.t_initial - t_now)
+        traj = propagate(system, w_seg, QuantumState.from_density(rho), t - t_now,
+                         sample_times=[t - t_now])
+        rho = traj.final_state.density_matrix()
+        if t in samples:
+            rows.append([series[-1] for series in traj.observables.values()])
+        if np.any(np.isclose(t, resets, rtol=0, atol=1e-15 * t_end)) and t < t_end:
+            rho = _density_reset(rho, electron)
+        t_now = t
+    return {o.name: np.array(rows)[:, i] for i, o in enumerate(obs)}
+
+
+def test_dnp_resets_match_the_density_loop(carbon_system, carbon_rabi):
+    second = Nucleus(angular_from_mhz(10.6), angular_from_khz(30.0), angular_from_khz(8.0))
+    system = SpinSystem(field_z=1.0, nuclei=(*carbon_system.nuclei, second))
+    omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
+    times = np.linspace(0.0, 0.1e-3, 6)
+    res = run_dcs_dnp(system, carbon_rabi, omega_n, times, reset_every=0.03e-3)
+    reference = _density_reset_loop(system, build_dcs_waveform(carbon_rabi, omega_n), times,
+                                    0.03e-3)
+    for name, values in reference.items():
+        npt.assert_allclose(res.column(name), values, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_run_sweep_rejects_what_a_kind_cannot_sweep(carbon_system, carbon_rabi):
