@@ -311,6 +311,10 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
     T_grid = np.asarray(T_grid, dtype=float)
     t_end = float(T_grid[-1])
     resets = np.arange(spec.reset_every, t_end, spec.reset_every)
+    # a reset within rounding of a sample happens at that sample, which then
+    # reads the state before the reset whatever the last bit of either time
+    gap = np.abs(resets[:, None] - T_grid)
+    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, T_grid[gap.argmin(axis=1)], resets)
     events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
     samples = {float(t) for t in T_grid}
     state = state0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -39,6 +39,9 @@ DEFAULT_QUAD_TOL = 1e-10
 FACTORIZATION_TOL = 1e-8
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+#: interval halvings after which the ramp quadrature stops refining
+_QUAD_MAX_DEPTH = 24
 
 
 class QuadratureError(ArithmeticError):
@@ -216,41 +219,41 @@ def _require_periodic(w) -> float:
     return w.period
 
 
-def _iter_linear(w, t0: float, t1: float) -> Iterator[tuple[float, float, float]]:
-    """Yield (duration, v_start, v_end) linear spans covering [t0, t1] in order."""
+def _linear_spans(w, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(duration, v_start, v_end) arrays of the linear spans covering [t0, t1] in order.
+
+    Span ends are the absolute piece ends k tau + piece.end clipped to t1;
+    the values at both ends of a span come from the Piece.value_at formula.
+    """
+    empty = np.empty(0)
     if t1 <= t0:
-        return
+        return empty, empty, empty
     if getattr(w, "period", None) is None:
-        yield (t1 - t0, w.omega_e, w.omega_e)
-        return
+        return np.array([t1 - t0]), np.array([w.omega_e]), np.array([w.omega_e])
     tau = w.period
-    pieces = w.pieces()
-    starts = [p.start for p in pieces]
+    start, end, v0, v1 = np.array(w.pieces()).T
     k = math.floor(t0 / tau)
     u = t0 - k * tau
     if u >= tau:  # rounding guard
         k += 1
         u -= tau
-    idx = max(0, np.searchsorted(starts, u, side="right") - 1)
-    t = t0
-    while t < t1 - 1e-18 * max(1.0, abs(t1)):
-        p = pieces[idx]
-        piece_end_abs = k * tau + p.end
-        e = min(piece_end_abs, t1)
-        dur = e - t
-        if dur > 0:
-            va = p.value_at(u)
-            vb = p.value_at(u + dur)
-            yield (dur, va, vb)
-        t = e
-        if e >= piece_end_abs:
-            idx += 1
-            if idx == len(pieces):
-                idx = 0
-                k += 1
-            u = pieces[idx].start
-        else:
-            u += dur
+    first = max(0, np.searchsorted(start, u, side="right") - 1)
+    stop = t1 - 1e-18 * max(1.0, abs(t1))
+    if not t0 < stop:
+        return empty, empty, empty
+    periods = np.arange(k, math.floor(t1 / tau) + 3, dtype=float)
+    piece_ends = (periods[:, None] * tau + end).ravel()[first:]
+    n = 1 + np.searchsorted(piece_ends, stop, side="left")
+    ends = np.minimum(piece_ends[:n], t1)
+    dur = np.diff(ends, prepend=t0)
+    idx = (first + np.arange(n)) % len(start)
+    u_start = start[idx]
+    u_start[0] = u
+    keep = dur > 0
+    dur, idx, u_start = dur[keep], idx[keep], u_start[keep]
+    a, slope = v0[idx], (v1 - v0)[idx]
+    s0, width = start[idx], (end - start)[idx]
+    return dur, a + slope * (u_start - s0) / width, a + slope * (u_start + dur - s0) / width
 
 
 def drive_area_per_period(w) -> float:
@@ -274,11 +277,14 @@ def drive_integral(w, t0: float, t1: float) -> float:
     k0 = math.ceil(t0 / tau)
     k1 = math.floor(t1 / tau)
     if k1 <= k0:
-        return sum(0.5 * (va + vb) * dur for dur, va, vb in _iter_linear(w, t0, t1))
-    area = (k1 - k0) * drive_area_per_period(w)
-    area += sum(0.5 * (va + vb) * dur for dur, va, vb in _iter_linear(w, t0, k0 * tau))
-    area += sum(0.5 * (va + vb) * dur for dur, va, vb in _iter_linear(w, k1 * tau, t1))
-    return area
+        return _span_area(w, t0, t1)
+    return ((k1 - k0) * drive_area_per_period(w) + _span_area(w, t0, k0 * tau)
+            + _span_area(w, k1 * tau, t1))
+
+
+def _span_area(w, t0: float, t1: float) -> float:
+    dur, va, vb = _linear_spans(w, t0, t1)
+    return float(np.sum(0.5 * (va + vb) * dur))
 
 
 def dynamic_phase(w: Waveform, omega_n: float, t: float) -> float:
@@ -319,66 +325,65 @@ def coherence_factor(delta_phi: float, n_periods: int) -> complex:
     return complex(np.exp(0.5j * (n - 1) * delta_phi) * ratio)
 
 
-def _gauss15(phi0: float, c1: float, c2: float, a: float, b: float) -> complex:
-    s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * np.sum(_GL_WEIGHTS * np.exp(1j * (phi0 + c1 * s + c2 * s * s)))
+def _integral_quadratic_phase(phi0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
+                              dt: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Adaptive Gauss integrals of exp(i(phi0 + c1 s + c2 s^2)) over s in [0, dt], per span.
 
-
-def _integral_quadratic_phase(phi0: float, c1: float, c2: float, dt: float,
-                              rel_tol: float) -> complex:
-    """Adaptive Gauss integral of exp(i(phi0 + c1 s + c2 s^2)) over s in [0, dt].
-
-    |exp(i phi)| = 1, so tolerances are measured relative to the span dt.
+    Refinement is breadth-first: each round evaluates every pending interval
+    whole and in halves with 15-point Gauss-Legendre in one np.exp, accepts
+    the intervals whose halves agree with the whole (or that reached
+    _QUAD_MAX_DEPTH) and splits the rest.  |exp(i phi)| = 1, so tolerances
+    are measured relative to the span dt.
     """
-    stack = [(0.0, dt, 0)]
-    total = 0.0j
+    total = np.zeros(len(dt), dtype=complex)
+    span = np.arange(len(dt))
+    a, b = np.zeros_like(dt), dt
+    depth = 0
     worst = 0.0
-    while stack:
-        a, b, depth = stack.pop()
-        whole = _gauss15(phi0, c1, c2, a, b)
+    while span.size:
         mid = 0.5 * (a + b)
-        halves = _gauss15(phi0, c1, c2, a, mid) + _gauss15(phi0, c1, c2, mid, b)
-        err = abs(whole - halves)
-        if err <= rel_tol * dt or depth >= 24:
-            if depth >= 24:
-                worst = max(worst, err / dt)
-            total += halves
-        else:
-            stack.append((a, mid, depth + 1))
-            stack.append((mid, b, depth + 1))
+        lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])
+        half_width = 0.5 * (hi - lo)
+        s = half_width[..., None] * _GL_NODES + (0.5 * (lo + hi))[..., None]
+        phase = phi0[span, None] + c1[span, None] * s + c2[span, None] * s * s
+        whole, left, right = half_width * np.sum(_GL_WEIGHTS * np.exp(1j * phase), axis=-1)
+        halves = left + right
+        err = np.abs(whole - halves)
+        done = (err <= rel_tol * dt[span]) | (depth >= _QUAD_MAX_DEPTH)
+        if depth >= _QUAD_MAX_DEPTH:
+            worst = float(np.max(err / dt[span]))
+        np.add.at(total, span[done], halves[done])
+        split = ~done
+        span = np.tile(span[split], 2)
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        depth += 1
     if worst > rel_tol:
         raise QuadratureError(requested=rel_tol, achieved=worst)
     return total
-
-
-def _integral_linear_phase(phi0: float, c1: float, dt: float) -> complex:
-    """Closed form of the integral of exp(i(phi0 + c1 s)) over s in [0, dt]."""
-    x = c1 * dt
-    if abs(x) < 1e-6:
-        f = 1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0
-        return dt * np.exp(1j * phi0) * f
-    return np.exp(1j * phi0) * (np.exp(1j * x) - 1.0) / (1j * c1)
 
 
 def _exp_phase_integral(w, omega_n: float, t0: float, t1: float,
                         phi0: float, rel_tol: float) -> tuple[complex, float]:
     """Integral of exp(i phi(t)) over [t0, t1] with phi(t0) = phi0.
 
-    Returns (integral, phi(t1)).  Constant spans integrate in closed form;
-    ramps (quadratic phase) use adaptive Gauss quadrature.
+    Returns (integral, phi(t1)).  Every span is evaluated in one array pass:
+    constant spans (linear phase) in closed form, ramps (quadratic phase)
+    by adaptive Gauss quadrature.
     """
-    total = 0.0j
-    phi = phi0
-    for dur, va, vb in _iter_linear(w, t0, t1):
-        c1 = omega_n - va
-        if va == vb:
-            total += _integral_linear_phase(phi, c1, dur)
-            phi += c1 * dur
-        else:
-            c2 = -0.5 * (vb - va) / dur
-            total += _integral_quadratic_phase(phi, c1, c2, dur, rel_tol)
-            phi += c1 * dur + c2 * dur * dur
-    return total, phi
+    dur, va, vb = _linear_spans(w, t0, t1)
+    c1 = omega_n - va
+    c2 = -0.5 * (vb - va) / dur
+    phi = np.add.accumulate(np.concatenate([[phi0], c1 * dur + c2 * dur * dur]))
+    start = phi[:-1]
+    ramp = va != vb
+    x = c1 * dur
+    small = np.abs(x) < 1e-6
+    rotor = np.exp(1j * start)
+    series = dur * rotor * (1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0)
+    closed = rotor * (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c1))
+    total = np.sum(np.where(small, series, closed)[~ramp]) + np.sum(
+        _integral_quadratic_phase(start[ramp], c1[ramp], c2[ramp], dur[ramp], rel_tol))
+    return complex(total), float(phi[-1])
 
 
 def period_coupling_factor(w: Waveform, omega_n: float,

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dcspin import nuclear_frequency, protocols
+from dcspin import (angular_from_mhz, build_dcs_waveform, nuclear_frequency, presets,
+                    protocols, waveform)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,4 +37,19 @@ def test_tracer_spans_a_sensing_sweep_and_restores_everything(monkeypatch, carbo
         assert totals[span]["calls"] > 0, span
     assert totals["dynamics.propagate"]["calls"] == 3
     assert totals["sweep.parallel_map"]["amount"] == 3
+    assert tracing.leftover_wrappers() == []
+
+
+def test_tracer_spans_coupling_factor_and_pieces(monkeypatch):
+    """The coupling workload's layer metrics are read at these two names."""
+    tracing = _load_tracing(monkeypatch)
+    nu = angular_from_mhz(10.0)
+    w = build_dcs_waveform(0.3 * nu, nu, switch_fraction=0.1)
+    with tracing.Tracer() as tracer:
+        for ratio in (0.95, 1.0, 1.05):
+            waveform.coupling_factor(w, ratio * nu, 50 * w.period)
+        presets.run_preset("fig1f")
+    totals = tracer.totals()
+    assert totals["waveform.coupling_factor"]["calls"] == 3 + presets.N_GRID
+    assert totals["waveform.pieces"]["calls"] > 0
     assert tracing.leftover_wrappers() == []

@@ -223,6 +223,8 @@ def _density_reset_loop(system, w, T_grid, reset_every):
     obs = standard_observables(system)
     t_end = T_grid[-1]
     resets = np.arange(reset_every, t_end, reset_every)
+    gap = np.abs(resets[:, None] - T_grid)  # a reset within rounding of a sample is at it
+    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, T_grid[gap.argmin(axis=1)], resets)
     events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
     samples = {float(t) for t in T_grid}
     rho = initial_state("sensing", system).density_matrix()
@@ -241,9 +243,13 @@ def _density_reset_loop(system, w, T_grid, reset_every):
     return {o.name: np.array(rows)[:, i] for i, o in enumerate(obs)}
 
 
-def test_dnp_resets_match_the_density_loop(carbon_system, carbon_rabi):
+def _two_nuclei(carbon_system):
     second = Nucleus(angular_from_mhz(10.6), angular_from_khz(30.0), angular_from_khz(8.0))
-    system = SpinSystem(field_z=1.0, nuclei=(*carbon_system.nuclei, second))
+    return SpinSystem(field_z=1.0, nuclei=(*carbon_system.nuclei, second))
+
+
+def test_dnp_resets_match_the_density_loop(carbon_system, carbon_rabi):
+    system = _two_nuclei(carbon_system)
     omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
     times = np.linspace(0.0, 0.1e-3, 6)
     res = run_dcs_dnp(system, carbon_rabi, omega_n, times, reset_every=0.03e-3)
@@ -251,6 +257,24 @@ def test_dnp_resets_match_the_density_loop(carbon_system, carbon_rabi):
                                     0.03e-3)
     for name, values in reference.items():
         npt.assert_allclose(res.column(name), values, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_a_sample_at_a_reset_time_reads_the_state_before_the_reset(carbon_system,
+                                                                    carbon_rabi):
+    """np.linspace puts 0.06 ms 6.8e-21 s after np.arange's second reset; the
+    table must not depend on that last bit."""
+    system = _two_nuclei(carbon_system)
+    omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
+    times = np.linspace(0.0, 0.1e-3, 6)
+    resets = np.arange(0.03e-3, times[-1], 0.03e-3)
+    exact = times.copy()
+    for t in resets:
+        exact[np.isclose(exact, t, rtol=0, atol=1e-15 * times[-1])] = t
+    assert not np.array_equal(exact, times)
+    grid = run_dcs_dnp(system, carbon_rabi, omega_n, times, reset_every=0.03e-3)
+    bit_exact = run_dcs_dnp(system, carbon_rabi, omega_n, exact, reset_every=0.03e-3)
+    for name, values in bit_exact.columns.items():
+        npt.assert_allclose(grid.column(name), values, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_run_sweep_rejects_what_a_kind_cannot_sweep(carbon_system, carbon_rabi):

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dcspin import (
@@ -20,7 +24,10 @@ from dcspin import (
     resonance_frequency,
     waveform_value,
 )
+from dcspin import waveform
 from dcspin.waveform import (
+    FACTORIZATION_TOL,
+    QuadratureError,
     ResonanceConditionError,
     average_drive,
     drive_integral,
@@ -285,6 +292,129 @@ def test_coupling_bound_and_saturation(rng):
         g = coupling_factor(w, rng.uniform(1.5, 8.0), rng.uniform(3.0, 10.0))
         assert abs(g) <= 1.0 + 1e-12
         assert abs(g) < 1.0  # phase is non-constant for these drives
+
+
+# ---------------------------------------------------------------------------
+# properties of g over random drives, against a scalar span-by-span loop
+# ---------------------------------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+def _scalar_spans(w, t0, t1):
+    """(duration, v_start, v_end) of each linear span of [t0, t1], one at a time."""
+    if t1 <= t0:
+        return
+    if getattr(w, "period", None) is None:
+        yield (t1 - t0, w.omega_e, w.omega_e)
+        return
+    tau = w.period
+    pieces = w.pieces()
+    k = math.floor(t0 / tau)
+    u = t0 - k * tau
+    if u >= tau:
+        k += 1
+        u -= tau
+    idx = max(0, np.searchsorted([p.start for p in pieces], u, side="right") - 1)
+    t = t0
+    while t < t1 - 1e-18 * max(1.0, abs(t1)):
+        p = pieces[idx]
+        piece_end_abs = k * tau + p.end
+        e = min(piece_end_abs, t1)
+        dur = e - t
+        if dur > 0:
+            yield (dur, p.value_at(u), p.value_at(u + dur))
+        t = e
+        if e >= piece_end_abs:
+            idx += 1
+            if idx == len(pieces):
+                idx = 0
+                k += 1
+            u = pieces[idx].start
+        else:
+            u += dur
+
+
+def _scalar_gauss15(phi0, c1, c2, a, b):
+    s = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+    return 0.5 * (b - a) * np.sum(_GL_WEIGHTS * np.exp(1j * (phi0 + c1 * s + c2 * s * s)))
+
+
+def _scalar_ramp(phi0, c1, c2, dt, rel_tol=1e-10):
+    """Depth-first adaptive Gauss-Legendre over one ramp."""
+    stack, total = [(0.0, dt, 0)], 0.0j
+    while stack:
+        a, b, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        halves = _scalar_gauss15(phi0, c1, c2, a, mid) + _scalar_gauss15(phi0, c1, c2, mid, b)
+        if abs(_scalar_gauss15(phi0, c1, c2, a, b) - halves) <= rel_tol * dt or depth >= 24:
+            total += halves
+        else:
+            stack += [(a, mid, depth + 1), (mid, b, depth + 1)]
+    return total
+
+
+def _scalar_exp_phase_integral(w, omega_n, t1):
+    total, phi = 0.0j, 0.0
+    for dur, va, vb in _scalar_spans(w, 0.0, t1):
+        c1 = omega_n - va
+        if va == vb:
+            x = c1 * dur
+            if abs(x) < 1e-6:
+                total += dur * np.exp(1j * phi) * (1 + 1j * x / 2 - x * x / 6 - 1j * x ** 3 / 24)
+            else:
+                total += np.exp(1j * phi) * (np.exp(1j * x) - 1.0) / (1j * c1)
+            phi += c1 * dur
+        else:
+            c2 = -0.5 * (vb - va) / dur
+            total += _scalar_ramp(phi, c1, c2, dur)
+            phi += c1 * dur + c2 * dur * dur
+    return total
+
+
+def _scalar_drive_integral(w, t1):
+    return sum(0.5 * (va + vb) * dur for dur, va, vb in _scalar_spans(w, 0.0, t1))
+
+
+@st.composite
+def ramped_dcs(draw):
+    tau_plus, tau_minus = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    tau_switch = draw(st.floats(0.0, 0.9)) * min(tau_plus, tau_minus)
+    return DcsWaveform(draw(st.floats(0.2, 3.0)), tau_plus, tau_minus, tau_switch,
+                       draw(st.floats(-3.0, 3.0)))
+
+
+@st.composite
+def pm_drives(draw):
+    omega0 = draw(st.floats(0.5, 5.0))
+    return PmWaveform(omega0, draw(st.floats(0.0, 1.0)) * omega0, draw(st.floats(0.3, 3.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.one_of(ramped_dcs(), pm_drives()), omega_n=st.floats(0.5, 12.0),
+       n_periods=st.integers(1, 60), fraction=st.sampled_from([0.0, 0.1, 0.5, 0.93]))
+def test_coupling_bound_factorization_and_scalar_loop(w, omega_n, n_periods, fraction):
+    T = (n_periods + fraction) * w.period
+    g = coupling_factor(w, omega_n, T)
+    j = period_coupling_factor(w, omega_n)
+    assert abs(g) <= 1.0 + 1e-12
+    if fraction == 0.0:
+        eta = coherence_factor(phase_per_period(w, omega_n), n_periods)
+        assert abs(g - eta * j) < FACTORIZATION_TOL
+    assert abs(g - _scalar_exp_phase_integral(w, omega_n, T) / T) < 1e-12
+    assert abs(j - _scalar_exp_phase_integral(w, omega_n, w.period) / w.period) < 1e-12
+    assert drive_integral(w, 0.0, T) == pytest.approx(_scalar_drive_integral(w, T),
+                                                      rel=1e-12, abs=1e-12)
+
+
+def test_ramp_quadrature_raises_at_the_depth_cap(monkeypatch):
+    """A fast chirp at rel_tol 1e-14 cannot converge in two halvings."""
+    monkeypatch.setattr(waveform, "_QUAD_MAX_DEPTH", 2)
+    w = DcsWaveform(200.0, 1.0, 1.0, tau_switch=0.9)
+    with pytest.raises(QuadratureError) as info:
+        period_coupling_factor(w, 3.0, rel_tol=1e-14)
+    assert info.value.requested == 1e-14
+    assert info.value.achieved > 1e-14
 
 
 # ---------------------------------------------------------------------------
