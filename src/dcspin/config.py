@@ -10,6 +10,7 @@ everywhere, which is the annotation mechanism for the example configs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,6 +92,8 @@ class _Block:
             names = "/".join(t.__name__ for t in names)
             raise ConfigError(f"{self.path}.{key}: expected {names}, "
                               f"got {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{self.path}.{key}: must be a finite number, got {value}")
         return value
 
     def require(self, key: str, expected=None):
@@ -210,6 +213,9 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
                           f"from a start >= 0, got start {plan.start}, stop {plan.stop}")
     if axis != "total_time_ms" and plan.total_time_ms is None:
         raise ConfigError(f"{block.path}.total_time_ms: required for axis {axis!r}")
+    if plan.total_time_ms is not None and not plan.total_time_ms > 0:
+        raise ConfigError(f"{block.path}.total_time_ms: must be positive, "
+                          f"got {plan.total_time_ms}")
     if axis == "nu_mhz" and kind not in ("dcs", "pm"):
         raise ConfigError(f"{block.path}.axis: nu_mhz applies to dcs/pm, not {kind!r}")
     if axis == "detuning_mhz" and kind != "topdnp":

@@ -76,6 +76,8 @@ class IntegrationPolicy:
             raise ValueError("max_step must be positive when set")
         if self.ramp_substeps < 1:
             raise ValueError("ramp_substeps must be >= 1")
+        if self.unitarity_check_interval < 1:
+            raise ValueError("unitarity_check_interval must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -93,17 +95,21 @@ class Trajectory:
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
-        slack = 1e-7
         for name, series in self.observables.items():
-            series = np.asarray(series, dtype=float)
-            self.observables[name] = series
-            if name == "sigma_z" and np.any(np.abs(series) > 1 + slack):
-                raise ValueError("sigma_z series leaves [-1, 1]")
-            if name.startswith("I_z") and np.any(np.abs(series) > 0.5 + slack):
-                raise ValueError(f"{name} series leaves [-1/2, 1/2]")
+            self.observables[name] = _check_bounds(name, np.asarray(series, dtype=float))
 
     def column(self, name: str) -> np.ndarray:
         return self.observables[name]
+
+
+def _check_bounds(name: str, series: np.ndarray) -> np.ndarray:
+    """sigma_z stays in [-1, 1] and every I_z in [-1/2, 1/2]."""
+    slack = 1e-7
+    if name == "sigma_z" and np.any(np.abs(series) > 1 + slack):
+        raise ValueError("sigma_z series leaves [-1, 1]")
+    if name.startswith("I_z") and np.any(np.abs(series) > 0.5 + slack):
+        raise ValueError(f"{name} series leaves [-1/2, 1/2]")
+    return series
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,15 @@ class _UnitaryCache:
         return u
 
 
+def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """V diag(exp(-i lambda tau)) V^H for a stack of eigenpairs, each checked unitary."""
+    u = (vecs * np.exp(-1j * vals * durations[:, None])[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+    defect = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])))
+    if defect >= SEGMENT_UNITARITY_TOL:
+        raise PropagationError(f"segment unitary defect {defect:.3e} >= {SEGMENT_UNITARITY_TOL}")
+    return u
+
+
 class _Representation:
     """Evolving state: the weighted pure branches of a QuantumState."""
 
@@ -189,9 +204,7 @@ class _Representation:
         return val.real
 
     def health_defect(self) -> float:
-        if not np.all(np.isfinite(self.psi)):
-            raise PropagationError("state became non-finite")
-        return float(np.max(np.abs(np.linalg.norm(self.psi, axis=0) - 1.0)))
+        return float(_drift(self.psi))
 
     def to_state(self, tolerance: float) -> QuantumState:
         # drift below the policy tolerance is removed when materializing
@@ -199,6 +212,13 @@ class _Representation:
         if defect >= tolerance:
             raise PropagationError(f"state drift {defect:.3e} >= tolerance {tolerance}")
         return QuantumState.mixture(self.weights, self.psi / np.linalg.norm(self.psi, axis=0))
+
+
+def _drift(psi: np.ndarray) -> np.ndarray:
+    """Largest branch-norm defect of each state in a stack of (dim, branches) states."""
+    if not np.all(np.isfinite(psi)):
+        raise PropagationError("state became non-finite")
+    return np.max(np.abs(np.linalg.norm(psi, axis=-2) - 1.0), axis=-1)
 
 
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
@@ -325,6 +345,105 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     )
 
 
+def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a[b] to the power n[b] >= 1 in np.linalg.matrix_power's multiplication
+    order (binary from the lowest bit, and (a @ a) @ a for n = 3), so every
+    power equals matrix_power(a[b], n[b]) bit for bit."""
+    out, started = np.empty_like(a), np.zeros(len(n), dtype=bool)
+    z, rest = a, n.copy()
+    while True:
+        bit = (rest % 2 == 1) & (n != 3)
+        out[bit & ~started] = z[bit & ~started]
+        out[bit & started] = out[bit & started] @ z[bit & started]
+        started |= bit
+        rest //= 2
+        if not rest.any():
+            return out
+        z, first = z @ z, z is a
+        if first:
+            out[n == 3] = z[n == 3] @ a[n == 3]
+
+
+def propagate_stack(hamiltonians: np.ndarray, keys: np.ndarray, durations: np.ndarray,
+                    periods: np.ndarray | None, T: float, state0: QuantumState,
+                    policy: IntegrationPolicy,
+                    observables: Sequence[Observable]) -> np.ndarray:
+    """The observables at time T of a stack of independent points, one row each.
+
+    Point b steps through the slices ``hamiltonians[keys[b, s]]`` of length
+    ``durations[b, s]`` with period ``periods[b]``; when ``periods`` is None,
+    each point holds its key ``keys[b, 0]`` for all of T.  Each point takes
+    the steps _Engine.advance takes from 0 to T, with the same checks, on
+    stacked arrays, so every row equals propagate_compiled's final sample
+    bit for bit.  Boolean masks select the points a step acts on.
+    """
+    if not T > 0:
+        raise ValueError("T must be positive")
+    vals, vecs = np.linalg.eigh(hamiltonians)
+    weights, vectors = state0.branches
+    psi = np.repeat(vectors[None], len(keys), axis=0)
+    everyone = np.ones(len(keys), dtype=bool)
+    applied = 0
+
+    def check_health(where: str) -> None:
+        defect = _drift(psi)
+        if np.max(defect) >= policy.tolerance:
+            raise PropagationError(f"state drift {np.max(defect):.3e} >= {policy.tolerance} "
+                                   f"at point {np.argmax(defect)} {where}")
+
+    def unitaries(rows, s: int, taus: np.ndarray) -> np.ndarray:
+        return _slice_unitaries(vals[keys[rows, s]], vecs[keys[rows, s]], taus)
+
+    def apply(rows, u: np.ndarray) -> None:
+        nonlocal applied
+        psi[rows] = u @ psi[rows]
+        applied += 1
+        if applied % policy.unitarity_check_interval == 0:
+            check_health(f"after {applied} slices")
+
+    def walk(rows, ends: np.ndarray) -> None:
+        """Each point's slices clipped to its period-local window (0, ends]."""
+        take = np.minimum(bounds[:, 1:], ends[:, None]) - bounds[:, :-1]
+        # partial slices reuse the slice key: constant slices stay exact
+        taken = np.where(take < durations, take, durations)
+        for s in range(keys.shape[1]):
+            active = rows & (take[:, s] > 0)
+            if active.any():
+                apply(active, unitaries(active, s, taken[active, s]))
+
+    if periods is None:
+        n = _split_durations(T, policy.max_step)
+        u = unitaries(everyone, 0, np.full(len(keys), T / n))
+        for _ in range(n):
+            apply(everyone, u)
+    else:
+        bounds = np.concatenate([np.zeros((len(keys), 1)), np.cumsum(durations, axis=1)], 1)
+        whole, rest = np.divmod(T, periods)
+        n_full = np.maximum(whole.astype(int) - 1, 0)
+        walk(whole >= 1, periods)
+        ff = n_full > 0
+        if policy.fast_forward and ff.any():
+            u = np.repeat(np.eye(psi.shape[1], dtype=complex)[None], np.sum(ff), axis=0)
+            for s in range(keys.shape[1]):
+                u = unitaries(ff, s, durations[ff, s]) @ u
+            # the polar projection of each period product, as in _Engine
+            w, _, vh = np.linalg.svd(u)
+            psi[ff] = _matrix_powers(w @ vh, n_full[ff]) @ psi[ff]
+            check_health("after a fast-forward")
+        for k in range(0 if policy.fast_forward else n_full.max()):
+            walk(n_full > k, periods)
+        walk(everyone, rest)
+    check_health(f"at sample t = {T:.6e}")
+    values = np.einsum("zib,oij,zjb,b->zo", psi.conj(), np.stack([o.matrix for o in observables]),
+                       psi, weights)
+    imag = np.max(np.abs(values.imag))
+    if imag >= 1e-10:
+        raise PropagationError(f"observable developed imaginary part {imag:.3e}")
+    for o, series in zip(observables, values.real.T):
+        _check_bounds(o.name, series)
+    return values.real
+
+
 @functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def _standard_observables(system: SpinSystem) -> tuple[Observable, ...]:
     obs = (sigma_z_observable(system),
@@ -337,6 +456,16 @@ def _standard_observables(system: SpinSystem) -> tuple[Observable, ...]:
 def standard_observables(system: SpinSystem) -> list[Observable]:
     """sigma_z and every nuclear I_z, built once per system (read-only matrices)."""
     return list(_standard_observables(system))
+
+
+def _drive_hamiltonian(system: SpinSystem, omega_e: float) -> np.ndarray:
+    return build_hamiltonian(system, omega_e).matrix
+
+
+def waveform_drive(system: SpinSystem, w: Waveform, policy: IntegrationPolicy):
+    """The keyed Hamiltonians and the compiled schedule of drive ``w``; the
+    keys are drive values, so they name one Hamiltonian of ``system``."""
+    return functools.partial(_drive_hamiltonian, system), compile_waveform(w, policy)
 
 
 def propagate(system: SpinSystem, w: Waveform, state0: QuantumState, T: float,
@@ -356,14 +485,9 @@ def propagate(system: SpinSystem, w: Waveform, state0: QuantumState, T: float,
     policy = policy or IntegrationPolicy()
     if sample_times is None:
         sample_times = sample_grid(T, sample_every)
-    schedule = compile_waveform(w, policy)
     observables = standard_observables(system) + list(extra_observables)
-
-    def hamiltonian_of(omega_e: float) -> np.ndarray:
-        return build_hamiltonian(system, omega_e).matrix
-
-    return propagate_compiled(hamiltonian_of, schedule, state0, sample_times, policy,
-                              observables)
+    return propagate_compiled(*waveform_drive(system, w, policy), state0, sample_times,
+                              policy, observables)
 
 
 def effective_flipflop_signal(omega_max: float, nu: float, a_x: float, T: float) -> float:

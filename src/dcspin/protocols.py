@@ -15,6 +15,7 @@ duty_asymmetry * delta * omega_max.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,7 +32,9 @@ from .dynamics import (
     _UnitaryCache,
     propagate,
     propagate_compiled,
+    propagate_stack,
     standard_observables,
+    waveform_drive,
 )
 from .spincore import (
     _ELECTRON_VECTORS,
@@ -39,17 +42,25 @@ from .spincore import (
     QuantumState,
     SIGMA_X,
     SIGMA_Z,
+    SYSTEM_CACHE_SIZE,
     SpinSystem,
     _operators,
+    _read_only,
     build_hamiltonian,
     embed_operator,  # noqa: F401  perfbench/tracing.py wraps this name here
     expectation,
     initial_state,
 )
 from .sweep import SweepResult, parallel_map
-from .waveform import ConstantWaveform, DcsWaveform, PmWaveform, optimal_dwell_times
+from .waveform import ConstantWaveform, DcsWaveform, PmWaveform, Waveform, optimal_dwell_times
 
 PROTOCOL_KINDS = ("dcs", "pm", "topdnp", "constant")
+
+# bytes of slice unitaries (points x slices x dimension**2 complex values)
+# one stack of sweep points may span: a 301-point grid of one nucleus is one
+# stack, and a 64-dimensional grid runs 2 to 4 points per stack, which keeps
+# its transient arrays to a few hundred KB
+STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,10 @@ class PulseTrain:
         return TWO_PI / self.period
 
     def compiled_schedule(self, policy: IntegrationPolicy) -> CompiledSchedule:
-        steps: list[tuple[str, float]] = []
-        for key, dur in (("pulse", self.pulse_len), ("delay", self.delay)):
+        """Slices keyed (segment, rabi, detuning), as _pulse_train_hamiltonian reads them."""
+        steps: list[tuple[tuple, float]] = []
+        for key, dur in ((("pulse", self.rabi, self.detuning), self.pulse_len),
+                         (("delay", 0.0, self.detuning), self.delay)):
             n = _split_durations(dur, policy.max_step)
             steps.extend([(key, dur / n)] * n)
         return CompiledSchedule(period=self.period, steps=tuple(steps))
@@ -262,42 +275,59 @@ TABLE_NAMES = {("dcs", "nu"): "dcs_sensing", ("dcs", "T"): "dcs_dnp",
                   for kind in PROTOCOL_KINDS}}
 
 
-def _topdnp_hamiltonians(system: SpinSystem, rabi: float, detuning: float):
-    base = build_hamiltonian(system, 0.0).matrix
+@functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
+def _undriven_hamiltonian(system: SpinSystem) -> np.ndarray:
+    return _read_only(build_hamiltonian(system, 0.0).matrix)
+
+
+def _pulse_train_hamiltonian(system: SpinSystem, key: tuple) -> np.ndarray:
+    segment, rabi, detuning = key
     ops = _operators(system)
-    pulse = 0.5 * detuning * ops.sigma_x + rabi * ops.z_half + base
-    delay = 0.5 * detuning * ops.sigma_x + base
-    return {"pulse": pulse, "delay": delay}
+    h = 0.5 * detuning * ops.sigma_x
+    if segment == "pulse":
+        h = h + rabi * ops.z_half
+    return h + _undriven_hamiltonian(system)
+
+
+def _waveform(spec: ProtocolSpec, point: float | None) -> Waveform:
+    if spec.kind == "dcs":
+        return build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
+                                  t_initial=spec.t_initial,
+                                  amplitude_error=spec.amplitude_error)
+    if spec.kind == "pm":
+        return build_pm_waveform(spec.omega0, spec.omega1, point,
+                                 amplitude_error=spec.amplitude_error)
+    return ConstantWaveform(spec.omega_e * (1 + spec.amplitude_error))
+
+
+def _drive(system: SpinSystem, spec: ProtocolSpec, point: float | None,
+           policy: IntegrationPolicy):
+    """The keyed Hamiltonians and the compiled schedule of ``spec`` at ``point``.
+
+    The point is nu for dcs and pm and the pulse detuning for topdnp;
+    constant has none.  A key names the same Hamiltonian of ``system`` at
+    every point (a drive value, or a pulse-train segment with its rabi and
+    detuning), so the points of a sweep share the keys they have in common.
+    """
+    if spec.kind == "topdnp":
+        train = PulseTrain(spec.rabi * (1 + spec.amplitude_error), spec.pulse_len,
+                           spec.delay, point)
+        return (functools.partial(_pulse_train_hamiltonian, system),
+                train.compiled_schedule(policy))
+    return waveform_drive(system, _waveform(spec, point), policy)
 
 
 def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
                 sample_times: Sequence[float], policy: IntegrationPolicy) -> Trajectory:
-    """Evolve ``spec`` at its operating point from its initial state.
-
-    The point is nu for dcs and pm and the pulse detuning for topdnp;
-    constant has none.  The evolution runs to the last sample time.
-    """
+    """Evolve ``spec`` at its operating point from its initial state to the
+    last sample time."""
     state0 = initial_state(spec.initial_state_kind, system)
-    scale = 1 + spec.amplitude_error
-    if spec.kind == "topdnp":
-        train = PulseTrain(spec.rabi, spec.pulse_len, spec.delay, point)
-        hams = _topdnp_hamiltonians(system, spec.rabi * scale, point)
-        return propagate_compiled(hams.__getitem__, train.compiled_schedule(policy),
-                                  state0, sample_times, policy,
-                                  standard_observables(system))
-    if spec.kind == "dcs":
-        w = build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
-                               t_initial=spec.t_initial,
-                               amplitude_error=spec.amplitude_error)
-        if spec.reset_every is not None:
-            return _dnp_with_resets(system, w, spec, state0, sample_times, policy)
-    elif spec.kind == "pm":
-        w = build_pm_waveform(spec.omega0, spec.omega1, point,
-                              amplitude_error=spec.amplitude_error)
-    else:
-        w = ConstantWaveform(spec.omega_e * scale)
-    return propagate(system, w, state0, float(sample_times[-1]), policy,
-                     sample_times=sample_times)
+    if spec.reset_every is not None:
+        return _dnp_with_resets(system, _waveform(spec, point), spec, state0, sample_times,
+                                policy)
+    hamiltonian_of, schedule = _drive(system, spec, point, policy)
+    return propagate_compiled(hamiltonian_of, schedule, state0, sample_times, policy,
+                              standard_observables(system))
 
 
 def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
@@ -353,8 +383,38 @@ def _reset_electron(state: QuantumState, electron: np.ndarray) -> QuantumState:
 
 
 def _final_row(args) -> tuple[float, ...]:
-    """Observables at the end of one sweep point (module level, so it pickles)."""
+    """Observables at the end of one sweep point with resets (module level, so it pickles)."""
     return tuple(series[-1] for series in _trajectory(*args).observables.values())
+
+
+def _stack_rows(args) -> np.ndarray:
+    """Observables at T of one stack of sweep points (module level, so it pickles)."""
+    system, state_kind, hamiltonian_of, schedules, T, policy = args
+    steps = [s.steps or ((s.constant_key, T),) for s in schedules]
+    index = {k: i for i, k in enumerate(dict.fromkeys(k for row in steps for k, _ in row))}
+    periods = None if schedules[0].period is None else np.array([s.period for s in schedules])
+    return propagate_stack(np.stack([hamiltonian_of(k) for k in index]),
+                           np.array([[index[k] for k, _ in row] for row in steps]),
+                           np.array([[d for _, d in row] for row in steps]), periods, T,
+                           initial_state(state_kind, system), policy,
+                           standard_observables(system))
+
+
+def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]], T: float,
+            policy: IntegrationPolicy) -> list[tuple]:
+    """_stack_rows arguments: runs of consecutive points with equal slice
+    counts whose slice unitaries fit STACK_BYTES."""
+    drives = [_drive(system, spec, point, policy) for spec, point in points]
+    groups: list[list[CompiledSchedule]] = []
+    for _, schedule in drives:
+        n = len(schedule.steps) or 1
+        if groups and (len(groups[-1][0].steps) or 1) == n \
+                and (len(groups[-1]) + 1) * n * 16 * system.dimension ** 2 <= STACK_BYTES:
+            groups[-1].append(schedule)
+        else:
+            groups.append([schedule])
+    return [(system, points[0][0].initial_state_kind, drives[0][0], g, T, policy)
+            for g in groups]
 
 
 def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
@@ -367,14 +427,16 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     other axes record the observables at time T per grid value: "nu" (dcs,
     pm) and "detuning" (topdnp) move the operating point, and
     "amplitude_error" scales the drive amplitudes by (1 + delta) on top of
-    ``spec.amplitude_error`` at the fixed ``point``.
+    ``spec.amplitude_error`` at the fixed ``point``.  Their grid points
+    evolve as stacks (propagate_stack), which the pool spreads when a grid
+    needs more than one; dcs points with resets run one by one.
     """
     if (spec.kind, axis) not in TABLE_NAMES:
         raise ValueError(f"axis {axis!r} does not apply to protocol {spec.kind!r}")
     if point is None and axis in ("T", "amplitude_error") and spec.kind != "constant":
         raise ValueError(f"a {axis} sweep of {spec.kind!r} needs the operating point")
-    if T is None and axis != "T":
-        raise ValueError(f"a {axis} sweep needs T")
+    if axis != "T" and not (T is not None and T > 0):
+        raise ValueError(f"a {axis} sweep needs T > 0")
     policy = policy or IntegrationPolicy()
     grid = np.asarray(grid, dtype=float)
     if axis == "T":
@@ -383,11 +445,16 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
         columns = {name: series[first:] for name, series in traj.observables.items()}
     else:
         if axis == "amplitude_error":
-            items = [(system, apply_amplitude_error(spec, d), point, [T], policy)
-                     for d in grid]
+            points = [(apply_amplitude_error(spec, d), point) for d in grid]
         else:
-            items = [(system, spec, value, [T], policy) for value in grid]
-        rows = np.asarray(parallel_map(_final_row, items, workers), dtype=float)
+            points = [(spec, value) for value in grid]
+        if spec.reset_every is None:
+            rows = np.concatenate(parallel_map(_stack_rows, _stacks(system, points, T, policy),
+                                               workers))
+        else:
+            rows = np.asarray(parallel_map(_final_row, [(system, s, p, [T], policy)
+                                                        for s, p in points], workers),
+                              dtype=float)
         columns = {o.name: rows[:, i] for i, o in enumerate(standard_observables(system))}
     if "I_z[1]" in columns:
         columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]

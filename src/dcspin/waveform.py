@@ -23,6 +23,7 @@ whenever the factorization applies.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -42,6 +43,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 #: interval halvings after which the ramp quadrature stops refining
 _QUAD_MAX_DEPTH = 24
+
+#: distinct DcsWaveforms whose pieces stay cached per process; one
+#: coupling_factor reads the pieces of its waveform three times
+PIECES_CACHE_SIZE = 64
 
 
 class QuadratureError(ArithmeticError):
@@ -140,34 +145,40 @@ class DcsWaveform:
         return (self.tau_plus - self.tau_minus) / self.period
 
     def pieces(self) -> tuple[Piece, ...]:
-        o, tp, tau, ts = self.omega_max, self.tau_plus, self.period, self.tau_switch
-        if ts == 0.0:
-            local = [Piece(0.0, tp, o, o), Piece(tp, tau, -o, -o)]
-        else:
-            h = 0.5 * ts
-            local = [
-                Piece(0.0, h, 0.0, o),
-                Piece(h, tp - h, o, o),
-                Piece(tp - h, tp + h, o, -o),
-                Piece(tp + h, tau - h, -o, -o),
-                Piece(tau - h, tau, -o, 0.0),
-            ]
-        # shift the t_initial-anchored pieces into absolute phase [0, tau)
-        wrapped: list[Piece] = []
-        for p in local:
-            a = (self.t_initial + p.start) % tau
-            b = a + p.duration
-            if b <= tau:
-                wrapped.append(Piece(a, b, p.v0, p.v1))
-            else:
-                f = (tau - a) / p.duration
-                vm = p.v0 + f * (p.v1 - p.v0)
-                wrapped.append(Piece(a, tau, p.v0, vm))
-                wrapped.append(Piece(0.0, b - tau, vm, p.v1))
-        return _normalize_pieces(wrapped, tau)
+        return _dcs_pieces(self)
 
     def value(self, t: float) -> float:
         return _value_periodic(self, t)
+
+
+@functools.lru_cache(maxsize=PIECES_CACHE_SIZE)
+def _dcs_pieces(w: DcsWaveform) -> tuple[Piece, ...]:
+    """DcsWaveform.pieces, computed once per waveform."""
+    o, tp, tau, ts = w.omega_max, w.tau_plus, w.period, w.tau_switch
+    if ts == 0.0:
+        local = [Piece(0.0, tp, o, o), Piece(tp, tau, -o, -o)]
+    else:
+        h = 0.5 * ts
+        local = [
+            Piece(0.0, h, 0.0, o),
+            Piece(h, tp - h, o, o),
+            Piece(tp - h, tp + h, o, -o),
+            Piece(tp + h, tau - h, -o, -o),
+            Piece(tau - h, tau, -o, 0.0),
+        ]
+    # shift the t_initial-anchored pieces into absolute phase [0, tau)
+    wrapped: list[Piece] = []
+    for p in local:
+        a = (w.t_initial + p.start) % tau
+        b = a + p.duration
+        if b <= tau:
+            wrapped.append(Piece(a, b, p.v0, p.v1))
+        else:
+            f = (tau - a) / p.duration
+            vm = p.v0 + f * (p.v1 - p.v0)
+            wrapped.append(Piece(a, tau, p.v0, vm))
+            wrapped.append(Piece(0.0, b - tau, vm, p.v1))
+    return _normalize_pieces(wrapped, tau)
 
 
 @dataclass(frozen=True)

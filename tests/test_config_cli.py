@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +358,26 @@ def test_cli_rejects_descending_time_sweep(tmp_path, capsys):
                                  "points": 3, "nu_mhz": 10.713})
     record = _cli_config_error(tmp_path, capsys, data)
     assert "sweep.stop" in record["message"]
+
+
+SENSING_SPECTRUM = Path(__file__).resolve().parents[1] / "configs" / \
+    "explicit_sensing_spectrum.json"
+
+
+@pytest.mark.parametrize("block,key,value,path", [
+    ("sweep", "total_time_ms", float("nan"), "sweep.total_time_ms:"),
+    ("sweep", "total_time_ms", 0, "sweep.total_time_ms:"),
+    ("protocol", "t_initial", float("nan"), "protocol.t_initial:"),
+    ("integration", "unitarity_check_interval", 0, "integration: unitarity_check_interval"),
+    ("system", "field_tesla", float("nan"), "system.field_tesla:"),
+], ids=["nan-time", "zero-time", "nan-t-initial", "zero-check-interval", "nan-field"])
+def test_cli_rejects_values_the_propagator_cannot_take(tmp_path, capsys, block, key, value,
+                                                       path):
+    data = json.loads(SENSING_SPECTRUM.read_text())
+    data["sweep"]["points"] = 3
+    data[block][key] = value
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert path in record["message"]
 
 
 def test_cli_verification_failure_exit_code(monkeypatch, capsys):
