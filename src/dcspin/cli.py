@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .constants import angular_from_mhz
-from .dynamics import PropagationError
+from .dynamics import MAX_SLICES, PropagationError, SliceCountError
 from .presets import PRESETS, run_preset, verify_preset
 from .protocols import run_sweep, solve_topdnp_detuning
 from .spincore import nuclear_frequency
@@ -57,10 +57,16 @@ def _operating_point(system, spec, plan) -> float | None:
 def _execute_explicit(config: ExperimentConfig, workers: int | None) -> list[SweepResult]:
     system, spec, plan = config.system, config.protocol, config.sweep
     axis, to_si = _AXES[plan.axis]
-    res = run_sweep(system, spec, axis, [to_si(v) for v in plan.grid_display],
-                    T=None if plan.total_time_ms is None else plan.total_time_ms * 1e-3,
-                    point=_operating_point(system, spec, plan), policy=config.policy,
-                    workers=workers)
+    try:
+        res = run_sweep(system, spec, axis, [to_si(v) for v in plan.grid_display],
+                        T=None if plan.total_time_ms is None else plan.total_time_ms * 1e-3,
+                        point=_operating_point(system, spec, plan), policy=config.policy,
+                        workers=workers)
+    except SliceCountError as exc:
+        policy = config.policy
+        field = "ramp_substeps" if policy.max_step is None or policy.ramp_substeps > MAX_SLICES \
+            else "max_step_ns"
+        raise ConfigError(f"integration.{field}: {exc}") from None
     columns = res.columns
     if spec.measured:
         unknown = [m for m in spec.measured if m not in columns]

@@ -5,13 +5,16 @@ every slice U = exp(-i H dt) is computed through a Hermitian
 eigendecomposition and applied over the full slice, so piecewise-constant
 drives are propagated exactly; switching ramps are subdivided into
 midpoint-constant sub-slices.  Waveform breakpoints are always slice
-boundaries, so nothing aliases across a switch.
+boundaries, so nothing aliases across a switch, and a period may hold at
+most MAX_SLICES slices.
 
-Eigendecompositions are cached per distinct drive value (the switching
-drive has only two levels plus ramp midpoints) and slice unitaries per
-(drive value, duration).  When the drive is periodic and no sample time
-falls inside a span of whole periods, the span is applied as an integer
-power of the single-period propagator.
+One engine (``_evolve``) runs every propagation: a stack of independent
+points, each with its own slices and period, sampled at shared times.  A
+single trajectory is a one-point stack, and the points of a nu, detuning or
+amplitude-error sweep are a stack of many.  Each call decomposes every
+distinct key once and computes one unitary per distinct (key, duration);
+spans of whole periods between samples are applied as an integer power of
+the single-period propagator.
 """
 from __future__ import annotations
 
@@ -47,6 +50,15 @@ from .waveform import (
 )
 
 SEGMENT_UNITARITY_TOL = 1e-10
+
+#: the most slices one period (or one span of a constant drive) may split into
+MAX_SLICES = 10_000
+
+# bytes of unitaries (points x slices x dimension**2 complex values) one
+# stack of sweep points, or one batch of clipped slices, may span: a
+# 301-point grid of one nucleus is one stack, and a 64-dimensional grid runs
+# 2 to 4 points per stack, which keeps its transient arrays to a few hundred KB
+STACK_BYTES = 1 << 19
 
 
 class PropagationError(ArithmeticError):
@@ -120,61 +132,38 @@ class CompiledSchedule:
     steps: tuple[tuple[Hashable, float], ...] = ()
     constant_key: Hashable | None = None
 
-    @functools.cached_property
-    def boundaries(self) -> np.ndarray:
-        return np.concatenate([[0.0], np.cumsum([d for _, d in self.steps])])
+
+class SliceCountError(ValueError):
+    """A period or span would split into more than MAX_SLICES slices."""
 
 
-def _split_durations(duration: float, max_step: float | None, at_least: int = 1) -> int:
-    n = at_least
-    if max_step is not None:
-        n = max(n, math.ceil(duration / max_step))
-    return n
+def _split_durations(spans: Sequence[tuple[float, int]], max_step: float | None) -> list[int]:
+    """Slice counts of (duration, at least) spans: at least that many slices
+    each, none longer than max_step.  More than MAX_SLICES in all raise
+    before any slice list is built."""
+    counts = [n if max_step is None else max(n, math.ceil(d / max_step)) for d, n in spans]
+    if sum(counts) > MAX_SLICES:
+        raise SliceCountError(f"the drive would split into {sum(counts)} slices, "
+                              f"more than {MAX_SLICES}")
+    return counts
 
 
 def compile_waveform(w: Waveform, policy: IntegrationPolicy) -> CompiledSchedule:
     """Turn a scalar drive into keyed constant slices (keys are drive values)."""
     if isinstance(w, ConstantWaveform):
         return CompiledSchedule(period=None, constant_key=w.omega_e)
+    pieces = w.pieces()
+    counts = _split_durations([(p.duration, 1 if p.v0 == p.v1 else policy.ramp_substeps)
+                               for p in pieces], policy.max_step)
     steps: list[tuple[float, float]] = []
-    for p in w.pieces():
+    for p, n in zip(pieces, counts):
         if p.v0 == p.v1:
-            n = _split_durations(p.duration, policy.max_step)
             steps.extend([(p.v0, p.duration / n)] * n)
         else:
-            n = _split_durations(p.duration, policy.max_step, at_least=policy.ramp_substeps)
             dt = p.duration / n
             for i in range(n):
                 steps.append((p.v0 + (p.v1 - p.v0) * (i + 0.5) / n, dt))
     return CompiledSchedule(period=w.period, steps=tuple(steps))
-
-
-class _UnitaryCache:
-    """exp(-i H dt) factory with per-key eigendecomposition reuse."""
-
-    def __init__(self, hamiltonian_of: Callable[[Hashable], np.ndarray]):
-        self._hamiltonian_of = hamiltonian_of
-        self._eigs: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
-        self._unitaries: dict[tuple[Hashable, float], np.ndarray] = {}
-
-    def unitary(self, key: Hashable, duration: float) -> np.ndarray:
-        u = self._unitaries.get((key, duration))
-        if u is not None:
-            return u
-        eig = self._eigs.get(key)
-        if eig is None:
-            h = np.asarray(self._hamiltonian_of(key), dtype=complex)
-            eig = np.linalg.eigh(h)
-            self._eigs[key] = eig
-        vals, vecs = eig
-        u = (vecs * np.exp(-1j * vals * duration)) @ vecs.conj().T
-        defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-        if defect >= SEGMENT_UNITARITY_TOL:
-            raise PropagationError(
-                f"segment unitary defect {defect:.3e} >= {SEGMENT_UNITARITY_TOL}"
-            )
-        self._unitaries[(key, duration)] = u
-        return u
 
 
 def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -186,39 +175,25 @@ def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) 
     return u
 
 
-class _Representation:
-    """Evolving state: the weighted pure branches of a QuantumState."""
+class _UnitaryCache:
+    """exp(-i H dt) of a keyed Hamiltonian, one eigendecomposition per key."""
 
-    def __init__(self, state: QuantumState):
-        self.weights, vectors = state.branches
-        self.psi = vectors.copy()
+    def __init__(self, hamiltonian_of: Callable[[Hashable], np.ndarray]):
+        self._hamiltonian_of = hamiltonian_of
+        self._eigs: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
 
-    def apply(self, u: np.ndarray) -> None:
-        self.psi = u @ self.psi
-
-    def expectation(self, matrix: np.ndarray) -> float:
-        val = complex(np.einsum("ib,ij,jb,b->", self.psi.conj(), matrix, self.psi,
-                                self.weights))
-        if abs(val.imag) >= 1e-10:
-            raise PropagationError(f"observable developed imaginary part {val.imag:.3e}")
-        return val.real
-
-    def health_defect(self) -> float:
-        return float(_drift(self.psi))
-
-    def to_state(self, tolerance: float) -> QuantumState:
-        # drift below the policy tolerance is removed when materializing
-        defect = self.health_defect()
-        if defect >= tolerance:
-            raise PropagationError(f"state drift {defect:.3e} >= tolerance {tolerance}")
-        return QuantumState.mixture(self.weights, self.psi / np.linalg.norm(self.psi, axis=0))
+    def unitary(self, key: Hashable, duration: float) -> np.ndarray:
+        if key not in self._eigs:
+            h = np.asarray(self._hamiltonian_of(key), dtype=complex)
+            self._eigs[key] = np.linalg.eigh(h[None])
+        return _slice_unitaries(*self._eigs[key], np.array([duration]))[0]
 
 
 def _drift(psi: np.ndarray) -> np.ndarray:
     """Largest branch-norm defect of each state in a stack of (dim, branches) states."""
-    if not np.all(np.isfinite(psi)):
+    if not np.isfinite(psi).all():
         raise PropagationError("state became non-finite")
-    return np.max(np.abs(np.linalg.norm(psi, axis=-2) - 1.0), axis=-1)
+    return np.abs(np.linalg.norm(psi, axis=-2) - 1.0).max(axis=-1)
 
 
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
@@ -236,81 +211,205 @@ def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
     return times
 
 
-class _Engine:
-    def __init__(self, hamiltonian_of, schedule: CompiledSchedule,
-                 policy: IntegrationPolicy):
-        self.cache = _UnitaryCache(hamiltonian_of)
-        self.schedule = schedule
-        self.policy = policy
-        self.steps_applied = 0
-        self._period_u: np.ndarray | None = None
+def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a[b] to the power n[b] >= 1 in np.linalg.matrix_power's multiplication
+    order (the powers a**(2**k) of the set bits of n multiplied in from the
+    lowest, and (a @ a) @ a for n = 3), so every power equals
+    matrix_power(a[b], n[b]) bit for bit.  A bit that every row or no row
+    has takes no mask."""
+    three = n == 3
+    bits = (n[:, None] >> np.arange(int(n.max()).bit_length())) & 1 == 1
+    bits[three] = False
+    starts = bits & (bits.cumsum(axis=1) == 1)
+    joins = bits ^ starts
+    out, z = np.empty_like(a), a
+    for k, (n_start, n_join) in enumerate(zip(starts.sum(0).tolist(), joins.sum(0).tolist())):
+        if k:
+            z = z @ z
+        if k == 1 and three.any():
+            out[three] = z[three] @ a[three]
+        if n_start == len(n):
+            out[...] = z
+        elif n_start:
+            out[starts[:, k]] = z[starts[:, k]]
+        if n_join == len(n):
+            out = out @ z
+        elif n_join:
+            out[joins[:, k]] = out[joins[:, k]] @ z[joins[:, k]]
+    return out
 
-    def _tick(self, rep: _Representation, t: float) -> None:
-        self.steps_applied += 1
-        if self.steps_applied % self.policy.unitarity_check_interval == 0:
-            defect = rep.health_defect()
-            if defect >= self.policy.tolerance:
-                raise PropagationError(
-                    f"state drift {defect:.3e} >= {self.policy.tolerance} "
-                    f"at t = {t:.6e} s after {self.steps_applied} steps"
-                )
 
-    def _period_unitary(self) -> np.ndarray:
-        if self._period_u is None:
-            dim = self.cache.unitary(*self.schedule.steps[0]).shape[0]
-            u = np.eye(dim, dtype=complex)
-            for key, dur in self.schedule.steps:
-                u = self.cache.unitary(key, dur) @ u
-            # polar projection removes the rounding accumulated over the
-            # composition, so large matrix powers stay unitary
-            w, _, vh = np.linalg.svd(u)
-            self._period_u = w @ vh
-        return self._period_u
+def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
+            schedules: Sequence[CompiledSchedule], times: Sequence[float],
+            state0: QuantumState, policy: IntegrationPolicy,
+            observables: Sequence[Observable]) -> tuple[np.ndarray, np.ndarray]:
+    """Evolve a stack of independent points from ``state0`` and sample each
+    at every one of the ascending ``times`` (t = 0 is the start).
 
-    def _walk_partial(self, rep: _Representation, u0: float, u1: float, t_base: float) -> None:
-        """Apply slices covering the period-local window (u0, u1]."""
-        if u1 - u0 <= 0:
-            return
-        bounds = self.schedule.boundaries
-        for i, (key, dur) in enumerate(self.schedule.steps):
-            lo = max(bounds[i], u0)
-            hi = min(bounds[i + 1], u1)
-            take = hi - lo
-            if take <= 0:
-                continue
-            # partial slices reuse the slice key: constant slices stay exact
-            rep.apply(self.cache.unitary(key, take if take < dur else dur))
-            self._tick(rep, t_base + hi)
+    Point b steps through the slices of ``schedules[b]``; the schedules of a
+    stack are all periodic with one slice count, or each holds one constant
+    key, split into equal slices per sample span.  Returns the observables,
+    shaped (times, points, observables), and the final branch vectors,
+    shaped (points, dim, branches).
 
-    def advance(self, rep: _Representation, t0: float, t1: float) -> None:
-        if t1 <= t0:
-            return
-        sched = self.schedule
-        if sched.period is None:
-            n = _split_durations(t1 - t0, self.policy.max_step)
-            u = self.cache.unitary(sched.constant_key, (t1 - t0) / n)
-            for _ in range(n):
-                rep.apply(u)
-                self._tick(rep, t1)
-            return
-        tau = sched.period
-        k0, u0 = divmod(t0, tau)
-        k1, u1 = divmod(t1, tau)
-        k0, k1 = int(k0), int(k1)
-        if k1 == k0:
-            self._walk_partial(rep, u0, u1, k0 * tau)
-            return
-        self._walk_partial(rep, u0, tau, k0 * tau)
-        n_full = k1 - k0 - 1
-        if n_full > 0:
-            if self.policy.fast_forward:
-                rep.apply(np.linalg.matrix_power(self._period_unitary(), n_full))
-                self.steps_applied += n_full * len(sched.steps)
-                self._tick(rep, k1 * tau)
+    A span between two samples is a head window of the period it starts
+    in, whole periods, and a tail window (0, r] of the period it ends in.
+    A slice a window clips applies its key for the clipped length, so
+    constant slices stay exact; whole-period walks clip to (0, period] too.
+    Whole slices come from one table per distinct (key, duration); clipped
+    ones are computed in batches within STACK_BYTES.  Whole periods are one
+    power of the polar-projected period product, or are stepped slice by
+    slice without fast-forward.  The state is checked every
+    unitarity_check_interval applied steps (at the end of the window or
+    period that reaches the count) and at every sample.
+    """
+    slices = [s.steps or ((s.constant_key, 0.0),) for s in schedules]
+    index = {k: i for i, k in enumerate(dict.fromkeys(k for row in slices for k, _ in row))}
+    vals, vecs = np.linalg.eigh(np.asarray([hamiltonian_of(k) for k in index], dtype=complex))
+    keys = np.array([[index[k] for k, _ in row] for row in slices]).T  # (slices, points)
+    durations = np.array([[d for _, d in row] for row in slices]).T
+    weights, vectors = state0.branches
+    psi = np.repeat(vectors[None], len(schedules), axis=0)
+    times = np.asarray(times, dtype=float)
+    matrices = np.stack([o.matrix for o in observables])
+    values = np.empty((len(times), len(schedules), len(observables)), dtype=complex)
+    applied = 0
+
+    def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        return _slice_unitaries(vals[k], vecs[k], taus)
+
+    def check_health(where: str, *args) -> None:
+        defect = _drift(psi)
+        if defect.max() >= policy.tolerance:
+            raise PropagationError(f"state drift {defect.max():.3e} >= {policy.tolerance} "
+                                   f"at point {defect.argmax()} " + where.format(*args))
+
+    def run(steps: list[tuple[np.ndarray, np.ndarray | None]]) -> None:
+        """Apply each step (u, rows) in turn: u to the points ``rows``, or
+        to every point when rows is None."""
+        nonlocal psi, applied
+        for u, rows in steps:
+            if rows is None:
+                psi = u @ psi
             else:
-                for k in range(n_full):
-                    self._walk_partial(rep, 0.0, tau, (k0 + 1 + k) * tau)
-        self._walk_partial(rep, 0.0, u1, k1 * tau)
+                psi[rows] = u @ psi[rows]
+        if (applied + len(steps)) // policy.unitarity_check_interval \
+                > applied // policy.unitarity_check_interval:
+            check_health("after {} slices", applied + len(steps))
+        applied += len(steps)
+
+    def sample(j: int) -> None:
+        check_health("at sample t = {:.6e}", times[j])
+        values[j] = np.einsum("zib,oij,zjb,b->zo", psi.conj(), matrices, psi, weights)
+
+    if schedules[0].period is None:
+        for j, span in enumerate(np.diff(times, prepend=0.0)):
+            if span > 0:
+                n, = _split_durations([(span, 1)], policy.max_step)
+                run([(unitaries(keys[0], np.full(len(schedules), span / n)), None)] * n)
+            sample(j)
+    else:
+        tau = np.array([s.period for s in schedules])
+        k0, r0 = np.divmod(np.concatenate([[0.0], times[:-1]])[:, None], tau)
+        k1, r1 = np.divmod(times[:, None], tau)
+        same = k1 == k0
+        n_whole = np.where(same, 0, k1 - k0 - 1).astype(int)  # (times, points)
+        # period-local windows (lo, hi] of each span: its head, then its tail
+        lo, hi = np.zeros((2, len(times), 2, 1, len(tau)))
+        lo[:, 0, 0], hi[:, 0, 0], hi[:, 1, 0] = r0, np.where(same, r1, tau), np.where(same, 0, r1)
+        bounds = np.concatenate([np.zeros((1, len(tau))), np.cumsum(durations, axis=0)])
+        take = np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo)
+        # the length a whole-period walk gives each slice: a clipped slice
+        # reuses its key, and every length is capped at the slice duration
+        walk_tau = np.minimum(np.minimum(bounds[1:], tau) - bounds[:-1], durations)
+        active = take > 0
+        clipped = active & (take < walk_tau)
+        whole = active & ~clipped
+        # per window and slice: 2 when every point takes the whole slice, 3
+        # when every point takes a clipped part, 1 for a mix, 0 when none does
+        code = np.where(whole.all(-1), 2,
+                        np.where(clipped.all(-1), 3, active.any(-1))).tolist()
+        jumps = (n_whole > 0) & policy.fast_forward
+        lengths = np.array([walk_tau, durations] if jumps.any() else [walk_tau])
+        # one unitary per distinct (key, length), found as the distinct
+        # complex numbers key + i length
+        table, where = np.unique(keys + 1j * lengths, return_inverse=True)
+        full = unitaries(table.real.astype(int), table.imag)
+        walk_u, product_u = where.reshape(lengths.shape)[[0, -1]]
+        shared = (walk_u == walk_u[:, :1]).all(1).tolist()
+
+        def whole_u(s: int, rows: np.ndarray | None = None) -> np.ndarray:
+            """The walk unitaries of slice s for the points ``rows``."""
+            if shared[s]:
+                return full[walk_u[s, 0]]
+            return full[walk_u[s] if rows is None else walk_u[s, rows]]
+
+        clip_keys, clip_taus = keys[np.nonzero(clipped)[2:]], take[clipped]
+        batch = max(1, STACK_BYTES // (16 * psi.shape[1] ** 2))
+        held, held_from, used = full[:0], 0, 0
+
+        def clipped_u(m: int) -> np.ndarray:
+            """The next m clipped-slice unitaries, in walk order."""
+            nonlocal held, held_from, used
+            if used + m > held_from + len(held):
+                held_from, stop = used, min(len(clip_taus), used + max(m, batch))
+                held = unitaries(clip_keys[used:stop], clip_taus[used:stop])
+            used += m
+            return held[used - m - held_from:used - held_from]
+
+        def window(j: int, w: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+            """The steps of window w (0: head, 1: tail) of span j."""
+            steps = []
+            for s, c in enumerate(code[j][w]):
+                if c == 2:
+                    steps.append((whole_u(s), None))
+                elif c == 3:
+                    steps.append((clipped_u(len(tau)), None))
+                elif c:
+                    rows, cut = whole[j, w, s], clipped[j, w, s]
+                    if rows.any():
+                        steps.append((whole_u(s, rows), rows))
+                    if cut.any():
+                        steps.append((clipped_u(int(cut.sum())), cut))
+            return steps
+
+        if jumps.any():
+            need = jumps.any(0)
+            product = np.repeat(np.eye(psi.shape[1], dtype=complex)[None], need.sum(), axis=0)
+            for s in range(len(keys)):
+                product = full[product_u[s, need]] @ product
+            # the polar projection removes the rounding accumulated over the
+            # composition, so large powers stay unitary
+            w, _, vh = np.linalg.svd(product)
+            # one power per distinct (point, exponent), coded as exponent * B + row
+            row = (np.cumsum(need) - 1)[np.nonzero(jumps)[1]]
+            pairs, power_of = np.unique(n_whole[jumps] * len(tau) + row, return_inverse=True)
+            powers = _matrix_powers((w @ vh)[pairs % len(tau)], pairs // len(tau))
+            which = np.zeros(jumps.shape, dtype=int)
+            which[jumps] = power_of
+        periodic = walk_tau > 0
+        for j, jumping in enumerate(jumps.any(1).tolist()):
+            run(window(j, 0))
+            if jumping:
+                rows = jumps[j]
+                run([(powers[which[j, rows]], None if rows.all() else rows)])
+            elif not policy.fast_forward:
+                done = 0
+                for upto in np.unique(n_whole[j][n_whole[j] > 0]).tolist():
+                    one_period = [(whole_u(s, r), None if r.all() else r)
+                                  for s, r in enumerate(periodic & (n_whole[j] >= upto))
+                                  if r.any()]
+                    for _ in range(upto - done):
+                        run(one_period)
+                    done = upto
+            run(window(j, 1))
+            sample(j)
+    imag = np.abs(values.imag).max()
+    if imag >= 1e-10:
+        raise PropagationError(f"observable developed imaginary part {imag:.3e}")
+    for i, o in enumerate(observables):
+        _check_bounds(o.name, values.real[..., i])
+    return values.real, psi
 
 
 def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
@@ -319,129 +418,18 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
                        sample_times: Sequence[float],
                        policy: IntegrationPolicy,
                        observables: Sequence[Observable]) -> Trajectory:
-    """Core loop shared by every protocol: evolve and sample."""
+    """Evolve one point and sample it (a one-point stack of _evolve); t = 0
+    is always sampled."""
     times = np.asarray(sample_times, dtype=float)
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
-    rep = _Representation(state0)
-    engine = _Engine(hamiltonian_of, schedule, policy)
-    matrices = [o.matrix for o in observables]
-    names = [o.name for o in observables]
-    series = [[] for _ in observables]
-    for i, t in enumerate(times):
-        if i > 0:
-            engine.advance(rep, times[i - 1], t)
-            defect = rep.health_defect()
-            if defect >= policy.tolerance:
-                raise PropagationError(
-                    f"state drift {defect:.3e} >= {policy.tolerance} at sample t = {t:.6e}"
-                )
-        for vals, m in zip(series, matrices):
-            vals.append(rep.expectation(m))
+    values, psi = _evolve(hamiltonian_of, [schedule], times, state0, policy, observables)
     return Trajectory(
         times=times,
-        observables={n: np.asarray(v) for n, v in zip(names, series)},
-        final_state=rep.to_state(policy.tolerance),
+        observables={o.name: values[:, 0, i] for i, o in enumerate(observables)},
+        final_state=QuantumState.mixture(state0.branches[0],
+                                         psi[0] / np.linalg.norm(psi[0], axis=0)),
     )
-
-
-def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a[b] to the power n[b] >= 1 in np.linalg.matrix_power's multiplication
-    order (binary from the lowest bit, and (a @ a) @ a for n = 3), so every
-    power equals matrix_power(a[b], n[b]) bit for bit."""
-    out, started = np.empty_like(a), np.zeros(len(n), dtype=bool)
-    z, rest = a, n.copy()
-    while True:
-        bit = (rest % 2 == 1) & (n != 3)
-        out[bit & ~started] = z[bit & ~started]
-        out[bit & started] = out[bit & started] @ z[bit & started]
-        started |= bit
-        rest //= 2
-        if not rest.any():
-            return out
-        z, first = z @ z, z is a
-        if first:
-            out[n == 3] = z[n == 3] @ a[n == 3]
-
-
-def propagate_stack(hamiltonians: np.ndarray, keys: np.ndarray, durations: np.ndarray,
-                    periods: np.ndarray | None, T: float, state0: QuantumState,
-                    policy: IntegrationPolicy,
-                    observables: Sequence[Observable]) -> np.ndarray:
-    """The observables at time T of a stack of independent points, one row each.
-
-    Point b steps through the slices ``hamiltonians[keys[b, s]]`` of length
-    ``durations[b, s]`` with period ``periods[b]``; when ``periods`` is None,
-    each point holds its key ``keys[b, 0]`` for all of T.  Each point takes
-    the steps _Engine.advance takes from 0 to T, with the same checks, on
-    stacked arrays, so every row equals propagate_compiled's final sample
-    bit for bit.  Boolean masks select the points a step acts on.
-    """
-    if not T > 0:
-        raise ValueError("T must be positive")
-    vals, vecs = np.linalg.eigh(hamiltonians)
-    weights, vectors = state0.branches
-    psi = np.repeat(vectors[None], len(keys), axis=0)
-    everyone = np.ones(len(keys), dtype=bool)
-    applied = 0
-
-    def check_health(where: str) -> None:
-        defect = _drift(psi)
-        if np.max(defect) >= policy.tolerance:
-            raise PropagationError(f"state drift {np.max(defect):.3e} >= {policy.tolerance} "
-                                   f"at point {np.argmax(defect)} {where}")
-
-    def unitaries(rows, s: int, taus: np.ndarray) -> np.ndarray:
-        return _slice_unitaries(vals[keys[rows, s]], vecs[keys[rows, s]], taus)
-
-    def apply(rows, u: np.ndarray) -> None:
-        nonlocal applied
-        psi[rows] = u @ psi[rows]
-        applied += 1
-        if applied % policy.unitarity_check_interval == 0:
-            check_health(f"after {applied} slices")
-
-    def walk(rows, ends: np.ndarray) -> None:
-        """Each point's slices clipped to its period-local window (0, ends]."""
-        take = np.minimum(bounds[:, 1:], ends[:, None]) - bounds[:, :-1]
-        # partial slices reuse the slice key: constant slices stay exact
-        taken = np.where(take < durations, take, durations)
-        for s in range(keys.shape[1]):
-            active = rows & (take[:, s] > 0)
-            if active.any():
-                apply(active, unitaries(active, s, taken[active, s]))
-
-    if periods is None:
-        n = _split_durations(T, policy.max_step)
-        u = unitaries(everyone, 0, np.full(len(keys), T / n))
-        for _ in range(n):
-            apply(everyone, u)
-    else:
-        bounds = np.concatenate([np.zeros((len(keys), 1)), np.cumsum(durations, axis=1)], 1)
-        whole, rest = np.divmod(T, periods)
-        n_full = np.maximum(whole.astype(int) - 1, 0)
-        walk(whole >= 1, periods)
-        ff = n_full > 0
-        if policy.fast_forward and ff.any():
-            u = np.repeat(np.eye(psi.shape[1], dtype=complex)[None], np.sum(ff), axis=0)
-            for s in range(keys.shape[1]):
-                u = unitaries(ff, s, durations[ff, s]) @ u
-            # the polar projection of each period product, as in _Engine
-            w, _, vh = np.linalg.svd(u)
-            psi[ff] = _matrix_powers(w @ vh, n_full[ff]) @ psi[ff]
-            check_health("after a fast-forward")
-        for k in range(0 if policy.fast_forward else n_full.max()):
-            walk(n_full > k, periods)
-        walk(everyone, rest)
-    check_health(f"at sample t = {T:.6e}")
-    values = np.einsum("zib,oij,zjb,b->zo", psi.conj(), np.stack([o.matrix for o in observables]),
-                       psi, weights)
-    imag = np.max(np.abs(values.imag))
-    if imag >= 1e-10:
-        raise PropagationError(f"observable developed imaginary part {imag:.3e}")
-    for o, series in zip(observables, values.real.T):
-        _check_bounds(o.name, series)
-    return values.real
 
 
 @functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)

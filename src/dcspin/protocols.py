@@ -25,14 +25,15 @@ from scipy.optimize import brentq
 
 from .constants import TWO_PI
 from .dynamics import (
+    STACK_BYTES,
     CompiledSchedule,
     IntegrationPolicy,
     Trajectory,
+    _evolve,
     _split_durations,
     _UnitaryCache,
     propagate,
     propagate_compiled,
-    propagate_stack,
     standard_observables,
     waveform_drive,
 )
@@ -55,12 +56,6 @@ from .sweep import SweepResult, parallel_map
 from .waveform import ConstantWaveform, DcsWaveform, PmWaveform, Waveform, optimal_dwell_times
 
 PROTOCOL_KINDS = ("dcs", "pm", "topdnp", "constant")
-
-# bytes of slice unitaries (points x slices x dimension**2 complex values)
-# one stack of sweep points may span: a 301-point grid of one nucleus is one
-# stack, and a 64-dimensional grid runs 2 to 4 points per stack, which keeps
-# its transient arrays to a few hundred KB
-STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,11 @@ class PulseTrain:
 
     def compiled_schedule(self, policy: IntegrationPolicy) -> CompiledSchedule:
         """Slices keyed (segment, rabi, detuning), as _pulse_train_hamiltonian reads them."""
+        spans = ((("pulse", self.rabi, self.detuning), self.pulse_len),
+                 (("delay", 0.0, self.detuning), self.delay))
         steps: list[tuple[tuple, float]] = []
-        for key, dur in ((("pulse", self.rabi, self.detuning), self.pulse_len),
-                         (("delay", 0.0, self.detuning), self.delay)):
-            n = _split_durations(dur, policy.max_step)
+        for (key, dur), n in zip(spans, _split_durations([(d, 1) for _, d in spans],
+                                                         policy.max_step)):
             steps.extend([(key, dur / n)] * n)
         return CompiledSchedule(period=self.period, steps=tuple(steps))
 
@@ -390,14 +386,9 @@ def _final_row(args) -> tuple[float, ...]:
 def _stack_rows(args) -> np.ndarray:
     """Observables at T of one stack of sweep points (module level, so it pickles)."""
     system, state_kind, hamiltonian_of, schedules, T, policy = args
-    steps = [s.steps or ((s.constant_key, T),) for s in schedules]
-    index = {k: i for i, k in enumerate(dict.fromkeys(k for row in steps for k, _ in row))}
-    periods = None if schedules[0].period is None else np.array([s.period for s in schedules])
-    return propagate_stack(np.stack([hamiltonian_of(k) for k in index]),
-                           np.array([[index[k] for k, _ in row] for row in steps]),
-                           np.array([[d for _, d in row] for row in steps]), periods, T,
-                           initial_state(state_kind, system), policy,
-                           standard_observables(system))
+    values, _ = _evolve(hamiltonian_of, schedules, [T], initial_state(state_kind, system),
+                        policy, standard_observables(system))
+    return values[0]
 
 
 def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]], T: float,
@@ -428,7 +419,7 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     pm) and "detuning" (topdnp) move the operating point, and
     "amplitude_error" scales the drive amplitudes by (1 + delta) on top of
     ``spec.amplitude_error`` at the fixed ``point``.  Their grid points
-    evolve as stacks (propagate_stack), which the pool spreads when a grid
+    evolve as stacks (dynamics._evolve), which the pool spreads when a grid
     needs more than one; dcs points with resets run one by one.
     """
     if (spec.kind, axis) not in TABLE_NAMES:

@@ -380,6 +380,23 @@ def test_cli_rejects_values_the_propagator_cannot_take(tmp_path, capsys, block, 
     assert path in record["message"]
 
 
+@pytest.mark.parametrize("change,path", [
+    ({"max_step_ns": 0.005}, "integration.max_step_ns:"),
+    ({"ramp_substeps": 20000}, "integration.ramp_substeps:"),
+    ({"ramp_substeps": 6000}, "integration.ramp_substeps:"),
+], ids=["max-step", "ramp-substeps", "ramp-substeps-summed"])
+def test_cli_rejects_slice_counts_that_would_fill_memory(tmp_path, capsys, change, path):
+    """About 18,800 slices of 0.005 ns in a 94 ns period, or 20,000 (or
+    twice 6,000) ramp midpoints, stop before any slice list is built."""
+    data = json.loads(SENSING_SPECTRUM.read_text())
+    data["sweep"]["points"] = 3
+    if "ramp_substeps" in change:
+        data["protocol"]["switch_fraction"] = 0.1
+    data["integration"].update(change)
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert path in record["message"] and "10000" in record["message"]
+
+
 def test_cli_verification_failure_exit_code(monkeypatch, capsys):
     from dcspin import presets as presets_module
     failing = presets_module.Check("forced", "none", False, "forced failure")

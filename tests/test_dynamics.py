@@ -1,7 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -22,10 +25,19 @@ from dcspin import (
     magnus_effective_hamiltonian,
     nuclear_frequency,
     optimal_dwell_times,
+    ProtocolSpec,
     propagate,
     propagate_spin_pair,
 )
-from dcspin.dynamics import sample_grid, standard_observables
+from dcspin.dynamics import (
+    SEGMENT_UNITARITY_TOL,
+    PropagationError,
+    Trajectory,
+    propagate_compiled,
+    sample_grid,
+    standard_observables,
+)
+from dcspin.protocols import _drive, pm_resonant_period
 from dcspin.spincore import (
     nuclear_x_observable,
     nuclear_z_observable,
@@ -160,16 +172,188 @@ def test_sampling_does_not_change_the_evolution(carbon_system, carbon_rabi):
         sparse.observables["sigma_z"][-1], abs=1e-10)
 
 
-def test_fast_forward_matches_sequential(carbon_system, carbon_rabi):
-    nu = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
-    w = build_dcs_waveform(carbon_rabi, nu)
-    state = initial_state("sensing", carbon_system)
-    T = 15e-6
-    fast = propagate(carbon_system, w, state, T)
-    slow = propagate(carbon_system, w, state, T,
-                     policy=IntegrationPolicy(fast_forward=False))
-    assert fast.observables["sigma_z"][-1] == pytest.approx(
-        slow.observables["sigma_z"][-1], abs=1e-11)
+@st.composite
+def drives(draw, max_periods: float = 40.0):
+    """(system, spec, point, times, policy): a drive of any kind on 0-2 1H
+    nuclei, sampled at 1-30 times within 0.05 to ``max_periods`` periods,
+    with or without t = 0."""
+    khz = st.floats(0.2, 20.0)
+    system = SpinSystem(field_z=0.35, nuclei=tuple(
+        Nucleus(angular_from_mhz(42.5775), angular_from_khz(draw(khz)),
+                angular_from_khz(draw(khz)), "1H") for _ in range(draw(st.integers(0, 2)))))
+    kind = draw(st.sampled_from(["dcs", "pm", "topdnp", "constant"]))
+    error = draw(st.floats(-0.05, 0.05))
+    point = angular_from_mhz(draw(st.floats(14.0, 15.5)))
+    rabi, pm_omega, pulse_len, delay = angular_from_mhz(2.0), angular_from_mhz(1.0), 56e-9, 28e-9
+    if kind == "dcs":
+        spec = ProtocolSpec("dcs", omega_max=rabi, amplitude_error=error,
+                            switch_fraction=draw(st.one_of(st.just(0.0),
+                                                           st.floats(0.01, 0.3))),
+                            t_initial=draw(st.one_of(st.sampled_from(["symmetric", "zero"]),
+                                                     st.floats(0.0, 0.99))))
+        period = build_dcs_waveform(rabi, point).period
+    elif kind == "pm":
+        spec = ProtocolSpec("pm", omega0=pm_omega, omega1=pm_omega, amplitude_error=error)
+        period = pm_resonant_period(pm_omega, point)
+    elif kind == "topdnp":
+        spec = ProtocolSpec("topdnp", rabi=rabi, pulse_len=pulse_len, delay=delay,
+                            amplitude_error=error)
+        point, period = angular_from_mhz(draw(st.floats(2.5, 2.9))), pulse_len + delay
+    else:
+        spec = ProtocolSpec("constant", omega_e=point, amplitude_error=error)
+        point, period = None, pulse_len + delay
+    periods = draw(st.lists(st.floats(0.05, max_periods), min_size=1, max_size=30))
+    times = np.unique(np.asarray(periods) * period)
+    if draw(st.booleans()):
+        times = np.concatenate([[0.0], times])
+    policy = IntegrationPolicy(
+        max_step=draw(st.one_of(st.none(), st.floats(5e-9, 50e-9))),
+        ramp_substeps=draw(st.integers(1, 8)),
+        unitarity_check_interval=draw(st.integers(1, 4)),
+        fast_forward=draw(st.booleans()))
+    return system, spec, point, times, policy
+
+
+def _propagate_case(case, propagator=propagate_compiled, **policy_changes) -> Trajectory:
+    system, spec, point, times, policy = case
+    hamiltonian_of, schedule = _drive(system, spec, point, replace(policy, **policy_changes))
+    return propagator(hamiltonian_of, schedule, initial_state(spec.initial_state_kind, system),
+                      times, replace(policy, **policy_changes), standard_observables(system))
+
+
+_CARBON_A_X, _CARBON_A_Z = angular_from_khz(13.42), angular_from_khz(17.09)
+_CARBON = SpinSystem(field_z=1.0, nuclei=(
+    Nucleus(angular_from_mhz(10.713) - 0.5 * _CARBON_A_Z, _CARBON_A_X, _CARBON_A_Z,
+            label="13C"),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(drives(max_periods=300.0))
+@example((_CARBON, ProtocolSpec("dcs", omega_max=angular_from_mhz(1.0)),
+          nuclear_frequency(_CARBON.nuclei[0], _CARBON.field_z), np.array([15e-6]),
+          IntegrationPolicy()))
+def test_fast_forward_matches_sequential(case):
+    fast = _propagate_case(case, fast_forward=True)
+    slow = _propagate_case(case, fast_forward=False)
+    for name, series in fast.observables.items():
+        npt.assert_allclose(series, slow.observables[name], rtol=0, atol=1e-11, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# reference: the propagation loop as it stood before the stacked engine, one
+# sample span and one slice at a time, with its own unitary cache
+# ---------------------------------------------------------------------------
+
+class _ReferenceCache:
+    def __init__(self, hamiltonian_of):
+        self._hamiltonian_of = hamiltonian_of
+        self._eigs, self._unitaries = {}, {}
+
+    def unitary(self, key, duration):
+        u = self._unitaries.get((key, duration))
+        if u is not None:
+            return u
+        if key not in self._eigs:
+            self._eigs[key] = np.linalg.eigh(np.asarray(self._hamiltonian_of(key), dtype=complex))
+        vals, vecs = self._eigs[key]
+        u = (vecs * np.exp(-1j * vals * duration)) @ vecs.conj().T
+        assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < SEGMENT_UNITARITY_TOL
+        self._unitaries[(key, duration)] = u
+        return u
+
+
+class _ReferenceEngine:
+    def __init__(self, hamiltonian_of, schedule, policy, state):
+        self.cache, self.schedule, self.policy = _ReferenceCache(hamiltonian_of), schedule, policy
+        self.bounds = np.concatenate([[0.0], np.cumsum([d for _, d in schedule.steps])])
+        self.weights, vectors = state.branches
+        self.psi = vectors.copy()
+        self.steps_applied = 0
+
+    def apply(self, u):
+        self.psi = u @ self.psi
+        self.steps_applied += 1
+        if self.steps_applied % self.policy.unitarity_check_interval == 0:
+            self.check()
+
+    def check(self):
+        drift = np.max(np.abs(np.linalg.norm(self.psi, axis=0) - 1.0))
+        if not drift < self.policy.tolerance:
+            raise PropagationError(f"state drift {drift}")
+
+    def expectation(self, matrix):
+        val = complex(np.einsum("ib,ij,jb,b->", self.psi.conj(), matrix, self.psi,
+                                self.weights))
+        assert abs(val.imag) < 1e-10
+        return val.real
+
+    def walk(self, u0, u1):
+        for i, (key, dur) in enumerate(self.schedule.steps):
+            take = min(self.bounds[i + 1], u1) - max(self.bounds[i], u0)
+            if take > 0:
+                self.apply(self.cache.unitary(key, take if take < dur else dur))
+
+    def advance(self, t0, t1):
+        sched = self.schedule
+        if t1 <= t0:
+            return
+        if sched.period is None:
+            n = max(1, math.ceil((t1 - t0) / self.policy.max_step)) \
+                if self.policy.max_step is not None else 1
+            u = self.cache.unitary(sched.constant_key, (t1 - t0) / n)
+            for _ in range(n):
+                self.apply(u)
+            return
+        tau = sched.period
+        (k0, u0), (k1, u1) = divmod(t0, tau), divmod(t1, tau)
+        if k1 == k0:
+            self.walk(u0, u1)
+            return
+        self.walk(u0, tau)
+        n_full = int(k1) - int(k0) - 1
+        if n_full > 0 and self.policy.fast_forward:
+            u = np.eye(self.psi.shape[0], dtype=complex)
+            for key, dur in sched.steps:
+                u = self.cache.unitary(key, dur) @ u
+            w, _, vh = np.linalg.svd(u)
+            self.apply(np.linalg.matrix_power(w @ vh, n_full))
+        else:
+            for _ in range(max(n_full, 0)):
+                self.walk(0.0, tau)
+        self.walk(0.0, u1)
+
+
+def _reference_propagate(hamiltonian_of, schedule, state0, sample_times, policy,
+                         observables) -> Trajectory:
+    times = np.asarray(sample_times, dtype=float)
+    if times[0] != 0.0:
+        times = np.concatenate([[0.0], times])
+    engine = _ReferenceEngine(hamiltonian_of, schedule, policy, state0)
+    series = []
+    for i, t in enumerate(times):
+        if i > 0:
+            engine.advance(times[i - 1], t)
+            engine.check()
+        series.append([engine.expectation(o.matrix) for o in observables])
+    engine.check()
+    final = QuantumState.mixture(engine.weights,
+                                 engine.psi / np.linalg.norm(engine.psi, axis=0))
+    return Trajectory(times=times, final_state=final, observables={
+        o.name: np.asarray(column) for o, column in zip(observables, zip(*series))})
+
+
+@settings(max_examples=60, deadline=None)
+@given(drives())
+def test_engine_equals_the_reference_loop_bit_for_bit(case):
+    """The one-point stack takes every step the reference loop takes, in the
+    same order and from the same unitaries, on every drive kind."""
+    new = _propagate_case(case)
+    old = _propagate_case(case, _reference_propagate)
+    assert np.array_equal(new.times, old.times)
+    assert list(new.observables) == list(old.observables)
+    for name, series in old.observables.items():
+        assert np.array_equal(new.observables[name], series), name
+    assert np.array_equal(new.final_state.density_matrix(), old.final_state.density_matrix())
 
 
 def test_max_step_split_is_exact_for_constant_segments(carbon_system, carbon_rabi):

@@ -1,7 +1,7 @@
 """Stacked sweeps: every grid point equals its own propagation, bit for bit.
 
 run_sweep evolves the points of a nu, detuning or amplitude-error sweep as
-stacks (dynamics.propagate_stack).  Each column must equal the final row of
+stacks (dynamics._evolve).  Each column must equal the final row of
 the point's own trajectory, and must not depend on the worker count.
 """
 import numpy as np
