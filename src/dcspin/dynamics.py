@@ -271,7 +271,7 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     weights, vectors = state0.branches
     psi = np.repeat(vectors[None], len(schedules), axis=0)
     times = np.asarray(times, dtype=float)
-    matrices = np.stack([o.matrix for o in observables])
+    stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
     values = np.empty((len(times), len(schedules), len(observables)), dtype=complex)
     applied = 0
 
@@ -300,7 +300,10 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
 
     def sample(j: int) -> None:
         check_health("at sample t = {:.6e}", times[j])
-        values[j] = np.einsum("zib,oij,zjb,b->zo", psi.conj(), matrices, psi, weights)
+        # one BLAS product per point, so a point's bits do not depend on its
+        # stack, then the weighted <psi_b|O|psi_b> summed over dim and branches
+        product = (stacked @ psi).reshape(len(psi), len(observables), -1)
+        values[j] = np.einsum("zok,zk->zo", product, (psi.conj() * weights).reshape(len(psi), -1))
 
     if schedules[0].period is None:
         for j, span in enumerate(np.diff(times, prepend=0.0)):

@@ -49,7 +49,6 @@ from .spincore import (
     _read_only,
     build_hamiltonian,
     embed_operator,  # noqa: F401  perfbench/tracing.py wraps this name here
-    expectation,
     initial_state,
 )
 from .sweep import SweepResult, parallel_map
@@ -318,7 +317,8 @@ def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
     """Evolve ``spec`` at its operating point from its initial state to the
     last sample time."""
     state0 = initial_state(spec.initial_state_kind, system)
-    if spec.reset_every is not None:
+    # with only t = 0 to sample there is no segment to reset
+    if spec.reset_every is not None and sample_times[-1] > 0:
         return _dnp_with_resets(system, _waveform(spec, point), spec, state0, sample_times,
                                 policy)
     hamiltonian_of, schedule = _drive(system, spec, point, policy)
@@ -344,9 +344,7 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
     events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
     samples = {float(t) for t in T_grid}
     state = state0
-    rows: list[tuple[float, ...]] = []
-    if 0.0 in samples:
-        rows.append(tuple(expectation(state0, o) for o in obs))
+    rows: list[list[float]] = []
     t_now = 0.0
     for t in events:
         # continue the waveform phase across segments by shifting its anchor
@@ -354,8 +352,11 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
         traj = propagate(system, w_seg, state, t - t_now, policy,
                          sample_times=[t - t_now])
         state = traj.final_state
+        series = traj.observables.values()  # sampled at t_now and t
+        if t_now == 0.0 and 0.0 in samples:
+            rows.append([s[0] for s in series])
         if t in samples:
-            rows.append(tuple(series[-1] for series in traj.observables.values()))
+            rows.append([s[-1] for s in series])
         if np.any(np.isclose(t, resets, rtol=0, atol=1e-15 * t_end)) and t < t_end:
             state = _reset_electron(state, electron)
         t_now = t

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dcspin import Nucleus, SpinSystem, angular_from_khz, angular_from_mhz
+from dcspin import (Nucleus, SpinSystem, angular_from_khz, angular_from_mhz,
+                    nucleus_from_isotope)
 
 
 @pytest.fixture
@@ -21,3 +22,13 @@ def carbon_system():
 @pytest.fixture
 def carbon_rabi():
     return angular_from_mhz(1.0)
+
+
+@pytest.fixture
+def proton_cluster():
+    """Five 1H nuclei at 0.35 T (dimension 64), A_x and A_z drawn in
+    [0.3, 5] kHz from seed 0: the benchmark's many-nuclei cluster."""
+    khz = np.random.default_rng(0).uniform(0.3, 5.0, size=(5, 2))
+    return SpinSystem(field_z=0.35, nuclei=tuple(
+        nucleus_from_isotope("1H", angular_from_khz(ax), angular_from_khz(az))
+        for ax, az in khz))

@@ -13,6 +13,7 @@ from dcspin import (
     DcsWaveform,
     IntegrationPolicy,
     Nucleus,
+    Observable,
     QuantumState,
     SpinSystem,
     angular_from_khz,
@@ -354,6 +355,28 @@ def test_engine_equals_the_reference_loop_bit_for_bit(case):
     for name, series in old.observables.items():
         assert np.array_equal(new.observables[name], series), name
     assert np.array_equal(new.final_state.density_matrix(), old.final_state.density_matrix())
+
+
+def test_sampling_a_64_dimensional_cluster_matches_a_four_operand_einsum(proton_cluster):
+    """At d = 64 with 32 branches, where BLAS blocks the sampling product,
+    every observable, a dense one and nuclear I_x included, is Tr[rho O]."""
+    system = proton_cluster
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    dense = Observable((a + a.conj().T) / 16, name="dense")
+    extra = [nuclear_x_observable(system, 1), nuclear_x_observable(system, 5), dense]
+    w = build_dcs_waveform(angular_from_mhz(2.0),
+                           nuclear_frequency(system.nuclei[0], system.field_z))
+    state0 = initial_state("dnp_dcs", system)
+    T = 20e-6
+    traj = propagate(system, w, state0, T, sample_times=[T], extra_observables=extra)
+    assert state0.branches[1].shape == (64, 32)
+    for row, state in ((0, state0), (-1, traj.final_state)):
+        weights, vectors = state.branches
+        for o in standard_observables(system) + extra:
+            reference = np.einsum("ib,ij,jb,b->", vectors.conj(), o.matrix, vectors, weights)
+            assert abs(traj.observables[o.name][row] - reference) < 1e-13, (o.name, row)
+    assert np.ptp(traj.observables["dense"]) > 1e-4  # the state moved
 
 
 def test_max_step_split_is_exact_for_constant_segments(carbon_system, carbon_rabi):

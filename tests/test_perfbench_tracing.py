@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from dcspin import (angular_from_mhz, build_dcs_waveform, nuclear_frequency, presets,
-                    protocols, waveform)
+from dcspin import (angular_from_mhz, build_dcs_waveform, initial_state, nuclear_frequency,
+                    presets, propagate, protocols, waveform)
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -53,4 +53,16 @@ def test_tracer_spans_coupling_factor_and_pieces(monkeypatch):
     totals = tracer.totals()
     assert totals["waveform.coupling_factor"]["calls"] == 3 + presets.N_GRID
     assert totals["waveform.pieces"]["calls"] > 0
+    assert tracing.leftover_wrappers() == []
+
+
+def test_tracer_times_the_sampling_einsum(monkeypatch, carbon_system, carbon_rabi):
+    """The N ladder's sampling share divides by the dynamics.einsum span, so
+    sampling must call einsum through dynamics' numpy."""
+    tracing = _load_tracing(monkeypatch)
+    w = build_dcs_waveform(carbon_rabi,
+                           nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z))
+    with tracing.Tracer() as tracer:
+        propagate(carbon_system, w, initial_state("sensing", carbon_system), 5e-6)
+    assert tracer.totals()["dynamics.einsum"]["calls"] > 0
     assert tracing.leftover_wrappers() == []

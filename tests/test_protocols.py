@@ -259,6 +259,13 @@ def test_dnp_resets_match_the_density_loop(carbon_system, carbon_rabi):
         npt.assert_allclose(res.column(name), values, rtol=0, atol=1e-12, err_msg=name)
 
 
+def test_dnp_resets_sampled_only_at_t0_read_the_initial_state(carbon_system, carbon_rabi):
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    res = run_dcs_dnp(carbon_system, carbon_rabi, omega_n, [0.0], reset_every=0.03e-3)
+    assert res.column("sigma_z").tolist() == [1.0]
+    assert res.column("I_z[1]").tolist() == [0.0]
+
+
 def test_a_sample_at_a_reset_time_reads_the_state_before_the_reset(carbon_system,
                                                                     carbon_rabi):
     """np.linspace puts 0.06 ms 6.8e-21 s after np.arange's second reset; the

@@ -18,6 +18,7 @@ from dcspin import (
     angular_from_mhz,
     apply_amplitude_error,
     build_dcs_waveform,
+    nuclear_frequency,
 )
 from dcspin.protocols import _stacks, _trajectory, pm_resonant_period, run_sweep
 
@@ -109,3 +110,21 @@ def test_stacked_sweep_does_not_depend_on_the_worker_count(case):
     assert list(serial) == list(pooled)
     for name in serial:
         npt.assert_array_equal(pooled[name], serial[name])
+
+
+def test_a_64_dimensional_nu_sweep_equals_each_point_alone(proton_cluster):
+    """The stacked BLAS products of a d = 64, 32-branch sweep give every
+    point the bits of its own propagation."""
+    spec = ProtocolSpec("dcs", omega_max=RABI)
+    omega_n = nuclear_frequency(proton_cluster.nuclei[0], proton_cluster.field_z)
+    grid = omega_n + angular_from_khz(20.0) * np.array([-1.0, 0.0, 1.0])
+    T, policy = 5e-6, IntegrationPolicy()
+    stacks = _stacks(proton_cluster, _points(spec, "nu", grid, None), T, policy)
+    assert max(len(schedules) for _, _, _, schedules, _, _ in stacks) > 1
+    columns = run_sweep(proton_cluster, spec, "nu", grid, T=T, policy=policy,
+                        workers=1).columns
+    for i, nu in enumerate(grid):
+        alone = _trajectory(proton_cluster, spec, nu, [T], policy).observables
+        assert list(alone) == list(columns)[:len(alone)]
+        for name, series in alone.items():
+            assert np.array_equal(columns[name][i:i + 1], series[-1:]), (name, i)
