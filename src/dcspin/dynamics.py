@@ -54,10 +54,10 @@ SEGMENT_UNITARITY_TOL = 1e-10
 #: the most slices one period (or one span of a constant drive) may split into
 MAX_SLICES = 10_000
 
-# bytes of unitaries (points x slices x dimension**2 complex values) one
-# stack of sweep points, or one batch of clipped slices, may span: a
-# 301-point grid of one nucleus is one stack, and a 64-dimensional grid runs
-# 2 to 4 points per stack, which keeps its transient arrays to a few hundred KB
+# bytes that the unitaries of one stack of sweep points or of one batch of
+# clipped slices, or one buffer of samples and their observable product, may
+# span: a 301-point grid of one nucleus is one stack, and a 64-dimensional
+# grid runs 2 to 4 points per stack, keeping its arrays to a few hundred KB
 STACK_BYTES = 1 << 19
 
 
@@ -189,13 +189,6 @@ class _UnitaryCache:
         return _slice_unitaries(*self._eigs[key], np.array([duration]))[0]
 
 
-def _drift(psi: np.ndarray) -> np.ndarray:
-    """Largest branch-norm defect of each state in a stack of (dim, branches) states."""
-    if not np.isfinite(psi).all():
-        raise PropagationError("state became non-finite")
-    return np.abs(np.linalg.norm(psi, axis=-2) - 1.0).max(axis=-1)
-
-
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
     """Sample times 0, s, 2s, ..., T (always including both endpoints)."""
     if T <= 0:
@@ -261,7 +254,9 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     power of the polar-projected period product, or are stepped slice by
     slice without fast-forward.  The state is checked every
     unitarity_check_interval applied steps (at the end of the window or
-    period that reaches the count) and at every sample.
+    period that reaches the count) and at every sample.  Samples are queued
+    in a STACK_BYTES buffer and read in one pass when it is full, before
+    every interval check and at the end.
     """
     slices = [s.steps or ((s.constant_key, 0.0),) for s in schedules]
     index = {k: i for i, k in enumerate(dict.fromkeys(k for row in slices for k, _ in row))}
@@ -273,16 +268,42 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     times = np.asarray(times, dtype=float)
     stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
     values = np.empty((len(times), len(schedules), len(observables)), dtype=complex)
-    applied = 0
+    chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
+    snapshots = np.empty((min(max(chunk, 1), len(times)), *psi.shape), dtype=complex)
+    applied = queued = taken = 0
 
     def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return _slice_unitaries(vals[k], vecs[k], taus)
 
-    def check_health(where: str, *args) -> None:
-        defect = _drift(psi)
-        if defect.max() >= policy.tolerance:
-            raise PropagationError(f"state drift {defect.max():.3e} >= {policy.tolerance} "
-                                   f"at point {defect.argmax()} " + where.format(*args))
+    def check_health(states: np.ndarray, where: Callable[[int], str]) -> None:
+        """Raise for the first of the point stacks ``states`` (in time order)
+        that is not finite or whose largest branch-norm defect fails."""
+        defect = np.abs(np.linalg.norm(states, axis=-2) - 1.0).max(axis=-1)
+        defect[~np.isfinite(states).all(axis=(-2, -1))] = np.nan
+        i = int(np.argmax(~(defect.max(axis=1) < policy.tolerance)))
+        if not defect[i].max() < policy.tolerance:
+            raise PropagationError("state became non-finite" if np.isnan(defect[i]).any() else
+                                   f"state drift {defect[i].max():.3e} >= {policy.tolerance} "
+                                   f"at point {defect[i].argmax()} " + where(i))
+
+    def flush() -> None:
+        """Check and read the queued samples: one BLAS product per (sample, point), so
+        a point's bits do not depend on its stack or chunk, and one einsum."""
+        nonlocal queued
+        if queued:
+            first, block = taken - queued, snapshots[:queued].reshape(-1, *psi.shape[1:])
+            check_health(snapshots[:queued], lambda i: f"at sample t = {times[first + i]:.6e}")
+            o_psi = (stacked @ block).reshape(len(block), len(observables), -1)
+            bra = (block.conj() * weights).reshape(len(block), -1)  # weighted <psi_b|
+            values[first:taken] = np.einsum("zok,zk->zo", o_psi, bra).reshape(queued, len(psi), -1)
+            queued = 0
+
+    def sample() -> None:
+        nonlocal queued, taken
+        snapshots[queued] = psi
+        queued, taken = queued + 1, taken + 1
+        if queued == len(snapshots):
+            flush()
 
     def run(steps: list[tuple[np.ndarray, np.ndarray | None]]) -> None:
         """Apply each step (u, rows) in turn: u to the points ``rows``, or
@@ -295,22 +316,16 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
                 psi[rows] = u @ psi[rows]
         if (applied + len(steps)) // policy.unitarity_check_interval \
                 > applied // policy.unitarity_check_interval:
-            check_health("after {} slices", applied + len(steps))
+            flush()
+            check_health(psi[None], lambda _: f"after {applied + len(steps)} slices")
         applied += len(steps)
 
-    def sample(j: int) -> None:
-        check_health("at sample t = {:.6e}", times[j])
-        # one BLAS product per point, so a point's bits do not depend on its
-        # stack, then the weighted <psi_b|O|psi_b> summed over dim and branches
-        product = (stacked @ psi).reshape(len(psi), len(observables), -1)
-        values[j] = np.einsum("zok,zk->zo", product, (psi.conj() * weights).reshape(len(psi), -1))
-
     if schedules[0].period is None:
-        for j, span in enumerate(np.diff(times, prepend=0.0)):
+        for span in np.diff(times, prepend=0.0):
             if span > 0:
                 n, = _split_durations([(span, 1)], policy.max_step)
                 run([(unitaries(keys[0], np.full(len(schedules), span / n)), None)] * n)
-            sample(j)
+            sample()
     else:
         tau = np.array([s.period for s in schedules])
         k0, r0 = np.divmod(np.concatenate([[0.0], times[:-1]])[:, None], tau)
@@ -406,7 +421,8 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
                         run(one_period)
                     done = upto
             run(window(j, 1))
-            sample(j)
+            sample()
+    flush()
     imag = np.abs(values.imag).max()
     if imag >= 1e-10:
         raise PropagationError(f"observable developed imaginary part {imag:.3e}")

@@ -342,11 +342,13 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
     gap = np.abs(resets[:, None] - T_grid)
     resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, T_grid[gap.argmin(axis=1)], resets)
     events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
+    at = np.array(events)
+    at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
     samples = {float(t) for t in T_grid}
     state = state0
     rows: list[list[float]] = []
     t_now = 0.0
-    for t in events:
+    for t, reset in zip(events, at_reset.tolist()):
         # continue the waveform phase across segments by shifting its anchor
         w_seg = replace(w, t_initial=w.t_initial - t_now)
         traj = propagate(system, w_seg, state, t - t_now, policy,
@@ -357,7 +359,7 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
             rows.append([s[0] for s in series])
         if t in samples:
             rows.append([s[-1] for s in series])
-        if np.any(np.isclose(t, resets, rtol=0, atol=1e-15 * t_end)) and t < t_end:
+        if reset:
             state = _reset_electron(state, electron)
         t_now = t
     table = np.asarray(rows, dtype=float)

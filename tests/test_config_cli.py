@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcspin import (
     ConfigError,
@@ -589,3 +595,67 @@ def test_dcs_spectrum_honours_initial_state_and_resets(tmp_path):
     assert np.array_equal(sensing["sigma_z"], default["sigma_z"])
     assert not np.allclose(parallel["sigma_z"], default["sigma_z"], atol=1e-3)
     assert not np.allclose(resets["sigma_z"], default["sigma_z"], atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# config contract: any one field of an example config set to a bad value
+# either runs or exits 2/3 with a JSON record, never a traceback
+# ---------------------------------------------------------------------------
+
+_EXAMPLES = {path.name: json.loads(path.read_text()) for path in
+             sorted((Path(__file__).parents[1] / "configs").glob("explicit_*.json"))}
+
+
+def _short_run(data: dict) -> dict:
+    """The config at 3 points and 10 us of evolution."""
+    data = json.loads(json.dumps(data))
+    sweep = data["sweep"]
+    sweep["points"] = 3
+    sweep["stop" if sweep["axis"] == "total_time_ms" else "total_time_ms"] = 0.01
+    return data
+
+
+def _fields(node, path=()):
+    """The path of every field under ``node``, annotation keys left out."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if not str(key).startswith("_"):
+            yield path + (key,)
+            yield from _fields(value, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(_EXAMPLES))
+def test_the_shortened_example_configs_run(tmp_path, name):
+    path = write_config(tmp_path, _short_run(_EXAMPLES[name]))
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--workers", "1"]) == 0
+
+
+@st.composite
+def mutated_examples(draw):
+    data = _short_run(_EXAMPLES[draw(st.sampled_from(sorted(_EXAMPLES)))])
+    *parents, last = draw(st.sampled_from(list(_fields(data))))
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = draw(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, True, False, None, "",
+                         "auto", [], {}]),
+        st.floats(-1e3, -1e-3), st.integers(-3, -1), st.text(max_size=4)))
+    return data
+
+
+@settings(max_examples=25, deadline=None)
+@given(mutated_examples())
+def test_a_config_with_one_bad_field_runs_or_exits_with_a_record(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "out"), "--workers", "1"])
+    assert code in (0, 2, 3), data
+    assert "Traceback" not in err.getvalue()
+    if code:
+        record = json.loads(err.getvalue().strip().splitlines()[-1])
+        assert set(record) == {"error", "message"}, record

@@ -25,18 +25,22 @@ from dcspin import (
     initial_state,
     magnus_effective_hamiltonian,
     nuclear_frequency,
+    nucleus_from_isotope,
     optimal_dwell_times,
     ProtocolSpec,
     propagate,
     propagate_spin_pair,
 )
+from dcspin import dynamics
 from dcspin.dynamics import (
     SEGMENT_UNITARITY_TOL,
+    CompiledSchedule,
     PropagationError,
     Trajectory,
     propagate_compiled,
     sample_grid,
     standard_observables,
+    waveform_drive,
 )
 from dcspin.protocols import _drive, pm_resonant_period
 from dcspin.spincore import (
@@ -357,9 +361,88 @@ def test_engine_equals_the_reference_loop_bit_for_bit(case):
     assert np.array_equal(new.final_state.density_matrix(), old.final_state.density_matrix())
 
 
+_CHUNK_TIMES = np.array([0.3, 1.7, 2.2, 5.5, 9.0, 9.4, 13.1, 20.0, 20.6, 31.25])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("policy", [
+    IntegrationPolicy(unitarity_check_interval=3),
+    IntegrationPolicy(unitarity_check_interval=7, fast_forward=False),
+    IntegrationPolicy(unitarity_check_interval=10 ** 6),
+], ids=["every-3-steps", "sequential-every-7", "samples-only"])
+def test_sample_chunks_equal_the_reference_loop_bit_for_bit(monkeypatch, chunk, policy):
+    """Samples read in chunks of 1, 2 or 3 (of 11 samples, so the last chunk
+    is short), with interval checks flushing a chunk part way, equal the
+    reference loop bit for bit; with no interval check due, each chunk is
+    one einsum."""
+    spec = ProtocolSpec("dcs", omega_max=angular_from_mhz(1.0), switch_fraction=0.1)
+    point = nuclear_frequency(_CARBON.nuclei[0], _CARBON.field_z)
+    period = _drive(_CARBON, spec, point, policy)[1].period
+    case = (_CARBON, spec, point, _CHUNK_TIMES * period, policy)
+    state0 = initial_state(spec.initial_state_kind, _CARBON)
+    per_sample = 16 * state0.branches[1].size * (1 + len(standard_observables(_CARBON)))
+    monkeypatch.setattr(dynamics, "STACK_BYTES", chunk * per_sample)
+    einsum, calls = np.einsum, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "einsum", counted)
+        new = _propagate_case(case)
+    old = _propagate_case(case, _reference_propagate)
+    assert len(new.times) == 11
+    for name, series in old.observables.items():
+        assert np.array_equal(new.observables[name], series), name
+    assert np.array_equal(new.final_state.density_matrix(), old.final_state.density_matrix())
+    if policy.unitarity_check_interval == 10 ** 6:
+        assert len(calls) == math.ceil(11 / chunk)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tolerance, message", [
+    (1e-9, "state became non-finite"),
+    (1e-300, "state drift 2.220e-16 >= 1e-300 at point 0 at sample t = 1.000000e-09"),
+])
+def test_a_non_finite_state_is_reported_after_an_earlier_drift(tolerance, message):
+    """Phases of 1e308 rad/s overflow over 10 s, so the last of three
+    samples in one chunk is NaN; a drift at the sample before it is reported
+    first."""
+    system = SpinSystem(field_z=0.35, nuclei=(Nucleus(1.0, 1.0, 1.0),))
+    h = np.kron([[0.0, 1e308], [1e308, 0.0]], np.eye(2))
+    with pytest.raises(PropagationError) as info:
+        propagate_compiled(lambda _: h, CompiledSchedule(None, constant_key=0),
+                           initial_state("sensing", system), [1e-9, 10.0],
+                           IntegrationPolicy(tolerance=tolerance), standard_observables(system))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("interval, where", [
+    (1, "at point 0 after 3 slices"),
+    (10, "at point 0 at sample t = 2.000000e-06"),
+    (10 ** 6, "at point 0 at sample t = 2.000000e-06"),
+])
+def test_batched_health_checks_report_the_first_failure(interval, where):
+    """A tolerance no rounded state meets fails the first check after t = 0,
+    where the state is exact: the interval check after 3 slices when one
+    falls due there, else the sample at 2 us, though all 11 samples share
+    one chunk and later interval checks fall due before it is read."""
+    a = angular_from_khz(0.5)
+    system = SpinSystem(field_z=0.35, nuclei=(nucleus_from_isotope("1H", a, a),))
+    drive = build_dcs_waveform(angular_from_mhz(2.0),
+                               nuclear_frequency(system.nuclei[0], system.field_z))
+    policy = IntegrationPolicy(tolerance=1e-300, unitarity_check_interval=interval)
+    with pytest.raises(PropagationError, match="^state drift .* >= 1e-300 ") as info:
+        propagate(system, drive, initial_state("dnp_dcs", system), 20e-6, policy,
+                  sample_every=2e-6)
+    assert str(info.value).endswith(where)
+
+
 def test_sampling_a_64_dimensional_cluster_matches_a_four_operand_einsum(proton_cluster):
     """At d = 64 with 32 branches, where BLAS blocks the sampling product,
-    every observable, a dense one and nuclear I_x included, is Tr[rho O]."""
+    every observable, a dense one and nuclear I_x included, is Tr[rho O] at
+    each of 11 sample times, rho taken from the reference loop."""
     system = proton_cluster
     rng = np.random.default_rng(7)
     a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
@@ -369,12 +452,16 @@ def test_sampling_a_64_dimensional_cluster_matches_a_four_operand_einsum(proton_
                            nuclear_frequency(system.nuclei[0], system.field_z))
     state0 = initial_state("dnp_dcs", system)
     T = 20e-6
-    traj = propagate(system, w, state0, T, sample_times=[T], extra_observables=extra)
+    times = np.linspace(0.0, T, 11)
+    traj = propagate(system, w, state0, T, sample_times=times, extra_observables=extra)
     assert state0.branches[1].shape == (64, 32)
-    for row, state in ((0, state0), (-1, traj.final_state)):
-        weights, vectors = state.branches
+    engine = _ReferenceEngine(*waveform_drive(system, w, IntegrationPolicy()),
+                              IntegrationPolicy(), state0)
+    for row, t in enumerate(times):
+        engine.advance(times[row - 1] if row else 0.0, t)
         for o in standard_observables(system) + extra:
-            reference = np.einsum("ib,ij,jb,b->", vectors.conj(), o.matrix, vectors, weights)
+            reference = np.einsum("ib,ij,jb,b->", engine.psi.conj(), o.matrix, engine.psi,
+                                  engine.weights)
             assert abs(traj.observables[o.name][row] - reference) < 1e-13, (o.name, row)
     assert np.ptp(traj.observables["dense"]) > 1e-4  # the state moved
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -302,7 +302,9 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
 def _scalar_spans(w, t0, t1):
-    """(duration, v_start, v_end) of each linear span of [t0, t1], one at a time."""
+    """(duration, v_start, v_end) of each linear span of [t0, t1], one at a
+    time.  Durations are period-local, never differences of absolute times,
+    whose rounding grows with the period count."""
     if t1 <= t0:
         return
     if getattr(w, "period", None) is None:
@@ -321,7 +323,7 @@ def _scalar_spans(w, t0, t1):
         p = pieces[idx]
         piece_end_abs = k * tau + p.end
         e = min(piece_end_abs, t1)
-        dur = e - t
+        dur = min(p.end, t1 - k * tau) - u
         if dur > 0:
             yield (dur, p.value_at(u), p.value_at(u + dur))
         t = e
@@ -393,6 +395,8 @@ def pm_drives(draw):
 @settings(max_examples=40, deadline=None)
 @given(w=st.one_of(ramped_dcs(), pm_drives()), omega_n=st.floats(0.5, 12.0),
        n_periods=st.integers(1, 60), fraction=st.sampled_from([0.0, 0.1, 0.5, 0.93]))
+@example(w=DcsWaveform(2.0, 1.602376825440007, 1.602376825440007, 0.0, 0.0), omega_n=1.0,
+         n_periods=54, fraction=0.0)
 def test_coupling_bound_factorization_and_scalar_loop(w, omega_n, n_periods, fraction):
     T = (n_periods + fraction) * w.period
     g = coupling_factor(w, omega_n, T)
