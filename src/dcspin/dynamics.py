@@ -8,13 +8,15 @@ midpoint-constant sub-slices.  Waveform breakpoints are always slice
 boundaries, so nothing aliases across a switch, and a period may hold at
 most MAX_SLICES slices.
 
-One engine (``_evolve``) runs every propagation: a stack of independent
-points, each with its own slices and period, sampled at shared times.  A
-single trajectory is a one-point stack, and the points of a nu, detuning or
-amplitude-error sweep are a stack of many.  Each call decomposes every
-distinct key once and computes one unitary per distinct (key, duration);
-spans of whole periods between samples are applied as an integer power of
-the single-period propagator.
+One engine (``_evolve``) runs every propagation: a stack of points, each
+with its own slices and period.  A single trajectory is a one-point stack,
+and the points of a nu, detuning or amplitude-error sweep are a stack of
+many, evolved side by side.  The segments between the events of a run with
+electron resets are a chain: a stack whose points run one after another,
+each from a map of the state the one before ended in.  Each call decomposes
+every distinct key once and computes one unitary per distinct (key,
+duration); spans of whole periods between samples are applied as an
+integer power of the single-period propagator.
 """
 from __future__ import annotations
 
@@ -54,10 +56,11 @@ SEGMENT_UNITARITY_TOL = 1e-10
 #: the most slices one period (or one span of a constant drive) may split into
 MAX_SLICES = 10_000
 
-# bytes that the unitaries of one stack of sweep points or of one batch of
-# clipped slices, or one buffer of samples and their observable product, may
-# span: a 301-point grid of one nucleus is one stack, and a 64-dimensional
-# grid runs 2 to 4 points per stack, keeping its arrays to a few hundred KB
+# bytes that the unitaries of one stack of sweep points or reset segments or
+# of one batch of clipped slices, or one buffer of samples and their
+# observable product, may span: a 301-point grid of one nucleus is one
+# stack, and a 64-dimensional grid runs 2 to 4 points per stack, keeping its
+# arrays to a few hundred KB
 STACK_BYTES = 1 << 19
 
 
@@ -232,44 +235,82 @@ def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stack_groups(schedules: Sequence[CompiledSchedule], dimension: int) -> list[list[int]]:
+    """Runs of consecutive schedules with equal slice counts whose slice
+    unitaries fit STACK_BYTES: the points of one _evolve call each."""
+    groups: list[list[int]] = []
+    for b, schedule in enumerate(schedules):
+        n = len(schedule.steps) or 1
+        if groups and (len(schedules[groups[-1][0]].steps) or 1) == n \
+                and (len(groups[-1]) + 1) * n * 16 * dimension ** 2 <= STACK_BYTES:
+            groups[-1].append(b)
+        else:
+            groups.append([b])
+    return groups
+
+
+def _normalized(weights: np.ndarray, vectors: np.ndarray) -> QuantumState:
+    """The state of ``weights`` and the branch ``vectors`` scaled to unit norm."""
+    return QuantumState.mixture(weights, vectors / np.linalg.norm(vectors, axis=0))
+
+
 def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
-            schedules: Sequence[CompiledSchedule], times: Sequence[float],
+            schedules: Sequence[CompiledSchedule], times: Sequence[float] | np.ndarray,
             state0: QuantumState, policy: IntegrationPolicy,
-            observables: Sequence[Observable]) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve a stack of independent points from ``state0`` and sample each
-    at every one of the ascending ``times`` (t = 0 is the start).
+            observables: Sequence[Observable],
+            chain: Sequence[Callable[[QuantumState], QuantumState]] | None = None,
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve a stack of points and sample each at its ascending ``times``:
+    shared, shaped (times,), or one column per point of a chain.
 
     Point b steps through the slices of ``schedules[b]``; the schedules of a
     stack are all periodic with one slice count, or each holds one constant
-    key, split into equal slices per sample span.  Returns the observables,
-    shaped (times, points, observables), and the final branch vectors,
-    shaped (points, dim, branches).
+    key, split into equal slices per sample span.  Without ``chain`` the
+    points are independent and evolve side by side from ``state0``, starting
+    at t = 0.  With ``chain`` (one state map per point after the first) they
+    run one after another: point 0 starts from ``state0`` and point b from
+    ``chain[b - 1]`` of point b - 1's normalized final state, each at its
+    first sample time, which is t = 0 of its schedule.  Returns the
+    observables, shaped (times, points, observables), and the branch weights
+    and final branch vectors (points, dim, branches) of every point, or of
+    the last one of a chain.
 
     A span between two samples is a head window of the period it starts
     in, whole periods, and a tail window (0, r] of the period it ends in.
     A slice a window clips applies its key for the clipped length, so
     constant slices stay exact; whole-period walks clip to (0, period] too.
-    Whole slices come from one table per distinct (key, duration); clipped
-    ones are computed in batches within STACK_BYTES.  Whole periods are one
-    power of the polar-projected period product, or are stepped slice by
-    slice without fast-forward.  The state is checked every
-    unitarity_check_interval applied steps (at the end of the window or
-    period that reaches the count) and at every sample.  Samples are queued
-    in a STACK_BYTES buffer and read in one pass when it is full, before
-    every interval check and at the end.
+    The whole stack is planned at once: one eigh over the distinct keys, one
+    unitary per distinct (key, duration), clipped slices in batches within
+    STACK_BYTES, and one power of each point's polar-projected period
+    product per distinct exponent (without fast-forward, whole periods are
+    stepped slice by slice).  The walk then goes lane by lane (all points
+    side by side, or one point of a chain at a time); a window applies a
+    run of its lane's prebuilt whole-slice steps between the few slices it
+    clips or splits.  The state is checked every unitarity_check_interval
+    applied steps (at the end of the window or period that reaches the
+    count) and at every sample.  Samples are queued in a STACK_BYTES buffer
+    and read in one pass when it is full, before every interval check and
+    at the end of each lane; a failure names the time of the run.
     """
     slices = [s.steps or ((s.constant_key, 0.0),) for s in schedules]
     index = {k: i for i, k in enumerate(dict.fromkeys(k for row in slices for k, _ in row))}
     vals, vecs = np.linalg.eigh(np.asarray([hamiltonian_of(k) for k in index], dtype=complex))
     keys = np.array([[index[k] for k, _ in row] for row in slices]).T  # (slices, points)
     durations = np.array([[d for _, d in row] for row in slices]).T
+    n_times, n_slices, n_points = len(times), len(keys), len(schedules)
+    # a lane walks its points side by side: every point in one lane, or one
+    # point per lane along a chain
+    n_lanes, n = (1, n_points) if chain is None else (n_points, 1)
+    times = np.asarray(times, dtype=float).reshape(n_times, -1)
+    elapsed = times if chain is None else times - times[0]
+
+    def lanes(a: np.ndarray) -> np.ndarray:
+        """(..., points) -> (lanes, ..., points of a lane)."""
+        return np.moveaxis(a.reshape(*a.shape[:-1], n_lanes, n), -2, 0)
+
     weights, vectors = state0.branches
-    psi = np.repeat(vectors[None], len(schedules), axis=0)
-    times = np.asarray(times, dtype=float)
     stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
-    values = np.empty((len(times), len(schedules), len(observables)), dtype=complex)
-    chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
-    snapshots = np.empty((min(max(chunk, 1), len(times)), *psi.shape), dtype=complex)
+    values = np.empty((n_times, n_lanes, n, len(observables)), dtype=complex)
     applied = queued = taken = 0
 
     def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -287,15 +328,17 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
                                    f"at point {defect[i].argmax()} " + where(i))
 
     def flush() -> None:
-        """Check and read the queued samples: one BLAS product per (sample, point), so
-        a point's bits do not depend on its stack or chunk, and one einsum."""
+        """Check and read the queued samples of lane l: one BLAS product per
+        (sample, point), so a point's bits do not depend on its stack or
+        chunk, and one einsum."""
         nonlocal queued
         if queued:
             first, block = taken - queued, snapshots[:queued].reshape(-1, *psi.shape[1:])
-            check_health(snapshots[:queued], lambda i: f"at sample t = {times[first + i]:.6e}")
+            check_health(snapshots[:queued],
+                         lambda i: f"at sample t = {times[first + i, l * n]:.6e}")
             o_psi = (stacked @ block).reshape(len(block), len(observables), -1)
             bra = (block.conj() * weights).reshape(len(block), -1)  # weighted <psi_b|
-            values[first:taken] = np.einsum("zok,zk->zo", o_psi, bra).reshape(queued, len(psi), -1)
+            values[first:taken, l] = np.einsum("zok,zk->zo", o_psi, bra).reshape(queued, n, -1)
             queued = 0
 
     def sample() -> None:
@@ -306,8 +349,8 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             flush()
 
     def run(steps: list[tuple[np.ndarray, np.ndarray | None]]) -> None:
-        """Apply each step (u, rows) in turn: u to the points ``rows``, or
-        to every point when rows is None."""
+        """Apply each step (u, rows) in turn: u to the lane's points ``rows``,
+        or to all of them when rows is None."""
         nonlocal psi, applied
         for u, rows in steps:
             if rows is None:
@@ -320,22 +363,17 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             check_health(psi[None], lambda _: f"after {applied + len(steps)} slices")
         applied += len(steps)
 
-    if schedules[0].period is None:
-        for span in np.diff(times, prepend=0.0):
-            if span > 0:
-                n, = _split_durations([(span, 1)], policy.max_step)
-                run([(unitaries(keys[0], np.full(len(schedules), span / n)), None)] * n)
-            sample()
-    else:
+    periodic_drive = schedules[0].period is not None
+    if periodic_drive:
         tau = np.array([s.period for s in schedules])
-        k0, r0 = np.divmod(np.concatenate([[0.0], times[:-1]])[:, None], tau)
-        k1, r1 = np.divmod(times[:, None], tau)
+        k0, r0 = np.divmod(np.concatenate([np.zeros((1, elapsed.shape[1])), elapsed[:-1]]), tau)
+        k1, r1 = np.divmod(elapsed, tau)
         same = k1 == k0
         n_whole = np.where(same, 0, k1 - k0 - 1).astype(int)  # (times, points)
         # period-local windows (lo, hi] of each span: its head, then its tail
-        lo, hi = np.zeros((2, len(times), 2, 1, len(tau)))
+        lo, hi = np.zeros((2, n_times, 2, 1, n_points))
         lo[:, 0, 0], hi[:, 0, 0], hi[:, 1, 0] = r0, np.where(same, r1, tau), np.where(same, 0, r1)
-        bounds = np.concatenate([np.zeros((1, len(tau))), np.cumsum(durations, axis=0)])
+        bounds = np.concatenate([np.zeros((1, n_points)), np.cumsum(durations, axis=0)])
         take = np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo)
         # the length a whole-period walk gives each slice: a clipped slice
         # reuses its key, and every length is capped at the slice duration
@@ -343,10 +381,6 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
         active = take > 0
         clipped = active & (take < walk_tau)
         whole = active & ~clipped
-        # per window and slice: 2 when every point takes the whole slice, 3
-        # when every point takes a clipped part, 1 for a mix, 0 when none does
-        code = np.where(whole.all(-1), 2,
-                        np.where(clipped.all(-1), 3, active.any(-1))).tolist()
         jumps = (n_whole > 0) & policy.fast_forward
         lengths = np.array([walk_tau, durations] if jumps.any() else [walk_tau])
         # one unitary per distinct (key, length), found as the distinct
@@ -354,81 +388,123 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
         table, where = np.unique(keys + 1j * lengths, return_inverse=True)
         full = unitaries(table.real.astype(int), table.imag)
         walk_u, product_u = where.reshape(lengths.shape)[[0, -1]]
-        shared = (walk_u == walk_u[:, :1]).all(1).tolist()
+        lane_u = lanes(walk_u)  # (lanes, slices, points of a lane)
+        shared = (lane_u == lane_u[..., :1]).all(-1).tolist()
 
-        def whole_u(s: int, rows: np.ndarray | None = None) -> np.ndarray:
-            """The walk unitaries of slice s for the points ``rows``."""
-            if shared[s]:
-                return full[walk_u[s, 0]]
-            return full[walk_u[s] if rows is None else walk_u[s, rows]]
+        def whole_u(l: int, s: int, rows: np.ndarray | None = None) -> np.ndarray:
+            """The walk unitaries of slice s for lane l's points ``rows``."""
+            if shared[l][s]:
+                return full[lane_u[l, s, 0]]
+            return full[lane_u[l, s] if rows is None else lane_u[l, s, rows]]
 
-        clip_keys, clip_taus = keys[np.nonzero(clipped)[2:]], take[clipped]
-        batch = max(1, STACK_BYTES // (16 * psi.shape[1] ** 2))
+        # per lane and window, each slice is 2 when every point of the lane
+        # takes it whole, 3 when every point takes a clipped part, 1 for a
+        # mix and 0 when none does; a window applies the prebuilt whole steps
+        # of its first to last active slice, except at the slices coded 0, 1
+        # or 3, which are few (the clipped edges, for a lane of one point)
+        whole_l, clipped_l = lanes(whole), lanes(clipped)
+        code = np.where(whole_l.all(-1), np.int8(2),
+                        np.where(clipped_l.all(-1), np.int8(3), lanes(active).any(-1)))
+        on = code > 0
+        start = on.argmax(-1)
+        stop = np.where(on.any(-1), n_slices - on[..., ::-1].argmax(-1), 0)
+        s = np.arange(n_slices)
+        odd = (s >= start[..., None]) & (s < stop[..., None]) & (code != 2)
+        odd_slices, odd_codes = np.nonzero(odd)[-1].tolist(), code[odd].tolist()
+        cuts = np.concatenate([[0], np.cumsum(odd.sum(-1).ravel())]).tolist()
+        start, stop = start.ravel().tolist(), stop.ravel().tolist()
+
+        clip_l, _, _, clip_s, clip_i = np.nonzero(clipped_l)
+        clip_keys, clip_taus = keys[clip_s, clip_l * n + clip_i], lanes(take)[clipped_l]
+        batch = max(1, STACK_BYTES // (16 * vecs.shape[1] ** 2))
         held, held_from, used = full[:0], 0, 0
 
         def clipped_u(m: int) -> np.ndarray:
             """The next m clipped-slice unitaries, in walk order."""
             nonlocal held, held_from, used
             if used + m > held_from + len(held):
-                held_from, stop = used, min(len(clip_taus), used + max(m, batch))
-                held = unitaries(clip_keys[used:stop], clip_taus[used:stop])
+                held_from, end = used, min(len(clip_taus), used + max(m, batch))
+                held = unitaries(clip_keys[used:end], clip_taus[used:end])
             used += m
             return held[used - m - held_from:used - held_from]
 
-        def window(j: int, w: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
-            """The steps of window w (0: head, 1: tail) of span j."""
-            steps = []
-            for s, c in enumerate(code[j][w]):
-                if c == 2:
-                    steps.append((whole_u(s), None))
-                elif c == 3:
-                    steps.append((clipped_u(len(tau)), None))
+        def window(l: int, j: int, w: int, walk: list) -> list:
+            """The steps of window w (0: head, 1: tail) of span j in lane l,
+            whose whole-slice steps are ``walk``."""
+            i = (l * n_times + j) * 2 + w
+            steps, s = [], start[i]
+            for t, c in zip(odd_slices[cuts[i]:cuts[i + 1]], odd_codes[cuts[i]:cuts[i + 1]]):
+                steps += walk[s:t]
+                if c == 3:
+                    steps.append((clipped_u(n), None))
                 elif c:
-                    rows, cut = whole[j, w, s], clipped[j, w, s]
+                    rows, cut = whole_l[l, j, w, t], clipped_l[l, j, w, t]
                     if rows.any():
-                        steps.append((whole_u(s, rows), rows))
+                        steps.append((whole_u(l, t, rows), rows))
                     if cut.any():
                         steps.append((clipped_u(int(cut.sum())), cut))
-            return steps
+                s = t + 1
+            return steps + walk[s:stop[i]]
 
         if jumps.any():
             need = jumps.any(0)
-            product = np.repeat(np.eye(psi.shape[1], dtype=complex)[None], need.sum(), axis=0)
-            for s in range(len(keys)):
+            product = np.repeat(np.eye(vecs.shape[1], dtype=complex)[None], need.sum(), axis=0)
+            for s in range(n_slices):
                 product = full[product_u[s, need]] @ product
             # the polar projection removes the rounding accumulated over the
             # composition, so large powers stay unitary
             w, _, vh = np.linalg.svd(product)
             # one power per distinct (point, exponent), coded as exponent * B + row
             row = (np.cumsum(need) - 1)[np.nonzero(jumps)[1]]
-            pairs, power_of = np.unique(n_whole[jumps] * len(tau) + row, return_inverse=True)
-            powers = _matrix_powers((w @ vh)[pairs % len(tau)], pairs // len(tau))
+            pairs, power_of = np.unique(n_whole[jumps] * n_points + row, return_inverse=True)
+            powers = _matrix_powers((w @ vh)[pairs % n_points], pairs // n_points)
             which = np.zeros(jumps.shape, dtype=int)
             which[jumps] = power_of
-        periodic = walk_tau > 0
-        for j, jumping in enumerate(jumps.any(1).tolist()):
-            run(window(j, 0))
-            if jumping:
-                rows = jumps[j]
-                run([(powers[which[j, rows]], None if rows.all() else rows)])
+            which = lanes(which)
+        jumps, n_whole, periodic = lanes(jumps), lanes(n_whole), lanes(walk_tau > 0)
+        jumping = jumps.any(-1).tolist()
+
+    spans = np.diff(elapsed, axis=0, prepend=0.0)
+    for l in range(n_lanes):
+        if l:
+            weights, vectors = chain[l - 1](_normalized(weights, psi[0])).branches
+        psi = np.repeat(vectors[None], n, axis=0)
+        chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
+        snapshots = np.empty((min(max(chunk, 1), n_times), *psi.shape), dtype=complex)
+        taken = 0
+        if periodic_drive:
+            walk = [(whole_u(l, s), None) for s in range(n_slices)]
+        for j in range(n_times):
+            if not periodic_drive:
+                span = spans[j, l * n]
+                if span > 0:
+                    k, = _split_durations([(span, 1)], policy.max_step)
+                    run([(unitaries(keys[0, l * n:(l + 1) * n], np.full(n, span / k)), None)] * k)
+                sample()
+                continue
+            run(window(l, j, 0, walk))
+            if jumping[l][j]:
+                rows = jumps[l, j]
+                run([(powers[which[l, j, rows]], None if rows.all() else rows)])
             elif not policy.fast_forward:
                 done = 0
-                for upto in np.unique(n_whole[j][n_whole[j] > 0]).tolist():
-                    one_period = [(whole_u(s, r), None if r.all() else r)
-                                  for s, r in enumerate(periodic & (n_whole[j] >= upto))
+                for upto in np.unique(n_whole[l, j][n_whole[l, j] > 0]).tolist():
+                    one_period = [(whole_u(l, s, r), None if r.all() else r)
+                                  for s, r in enumerate(periodic[l] & (n_whole[l, j] >= upto))
                                   if r.any()]
                     for _ in range(upto - done):
                         run(one_period)
                     done = upto
-            run(window(j, 1))
+            run(window(l, j, 1, walk))
             sample()
-    flush()
+        flush()
     imag = np.abs(values.imag).max()
     if imag >= 1e-10:
         raise PropagationError(f"observable developed imaginary part {imag:.3e}")
+    values = values.real.reshape(n_times, n_points, -1)
     for i, o in enumerate(observables):
-        _check_bounds(o.name, values.real[..., i])
-    return values.real, psi
+        _check_bounds(o.name, values[..., i])
+    return values, weights, psi
 
 
 def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
@@ -442,12 +518,12 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     times = np.asarray(sample_times, dtype=float)
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
-    values, psi = _evolve(hamiltonian_of, [schedule], times, state0, policy, observables)
+    values, weights, psi = _evolve(hamiltonian_of, [schedule], times, state0, policy,
+                                   observables)
     return Trajectory(
         times=times,
         observables={o.name: values[:, 0, i] for i, o in enumerate(observables)},
-        final_state=QuantumState.mixture(state0.branches[0],
-                                         psi[0] / np.linalg.norm(psi[0], axis=0)),
+        final_state=_normalized(weights, psi[0]),
     )
 
 

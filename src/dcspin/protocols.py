@@ -25,14 +25,15 @@ from scipy.optimize import brentq
 
 from .constants import TWO_PI
 from .dynamics import (
-    STACK_BYTES,
     CompiledSchedule,
     IntegrationPolicy,
     Trajectory,
     _evolve,
+    _normalized,
     _split_durations,
+    _stack_groups,
     _UnitaryCache,
-    propagate,
+    propagate,  # noqa: F401  perfbench/tracing.py wraps this name here
     propagate_compiled,
     standard_observables,
     waveform_drive,
@@ -329,9 +330,15 @@ def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
 def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
                      state0: QuantumState, T_grid: Sequence[float],
                      policy: IntegrationPolicy) -> Trajectory:
-    """propagate, but every spec.reset_every the electron is projected back
-    onto its initial state while the nuclear state is kept; the trajectory
-    holds exactly the times in T_grid."""
+    """Evolve under ``w``, but every spec.reset_every the electron is
+    projected back onto its initial state while the nuclear state is kept;
+    the trajectory holds exactly the times in T_grid.
+
+    The samples and resets cut the run into segments.  Each segment keeps
+    the waveform's phase by shifting its anchor to the segment's start, and
+    is one point of a chain in dynamics._evolve, sampled at its start and
+    end and followed by the reset or by nothing.  Consecutive segments of
+    equal slice count within STACK_BYTES make one call."""
     electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
     obs = standard_observables(system)
     T_grid = np.asarray(T_grid, dtype=float)
@@ -341,28 +348,30 @@ def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
     # reads the state before the reset whatever the last bit of either time
     gap = np.abs(resets[:, None] - T_grid)
     resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, T_grid[gap.argmin(axis=1)], resets)
-    events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
-    at = np.array(events)
+    at = np.array(sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0}))
     at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
-    samples = {float(t) for t in T_grid}
-    state = state0
-    rows: list[list[float]] = []
-    t_now = 0.0
-    for t, reset in zip(events, at_reset.tolist()):
-        # continue the waveform phase across segments by shifting its anchor
-        w_seg = replace(w, t_initial=w.t_initial - t_now)
-        traj = propagate(system, w_seg, state, t - t_now, policy,
-                         sample_times=[t - t_now])
-        state = traj.final_state
-        series = traj.observables.values()  # sampled at t_now and t
-        if t_now == 0.0 and 0.0 in samples:
-            rows.append([s[0] for s in series])
-        if t in samples:
-            rows.append([s[-1] for s in series])
-        if reset:
-            state = _reset_electron(state, electron)
-        t_now = t
-    table = np.asarray(rows, dtype=float)
+    times = np.stack([np.concatenate([[0.0], at[:-1]]), at])  # (start, end) of each segment
+    # continue the waveform phase across segments by shifting its anchor
+    drives = [waveform_drive(system, replace(w, t_initial=w.t_initial - t), policy)
+              for t in times[0].tolist()]
+    schedules = [schedule for _, schedule in drives]
+
+    def after(b: int, state: QuantumState) -> QuantumState:
+        return _reset_electron(state, electron) if at_reset[b] else state
+
+    ends, state = [], state0
+    for g in _stack_groups(schedules, system.dimension):
+        values, weights, psi = _evolve(drives[0][0], [schedules[b] for b in g], times[:, g],
+                                       state, policy, obs,
+                                       chain=[functools.partial(after, b) for b in g[:-1]])
+        if not ends:
+            first = values[0, :1]  # the t = 0 row
+        ends.append(values[1])
+        state = after(g[-1], _normalized(weights, psi[0]))
+    samples = set(T_grid.tolist())
+    table = np.concatenate(ends)[[t in samples for t in at.tolist()]]
+    if 0.0 in samples:
+        table = np.concatenate([first, table])
     return Trajectory(times=T_grid,
                       observables={o.name: table[:, i] for i, o in enumerate(obs)},
                       final_state=state)
@@ -389,26 +398,18 @@ def _final_row(args) -> tuple[float, ...]:
 def _stack_rows(args) -> np.ndarray:
     """Observables at T of one stack of sweep points (module level, so it pickles)."""
     system, state_kind, hamiltonian_of, schedules, T, policy = args
-    values, _ = _evolve(hamiltonian_of, schedules, [T], initial_state(state_kind, system),
-                        policy, standard_observables(system))
+    values, _, _ = _evolve(hamiltonian_of, schedules, [T], initial_state(state_kind, system),
+                           policy, standard_observables(system))
     return values[0]
 
 
 def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]], T: float,
             policy: IntegrationPolicy) -> list[tuple]:
-    """_stack_rows arguments: runs of consecutive points with equal slice
-    counts whose slice unitaries fit STACK_BYTES."""
+    """_stack_rows arguments, one per stack of points (dynamics._stack_groups)."""
     drives = [_drive(system, spec, point, policy) for spec, point in points]
-    groups: list[list[CompiledSchedule]] = []
-    for _, schedule in drives:
-        n = len(schedule.steps) or 1
-        if groups and (len(groups[-1][0].steps) or 1) == n \
-                and (len(groups[-1]) + 1) * n * 16 * system.dimension ** 2 <= STACK_BYTES:
-            groups[-1].append(schedule)
-        else:
-            groups.append([schedule])
-    return [(system, points[0][0].initial_state_kind, drives[0][0], g, T, policy)
-            for g in groups]
+    schedules = [schedule for _, schedule in drives]
+    return [(system, points[0][0].initial_state_kind, drives[0][0], [schedules[b] for b in g],
+             T, policy) for g in _stack_groups(schedules, system.dimension)]
 
 
 def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,

@@ -66,3 +66,18 @@ def test_tracer_times_the_sampling_einsum(monkeypatch, carbon_system, carbon_rab
         propagate(carbon_system, w, initial_state("sensing", carbon_system), 5e-6)
     assert tracer.totals()["dynamics.einsum"]["calls"] > 0
     assert tracing.leftover_wrappers() == []
+
+
+def test_tracer_spans_a_reset_run_and_restores_everything(monkeypatch, carbon_system,
+                                                          carbon_rabi):
+    """A reset run evolves its segments as one chain, so one eigh, and
+    never calls the protocols.propagate name the tracer still wraps."""
+    tracing = _load_tracing(monkeypatch)
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    with tracing.Tracer() as tracer:
+        protocols.run_dcs_dnp(carbon_system, carbon_rabi, omega_n, np.linspace(0.0, 0.1e-3, 11),
+                              reset_every=0.03e-3)
+    totals = tracer.totals()
+    assert totals["dynamics.eigh"]["calls"] == 1
+    assert "dynamics.propagate" not in totals
+    assert tracing.leftover_wrappers() == []

@@ -34,8 +34,8 @@ from dcspin import (
     solve_topdnp_detuning,
     topdnp_average_power,
 )
-from dcspin import dynamics, spincore
-from dcspin.dynamics import standard_observables
+from dcspin import dynamics, protocols, spincore
+from dcspin.dynamics import PropagationError, Trajectory, standard_observables
 from dcspin.protocols import _reset_electron, pm_resonant_period, run_sweep
 from dcspin.spincore import _ELECTRON_VECTORS, SIGMA_Z, InitialStateKind
 from dcspin.sweep import SweepResult, parallel_map
@@ -282,6 +282,126 @@ def test_a_sample_at_a_reset_time_reads_the_state_before_the_reset(carbon_system
     bit_exact = run_dcs_dnp(system, carbon_rabi, omega_n, exact, reset_every=0.03e-3)
     for name, values in bit_exact.columns.items():
         npt.assert_allclose(grid.column(name), values, rtol=0, atol=1e-12, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# reference: the reset loop as it stood before the chained engine, one
+# propagate call per event segment
+# ---------------------------------------------------------------------------
+
+def _reference_dnp_with_resets(system, w, spec, state0, T_grid, policy):
+    """(trajectory, number of segments) of the per-segment reset loop."""
+    electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
+    obs = standard_observables(system)
+    T_grid = np.asarray(T_grid, dtype=float)
+    t_end = float(T_grid[-1])
+    resets = np.arange(spec.reset_every, t_end, spec.reset_every)
+    gap = np.abs(resets[:, None] - T_grid)
+    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, T_grid[gap.argmin(axis=1)], resets)
+    events = sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0})
+    at = np.array(events)
+    at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
+    samples = {float(t) for t in T_grid}
+    state = state0
+    rows = []
+    t_now = 0.0
+    for t, reset in zip(events, at_reset.tolist()):
+        w_seg = replace(w, t_initial=w.t_initial - t_now)
+        traj = propagate(system, w_seg, state, t - t_now, policy, sample_times=[t - t_now])
+        state = traj.final_state
+        series = traj.observables.values()  # sampled at t_now and t
+        if t_now == 0.0 and 0.0 in samples:
+            rows.append([s[0] for s in series])
+        if t in samples:
+            rows.append([s[-1] for s in series])
+        if reset:
+            state = _reset_electron(state, electron)
+        t_now = t
+    table = np.asarray(rows, dtype=float)
+    return Trajectory(times=T_grid, final_state=state, observables={
+        o.name: table[:, i] for i, o in enumerate(obs)}), len(events)
+
+
+#: a stack budget of 600 bytes holds at most 3 slices of dimension 2, so a
+#: chain of more than 3 segments (of any dimension) spans several calls
+_SMALL_STACK = 600
+
+
+@st.composite
+def reset_runs(draw):
+    """(system, spec, point, times, policy, stack bytes): DCS DNP on 0-2 1H
+    nuclei, square or ramped, with resets every 0.3-7.3 periods (drawn, so
+    not commensurate with the period) and 1-12 samples within 6 reset
+    intervals, some of them on reset times, with or without t = 0."""
+    khz = st.floats(0.2, 20.0)
+    system = SpinSystem(field_z=0.35, nuclei=tuple(
+        Nucleus(angular_from_mhz(42.5775), angular_from_khz(draw(khz)),
+                angular_from_khz(draw(khz)), "1H") for _ in range(draw(st.integers(0, 2)))))
+    rabi, point = angular_from_mhz(2.0), angular_from_mhz(draw(st.floats(14.0, 15.5)))
+    reset_every = build_dcs_waveform(rabi, point).period * draw(st.floats(0.3, 7.3))
+    spec = ProtocolSpec("dcs", "dnp_dcs", omega_max=rabi, reset_every=reset_every,
+                        switch_fraction=draw(st.sampled_from([0.0, 0.15])),
+                        t_initial=draw(st.sampled_from(["symmetric", "zero", 0.3])))
+    fractions = draw(st.lists(st.floats(0.01, 6.0), min_size=1, max_size=12))
+    on_resets = draw(st.lists(st.integers(1, 5), max_size=3))
+    times = np.unique(np.concatenate([np.asarray(fractions) * reset_every,
+                                      np.asarray(on_resets, dtype=float) * reset_every]))
+    if draw(st.booleans()):
+        times = np.concatenate([[0.0], times])
+    policy = IntegrationPolicy(ramp_substeps=draw(st.integers(1, 4)),
+                               unitarity_check_interval=draw(st.sampled_from([1, 3, 1000])),
+                               fast_forward=draw(st.booleans()))
+    stack_bytes = draw(st.sampled_from([dynamics.STACK_BYTES, _SMALL_STACK]))
+    return system, spec, point, times, policy, stack_bytes
+
+
+@settings(max_examples=40, deadline=None)
+@given(reset_runs())
+def test_chained_resets_equal_the_per_segment_loop_bit_for_bit(case):
+    """The chain takes every step of every segment that the per-segment loop
+    takes, normalizes and resets at the same points, and samples the same
+    states, whether its segments share one _evolve call or span several."""
+    system, spec, point, times, policy, stack_bytes = case
+    old, segments = _reference_dnp_with_resets(system, protocols._waveform(spec, point), spec,
+                                               initial_state("dnp_dcs", system), times, policy)
+    evolve, sizes = protocols._evolve, []
+
+    def counted(hamiltonian_of, schedules, *args, **kwargs):
+        sizes.append(len(schedules))
+        return evolve(hamiltonian_of, schedules, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+        patch.setattr(protocols, "_evolve", counted)
+        new = protocols._trajectory(system, spec, point, times, policy)
+    assert sum(sizes) == segments
+    if stack_bytes == _SMALL_STACK:
+        assert max(sizes) <= 3
+    assert np.array_equal(new.times, old.times)
+    assert list(new.observables) == list(old.observables)
+    for name, series in old.observables.items():
+        assert np.array_equal(new.observables[name], series), name
+    assert np.array_equal(new.final_state.density_matrix(), old.final_state.density_matrix())
+
+
+def test_a_failure_in_a_reset_run_names_the_time_of_the_run(monkeypatch, carbon_system,
+                                                            carbon_rabi):
+    """Samples at 10 and 20 us come before the first reset at 25 us.  A reset
+    whose branches come out 5e-13 too long fails the state check at the
+    next sample, the start of the segment after it, and the error names that
+    time of the run, not the segment's own t = 0."""
+    reset = protocols._reset_electron
+
+    def long_reset(state, electron):
+        weights, vectors = reset(state, electron).branches
+        return QuantumState.mixture(weights, vectors * (1 + 5e-13))
+
+    monkeypatch.setattr(protocols, "_reset_electron", long_reset)
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    with pytest.raises(PropagationError, match="^state drift ") as info:
+        run_dcs_dnp(carbon_system, carbon_rabi, omega_n, [0.0, 10e-6, 20e-6, 40e-6],
+                    IntegrationPolicy(tolerance=1e-13), reset_every=25e-6)
+    assert str(info.value).endswith("at sample t = 2.500000e-05")
 
 
 def test_run_sweep_rejects_what_a_kind_cannot_sweep(carbon_system, carbon_rabi):
