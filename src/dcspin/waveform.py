@@ -44,8 +44,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 #: interval halvings after which the ramp quadrature stops refining
 _QUAD_MAX_DEPTH = 24
 
-#: distinct DcsWaveforms whose pieces stay cached per process; one
-#: coupling_factor reads the pieces of its waveform three times
+#: distinct DcsWaveforms whose pieces stay cached per process; a
+#: coupling-factor span plan reads them once when it is built
 PIECES_CACHE_SIZE = 64
 
 
@@ -373,20 +373,36 @@ def _integral_quadratic_phase(phi0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
     return total
 
 
+@functools.lru_cache(maxsize=4)
+def _span_plan(w, t0: float, t1: float) -> tuple[np.ndarray, ...]:
+    """(dur, va, ramp, c2, c2 dur^2) of the spans of [t0, t1].
+
+    The arrays are read-only because every caller shares them.  A sweep over
+    omega_n at a fixed drive and T uses two entries, [0, T] and [0, tau].
+    """
+    dur, va, vb = _linear_spans(w, t0, t1)
+    c2 = -0.5 * (vb - va) / dur
+    plan = (dur, va, va != vb, c2, c2 * dur * dur)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def _exp_phase_integral(w, omega_n: float, t0: float, t1: float,
                         phi0: float, rel_tol: float) -> tuple[complex, float]:
     """Integral of exp(i phi(t)) over [t0, t1] with phi(t0) = phi0.
 
     Returns (integral, phi(t1)).  Every span is evaluated in one array pass:
     constant spans (linear phase) in closed form, ramps (quadratic phase)
-    by adaptive Gauss quadrature.
+    by adaptive Gauss quadrature.  Everything that does not depend on
+    omega_n (durations, start values, ramp mask, c2 and c2 dur^2) comes from
+    _span_plan, cached per (drive, window).  The cache is exact: the plan is
+    computed by the same operations in the same order whether cached or not.
     """
-    dur, va, vb = _linear_spans(w, t0, t1)
+    dur, va, ramp, c2, quad = _span_plan(w, t0, t1)
     c1 = omega_n - va
-    c2 = -0.5 * (vb - va) / dur
-    phi = np.add.accumulate(np.concatenate([[phi0], c1 * dur + c2 * dur * dur]))
+    phi = np.add.accumulate(np.concatenate([[phi0], c1 * dur + quad]))
     start = phi[:-1]
-    ramp = va != vb
     x = c1 * dur
     small = np.abs(x) < 1e-6
     rotor = np.exp(1j * start)
@@ -397,10 +413,20 @@ def _exp_phase_integral(w, omega_n: float, t0: float, t1: float,
     return complex(total), float(phi[-1])
 
 
+def _check_quadrature_args(omega_n: float, rel_tol: float) -> None:
+    # a NaN phase or a tolerance <= 0 never converges: every ramp interval
+    # would split each round up to _QUAD_MAX_DEPTH and exhaust memory
+    if not math.isfinite(omega_n):
+        raise ValueError("omega_n must be finite")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError("rel_tol must be finite and positive")
+
+
 def period_coupling_factor(w: Waveform, omega_n: float,
                            rel_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """Single-period average J = (1/tau) integral_0^tau exp(i phi(t)) dt."""
     tau = _require_periodic(w)
+    _check_quadrature_args(omega_n, rel_tol)
     value, _ = _exp_phase_integral(w, omega_n, 0.0, tau, 0.0, rel_tol)
     j = value / tau
     if abs(j) > 1.0 + 1e-9:
@@ -416,8 +442,9 @@ def coupling_factor(w: Waveform, omega_n: float, T: float,
     factorization g = eta * J is evaluated independently and the two
     routes are required to agree within FACTORIZATION_TOL.
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be finite and positive")
+    _check_quadrature_args(omega_n, rel_tol)
     value, _ = _exp_phase_integral(w, omega_n, 0.0, T, 0.0, rel_tol)
     g = value / T
     tau = getattr(w, "period", None)

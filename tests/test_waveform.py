@@ -14,6 +14,7 @@ from dcspin import (
     angular_from_khz,
     angular_from_mhz,
     average_power,
+    build_dcs_waveform,
     closed_form_period_coupling,
     coherence_factor,
     coupling_factor,
@@ -419,6 +420,61 @@ def test_ramp_quadrature_raises_at_the_depth_cap(monkeypatch):
         period_coupling_factor(w, 3.0, rel_tol=1e-14)
     assert info.value.requested == 1e-14
     assert info.value.achieved > 1e-14
+
+
+# ---------------------------------------------------------------------------
+# span plans cached per (drive, window), and the inputs they are built from
+# ---------------------------------------------------------------------------
+
+_NU = angular_from_mhz(10.0)
+
+
+def _ramped_drive():
+    return build_dcs_waveform(0.3 * _NU, _NU, switch_fraction=0.1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"omega_n": math.nan}, {"omega_n": math.inf}, {"omega_n": -math.inf},
+    {"T": math.nan}, {"T": math.inf},
+    {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
+], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+def test_non_finite_inputs_are_rejected_before_any_span_work(monkeypatch, bad):
+    """A NaN phase or a tolerance <= 0 would split every ramp interval to
+    the depth cap; an infinite or NaN T would fail inside math.floor."""
+    def no_work(*args):
+        raise AssertionError("span or quadrature work started")
+
+    monkeypatch.setattr(waveform, "_linear_spans", no_work)
+    monkeypatch.setattr(waveform, "_integral_quadratic_phase", no_work)
+    w = _ramped_drive()
+    args = {"omega_n": _NU, "T": 50 * w.period, "rel_tol": waveform.DEFAULT_QUAD_TOL} | bad
+    name = next(iter(bad))
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        coupling_factor(w, **args)
+    if name != "T":
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            period_coupling_factor(w, args["omega_n"], rel_tol=args["rel_tol"])
+
+
+@pytest.mark.parametrize("periods", [50, 12.37])
+@pytest.mark.parametrize("w", [optimal_waveform(0.3 * _NU, _NU), _ramped_drive(),
+                               PmWaveform(_NU, 0.3 * _NU, 2 * np.pi / _NU)],
+                         ids=["square", "ramped", "pm"])
+def test_the_span_plan_cache_changes_no_coupling_factor(w, periods):
+    T = periods * w.period
+    omegas = np.linspace(0.9, 1.1, 43) * _NU
+    waveform._span_plan.cache_clear()
+    warm = np.array([coupling_factor(w, omega_n, T) for omega_n in omegas])
+    # [0, T] and, at whole periods, [0, tau] for the eta * J check
+    assert waveform._span_plan.cache_info().misses == (2 if periods == 50 else 1)
+    cold = []
+    for omega_n in omegas:
+        waveform._span_plan.cache_clear()
+        cold.append(coupling_factor(w, omega_n, T))
+    assert np.array_equal(warm, cold)
+    assert waveform._span_plan.cache_parameters()["maxsize"] is not None
+    plan = waveform._span_plan(w, 0.0, T)
+    assert not any(a.flags.writeable for a in plan)
 
 
 # ---------------------------------------------------------------------------
