@@ -9,14 +9,14 @@ boundaries, so nothing aliases across a switch, and a period may hold at
 most MAX_SLICES slices.
 
 One engine (``_evolve``) runs every propagation: a stack of points, each
-with its own slices and period.  A single trajectory is a one-point stack,
-and the points of a nu, detuning or amplitude-error sweep are a stack of
-many, evolved side by side.  The segments between the events of a run with
-electron resets are a chain: a stack whose points run one after another,
-each from a map of the state the one before ended in.  Each call decomposes
-every distinct key once and computes one unitary per distinct (key,
-duration); spans of whole periods between samples are applied as an
-integer power of the single-period propagator.
+with its own slices and period, in lanes that run one after another, a
+lane's points side by side.  A trajectory is one point, a nu, detuning or
+amplitude-error sweep one lane of many, a run with electron resets a chain
+of one lane per segment, each from a map of the state the lane before
+ended in, and a reset sweep a stack of chains, weights kept per point.
+Each call decomposes every distinct key once and computes one unitary per
+distinct (key, duration); spans of whole periods between samples are
+applied as an integer power of the single-period propagator.
 """
 from __future__ import annotations
 
@@ -235,17 +235,16 @@ def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack_groups(schedules: Sequence[CompiledSchedule], dimension: int) -> list[list[int]]:
-    """Runs of consecutive schedules with equal slice counts whose slice
-    unitaries fit STACK_BYTES: the points of one _evolve call each."""
+def _stack_groups(counts: Sequence[tuple], dimension: int, width: int = 1) -> list[list[int]]:
+    """Runs of consecutive items of equal slice ``counts`` (per segment) whose
+    unitaries, ``width`` points each, fit STACK_BYTES: a stack, or a call."""
     groups: list[list[int]] = []
-    for b, schedule in enumerate(schedules):
-        n = len(schedule.steps) or 1
-        if groups and (len(schedules[groups[-1][0]].steps) or 1) == n \
-                and (len(groups[-1]) + 1) * n * 16 * dimension ** 2 <= STACK_BYTES:
+    for b, count in enumerate(counts):
+        if groups and counts[groups[-1][0]] == count and len(groups[-1]) < room:
             groups[-1].append(b)
         else:
             groups.append([b])
+            room = STACK_BYTES // (max(count) * width * 16 * dimension ** 2)
     return groups
 
 
@@ -256,24 +255,25 @@ def _normalized(weights: np.ndarray, vectors: np.ndarray) -> QuantumState:
 
 def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             schedules: Sequence[CompiledSchedule], times: Sequence[float] | np.ndarray,
-            state0: QuantumState, policy: IntegrationPolicy,
+            states: QuantumState | Sequence[QuantumState], policy: IntegrationPolicy,
             observables: Sequence[Observable],
             chain: Sequence[Callable[[QuantumState], QuantumState]] | None = None,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve a stack of points and sample each at its ascending ``times``:
-    shared, shaped (times,), or one column per point of a chain.
+    shared, shaped (times,), or one column per point.
 
     Point b steps through the slices of ``schedules[b]``; the schedules of a
     stack are all periodic with one slice count, or each holds one constant
-    key, split into equal slices per sample span.  Without ``chain`` the
-    points are independent and evolve side by side from ``state0``, starting
-    at t = 0.  With ``chain`` (one state map per point after the first) they
-    run one after another: point 0 starts from ``state0`` and point b from
-    ``chain[b - 1]`` of point b - 1's normalized final state, each at its
-    first sample time, which is t = 0 of its schedule.  Returns the
-    observables, shaped (times, points, observables), and the branch weights
-    and final branch vectors (points, dim, branches) of every point, or of
-    the last one of a chain.
+    key, split into equal slices per sample span.  Point l * n + i is point
+    i of lane l: the n points of a lane evolve side by side, and the lanes
+    one after another.  Lane 0 starts from ``states`` (one for all points,
+    or one per point); without ``chain`` it is the only lane, from t = 0.
+    With ``chain`` (a state map per later lane) lane l is segment l of n
+    runs: point i starts at its first sample time, t = 0 of its schedule,
+    from ``chain[l - 1]`` of its normalized final state in lane l - 1, so
+    branch weights are kept per point.  Returns the observables (times,
+    points, observables) and the last lane's branch weights (n, branches)
+    and final branch vectors (n, dim, branches).
 
     A span between two samples is a head window of the period it starts
     in, whole periods, and a tail window (0, r] of the period it ends in.
@@ -283,10 +283,9 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     unitary per distinct (key, duration), clipped slices in batches within
     STACK_BYTES, and one power of each point's polar-projected period
     product per distinct exponent (without fast-forward, whole periods are
-    stepped slice by slice).  The walk then goes lane by lane (all points
-    side by side, or one point of a chain at a time); a window applies a
-    run of its lane's prebuilt whole-slice steps between the few slices it
-    clips or splits.  The state is checked every unitarity_check_interval
+    stepped slice by slice).  The walk goes lane by lane; a window applies
+    a run of its lane's prebuilt whole-slice steps between the few slices
+    it clips or splits.  The state is checked every unitarity_check_interval
     applied steps (at the end of the window or period that reaches the
     count) and at every sample.  Samples are queued in a STACK_BYTES buffer
     and read in one pass when it is full, before every interval check and
@@ -298,9 +297,8 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     keys = np.array([[index[k] for k, _ in row] for row in slices]).T  # (slices, points)
     durations = np.array([[d for _, d in row] for row in slices]).T
     n_times, n_slices, n_points = len(times), len(keys), len(schedules)
-    # a lane walks its points side by side: every point in one lane, or one
-    # point per lane along a chain
-    n_lanes, n = (1, n_points) if chain is None else (n_points, 1)
+    n_lanes = 1 if chain is None else len(chain) + 1
+    n = n_points // n_lanes
     times = np.asarray(times, dtype=float).reshape(n_times, -1)
     elapsed = times if chain is None else times - times[0]
 
@@ -308,7 +306,6 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
         """(..., points) -> (lanes, ..., points of a lane)."""
         return np.moveaxis(a.reshape(*a.shape[:-1], n_lanes, n), -2, 0)
 
-    weights, vectors = state0.branches
     stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
     values = np.empty((n_times, n_lanes, n, len(observables)), dtype=complex)
     applied = queued = taken = 0
@@ -316,11 +313,11 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return _slice_unitaries(vals[k], vecs[k], taus)
 
-    def check_health(states: np.ndarray, where: Callable[[int], str]) -> None:
-        """Raise for the first of the point stacks ``states`` (in time order)
-        that is not finite or whose largest branch-norm defect fails."""
-        defect = np.abs(np.linalg.norm(states, axis=-2) - 1.0).max(axis=-1)
-        defect[~np.isfinite(states).all(axis=(-2, -1))] = np.nan
+    def check_health(stacks: np.ndarray, where: Callable[[int], str]) -> None:
+        """Raise for the first of the point ``stacks`` (in time order) that
+        is not finite or whose largest branch-norm defect fails."""
+        defect = np.abs(np.linalg.norm(stacks, axis=-2) - 1.0).max(axis=-1)
+        defect[~np.isfinite(stacks).all(axis=(-2, -1))] = np.nan
         i = int(np.argmax(~(defect.max(axis=1) < policy.tolerance)))
         if not defect[i].max() < policy.tolerance:
             raise PropagationError("state became non-finite" if np.isnan(defect[i]).any() else
@@ -337,7 +334,8 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             check_health(snapshots[:queued],
                          lambda i: f"at sample t = {times[first + i, l * n]:.6e}")
             o_psi = (stacked @ block).reshape(len(block), len(observables), -1)
-            bra = (block.conj() * weights).reshape(len(block), -1)  # weighted <psi_b|
+            # weighted <psi_b| of each point
+            bra = (snapshots[:queued].conj() * weights[:, None]).reshape(len(block), -1)
             values[first:taken, l] = np.einsum("zok,zk->zo", o_psi, bra).reshape(queued, n, -1)
             queued = 0
 
@@ -467,8 +465,10 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     spans = np.diff(elapsed, axis=0, prepend=0.0)
     for l in range(n_lanes):
         if l:
-            weights, vectors = chain[l - 1](_normalized(weights, psi[0])).branches
-        psi = np.repeat(vectors[None], n, axis=0)
+            states = [chain[l - 1](_normalized(w, v)) for w, v in zip(weights, psi)]
+        weights, psi = ((np.repeat(a[None], n, axis=0) for a in states.branches)
+                        if isinstance(states, QuantumState) else
+                        (np.array(a) for a in zip(*(s.branches for s in states))))
         chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
         snapshots = np.empty((min(max(chunk, 1), n_times), *psi.shape), dtype=complex)
         taken = 0
@@ -523,7 +523,7 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     return Trajectory(
         times=times,
         observables={o.name: values[:, 0, i] for i, o in enumerate(observables)},
-        final_state=_normalized(weights, psi[0]),
+        final_state=_normalized(weights[0], psi[0]),
     )
 
 

@@ -285,11 +285,11 @@ def _pulse_train_hamiltonian(system: SpinSystem, key: tuple) -> np.ndarray:
     return h + _undriven_hamiltonian(system)
 
 
-def _waveform(spec: ProtocolSpec, point: float | None) -> Waveform:
+def _waveform(spec: ProtocolSpec, point: float | None, start: float = 0.0) -> Waveform:
     if spec.kind == "dcs":
-        return build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
-                                  t_initial=spec.t_initial,
-                                  amplitude_error=spec.amplitude_error)
+        w = build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
+                               t_initial=spec.t_initial, amplitude_error=spec.amplitude_error)
+        return replace(w, t_initial=w.t_initial - start) if start else w
     if spec.kind == "pm":
         return build_pm_waveform(spec.omega0, spec.omega1, point,
                                  amplitude_error=spec.amplitude_error)
@@ -297,84 +297,86 @@ def _waveform(spec: ProtocolSpec, point: float | None) -> Waveform:
 
 
 def _drive(system: SpinSystem, spec: ProtocolSpec, point: float | None,
-           policy: IntegrationPolicy):
-    """The keyed Hamiltonians and the compiled schedule of ``spec`` at ``point``.
+           policy: IntegrationPolicy, start: float = 0.0):
+    """The keyed Hamiltonians and the compiled schedule of ``spec`` at
+    ``point``, for the segment of its run that starts at ``start``.
 
     The point is nu for dcs and pm and the pulse detuning for topdnp;
     constant has none.  A key names the same Hamiltonian of ``system`` at
     every point (a drive value, or a pulse-train segment with its rabi and
     detuning), so the points of a sweep share the keys they have in common.
+    A dcs segment keeps the drive's phase by shifting its anchor back by
+    ``start``; only dcs runs, which have resets, have later segments.
     """
     if spec.kind == "topdnp":
         train = PulseTrain(spec.rabi * (1 + spec.amplitude_error), spec.pulse_len,
                            spec.delay, point)
         return (functools.partial(_pulse_train_hamiltonian, system),
                 train.compiled_schedule(policy))
-    return waveform_drive(system, _waveform(spec, point), policy)
+    return waveform_drive(system, _waveform(spec, point, start), policy)
+
+
+def _segments(reset_every: float, sample_times: np.ndarray):
+    """The (start, end) times, shaped (2, segments), of the segments that
+    the sample times and an electron reset every ``reset_every`` cut a run
+    into, and whether a reset follows each."""
+    t_end = float(sample_times[-1])
+    resets = np.arange(reset_every, t_end, reset_every)
+    # a reset within rounding of a sample happens at that sample, which then
+    # reads the state before the reset whatever the last bit of either time
+    gap = np.abs(resets[:, None] - sample_times)
+    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, sample_times[gap.argmin(axis=1)], resets)
+    at = np.array(sorted({float(t) for t in np.concatenate([sample_times, resets]) if t > 0}))
+    at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
+    return np.stack([np.concatenate([[0.0], at[:-1]]), at]), at_reset
+
+
+def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, hamiltonian_of,
+                  schedules: Sequence[Sequence[CompiledSchedule]], T: float | np.ndarray,
+                  policy: IntegrationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observables (times, points, observables) at T (one time, or
+    ascending times ending above 0) of a stack of _stacks, and its points'
+    final branch weights and vectors.  With resets it is a stack of chains:
+    a lane per segment, sampled at its start and end and followed by the
+    reset or by nothing, consecutive segments of one slice count within
+    STACK_BYTES in one _evolve call."""
+    times, obs = np.asarray(T, dtype=float).reshape(-1), standard_observables(system)
+    state = initial_state(spec.initial_state_kind, system)
+    if spec.reset_every is None:
+        return _evolve(hamiltonian_of, [row[0] for row in schedules], times, state, policy, obs)
+    bounds, at_reset = _segments(spec.reset_every, times)
+    electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
+    links = [(lambda state: _reset_electron(state, electron)) if reset else (lambda state: state)
+             for reset in at_reset]
+    counts = [(len(schedule.steps) or 1,) for schedule in schedules[0]]
+    n, ends = len(schedules), []
+    for g in _stack_groups(counts, system.dimension, n):
+        if g[0]:
+            state = [links[g[0] - 1](_normalized(w, v)) for w, v in zip(weights, psi)]
+        values, weights, psi = _evolve(hamiltonian_of, [row[s] for s in g for row in schedules],
+                                       np.repeat(bounds[:, g], n, axis=1), state, policy, obs,
+                                       chain=links[g[0]:g[-1]])
+        if not ends:
+            ends.append(values[:1, :n])  # the t = 0 row
+        ends.append(values[1].reshape(len(g), n, -1))
+    return np.concatenate(ends)[np.isin(np.append(0.0, bounds[1]), times)], weights, psi
 
 
 def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
                 sample_times: Sequence[float], policy: IntegrationPolicy) -> Trajectory:
     """Evolve ``spec`` at its operating point from its initial state to the
-    last sample time."""
-    state0 = initial_state(spec.initial_state_kind, system)
+    last sample time; a run with resets is a one-point stack."""
     # with only t = 0 to sample there is no segment to reset
-    if spec.reset_every is not None and sample_times[-1] > 0:
-        return _dnp_with_resets(system, _waveform(spec, point), spec, state0, sample_times,
-                                policy)
-    hamiltonian_of, schedule = _drive(system, spec, point, policy)
-    return propagate_compiled(hamiltonian_of, schedule, state0, sample_times, policy,
-                              standard_observables(system))
-
-
-def _dnp_with_resets(system: SpinSystem, w: DcsWaveform, spec: ProtocolSpec,
-                     state0: QuantumState, T_grid: Sequence[float],
-                     policy: IntegrationPolicy) -> Trajectory:
-    """Evolve under ``w``, but every spec.reset_every the electron is
-    projected back onto its initial state while the nuclear state is kept;
-    the trajectory holds exactly the times in T_grid.
-
-    The samples and resets cut the run into segments.  Each segment keeps
-    the waveform's phase by shifting its anchor to the segment's start, and
-    is one point of a chain in dynamics._evolve, sampled at its start and
-    end and followed by the reset or by nothing.  Consecutive segments of
-    equal slice count within STACK_BYTES make one call."""
-    electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
-    obs = standard_observables(system)
-    T_grid = np.asarray(T_grid, dtype=float)
-    t_end = float(T_grid[-1])
-    resets = np.arange(spec.reset_every, t_end, spec.reset_every)
-    # a reset within rounding of a sample happens at that sample, which then
-    # reads the state before the reset whatever the last bit of either time
-    gap = np.abs(resets[:, None] - T_grid)
-    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, T_grid[gap.argmin(axis=1)], resets)
-    at = np.array(sorted({float(t) for t in np.concatenate([T_grid, resets]) if t > 0}))
-    at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
-    times = np.stack([np.concatenate([[0.0], at[:-1]]), at])  # (start, end) of each segment
-    # continue the waveform phase across segments by shifting its anchor
-    drives = [waveform_drive(system, replace(w, t_initial=w.t_initial - t), policy)
-              for t in times[0].tolist()]
-    schedules = [schedule for _, schedule in drives]
-
-    def after(b: int, state: QuantumState) -> QuantumState:
-        return _reset_electron(state, electron) if at_reset[b] else state
-
-    ends, state = [], state0
-    for g in _stack_groups(schedules, system.dimension):
-        values, weights, psi = _evolve(drives[0][0], [schedules[b] for b in g], times[:, g],
-                                       state, policy, obs,
-                                       chain=[functools.partial(after, b) for b in g[:-1]])
-        if not ends:
-            first = values[0, :1]  # the t = 0 row
-        ends.append(values[1])
-        state = after(g[-1], _normalized(weights, psi[0]))
-    samples = set(T_grid.tolist())
-    table = np.concatenate(ends)[[t in samples for t in at.tolist()]]
-    if 0.0 in samples:
-        table = np.concatenate([first, table])
-    return Trajectory(times=T_grid,
-                      observables={o.name: table[:, i] for i, o in enumerate(obs)},
-                      final_state=state)
+    if spec.reset_every is None or not sample_times[-1] > 0:
+        hamiltonian_of, schedule = _drive(system, spec, point, policy)
+        return propagate_compiled(hamiltonian_of, schedule,
+                                  initial_state(spec.initial_state_kind, system), sample_times,
+                                  policy, standard_observables(system))
+    values, weights, psi = _evolve_stack(*_stacks(system, [(spec, point)], sample_times,
+                                                  policy)[0])
+    return Trajectory(times=sample_times, final_state=_normalized(weights[0], psi[0]),
+                      observables={o.name: values[:, 0, i]
+                                   for i, o in enumerate(standard_observables(system))})
 
 
 def _reset_electron(state: QuantumState, electron: np.ndarray) -> QuantumState:
@@ -387,29 +389,29 @@ def _reset_electron(state: QuantumState, electron: np.ndarray) -> QuantumState:
     weights, psi = state.branches
     halves = np.sqrt(weights) * psi.reshape(2, -1, psi.shape[1])
     u, s, _ = np.linalg.svd(np.concatenate(halves, axis=1), full_matrices=False)
-    return QuantumState.mixture(s ** 2 / np.sum(s ** 2), np.kron(electron[:, None], u))
-
-
-def _final_row(args) -> tuple[float, ...]:
-    """Observables at the end of one sweep point with resets (module level, so it pickles)."""
-    return tuple(series[-1] for series in _trajectory(*args).observables.values())
+    return QuantumState.mixture(s ** 2 / np.sum(s ** 2),  # |electron> (x) u
+                                (electron[:, None, None] * u).reshape(-1, len(s)))
 
 
 def _stack_rows(args) -> np.ndarray:
     """Observables at T of one stack of sweep points (module level, so it pickles)."""
-    system, state_kind, hamiltonian_of, schedules, T, policy = args
-    values, _, _ = _evolve(hamiltonian_of, schedules, [T], initial_state(state_kind, system),
-                           policy, standard_observables(system))
-    return values[0]
+    return _evolve_stack(*args)[0][-1]
 
 
-def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]], T: float,
-            policy: IntegrationPolicy) -> list[tuple]:
-    """_stack_rows arguments, one per stack of points (dynamics._stack_groups)."""
-    drives = [_drive(system, spec, point, policy) for spec, point in points]
-    schedules = [schedule for _, schedule in drives]
-    return [(system, points[0][0].initial_state_kind, drives[0][0], [schedules[b] for b in g],
-             T, policy) for g in _stack_groups(schedules, system.dimension)]
+def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]],
+            T: float | np.ndarray, policy: IntegrationPolicy) -> list[tuple]:
+    """_evolve_stack arguments, one per stack: a run of consecutive points
+    with equal slice counts in every segment (one without resets), within
+    STACK_BYTES (dynamics._stack_groups)."""
+    spec = points[0][0]
+    starts = [0.0] if spec.reset_every is None else \
+        _segments(spec.reset_every, np.asarray(T, dtype=float).reshape(-1))[0][0].tolist()
+    drives = [[_drive(system, s, point, policy, t) for s, point in points] for t in starts]
+    # per point, its schedule and its slice count in every segment
+    schedules = list(zip(*[[x for _, x in segment] for segment in drives]))
+    counts = list(zip(*[[len(x.steps) or 1 for _, x in segment] for segment in drives]))
+    return [(system, spec, drives[0][0][0], [schedules[b] for b in g], T, policy)
+            for g in _stack_groups(counts, system.dimension)]
 
 
 def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
@@ -424,7 +426,8 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     "amplitude_error" scales the drive amplitudes by (1 + delta) on top of
     ``spec.amplitude_error`` at the fixed ``point``.  Their grid points
     evolve as stacks (dynamics._evolve), which the pool spreads when a grid
-    needs more than one; dcs points with resets run one by one.
+    needs more than one; with resets, a stack is a stack of chains, one
+    lane per segment (_evolve_stack).
     """
     if (spec.kind, axis) not in TABLE_NAMES:
         raise ValueError(f"axis {axis!r} does not apply to protocol {spec.kind!r}")
@@ -443,13 +446,8 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
             points = [(apply_amplitude_error(spec, d), point) for d in grid]
         else:
             points = [(spec, value) for value in grid]
-        if spec.reset_every is None:
-            rows = np.concatenate(parallel_map(_stack_rows, _stacks(system, points, T, policy),
-                                               workers))
-        else:
-            rows = np.asarray(parallel_map(_final_row, [(system, s, p, [T], policy)
-                                                        for s, p in points], workers),
-                              dtype=float)
+        rows = np.concatenate(parallel_map(_stack_rows, _stacks(system, points, T, policy),
+                                           workers))
         columns = {o.name: rows[:, i] for i, o in enumerate(standard_observables(system))}
     if "I_z[1]" in columns:
         columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]

@@ -106,6 +106,10 @@ class ConstantWaveform:
 
     period = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.omega_e):
+            raise ValueError("omega_e must be finite")
+
     def value(self, t: float) -> float:
         return self.omega_e
 
@@ -130,10 +134,12 @@ class DcsWaveform:
     def __post_init__(self):
         if self.omega_max < 0 or not math.isfinite(self.omega_max):
             raise ValueError("omega_max must be finite and nonnegative")
-        if self.tau_plus <= 0 or self.tau_minus <= 0:
-            raise ValueError("dwell times must be positive")
+        if not (0 < self.tau_plus < math.inf and 0 < self.tau_minus < math.inf):
+            raise ValueError("dwell times must be finite and positive")
         if not 0 <= self.tau_switch < min(self.tau_plus, self.tau_minus):
             raise ValueError("tau_switch must satisfy 0 <= tau_switch < min(tau_plus, tau_minus)")
+        if not math.isfinite(self.t_initial):
+            raise ValueError("t_initial must be finite")
 
     @property
     def period(self) -> float:
@@ -191,10 +197,10 @@ class PmWaveform:
     period: float
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if self.omega0 < 0 or self.omega1 < 0:
-            raise ValueError("omega0 and omega1 must be nonnegative")
+        if not 0 < self.period < math.inf:
+            raise ValueError("period must be finite and positive")
+        if not (0 <= self.omega0 < math.inf and 0 <= self.omega1 < math.inf):
+            raise ValueError("omega0 and omega1 must be finite and nonnegative")
 
     def pieces(self) -> tuple[Piece, ...]:
         half = 0.5 * self.period

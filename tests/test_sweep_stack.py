@@ -1,11 +1,13 @@
 """Stacked sweeps: every grid point equals its own propagation, bit for bit.
 
 run_sweep evolves the points of a nu, detuning or amplitude-error sweep as
-stacks (dynamics._evolve).  Each column must equal the final row of
-the point's own trajectory, and must not depend on the worker count.
+stacks (dynamics._evolve), and the points of a sweep with electron resets
+as stacks of chains.  Each column must equal the final row of the point's
+own trajectory, and must not depend on the worker count.
 """
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,9 @@ from dcspin import (
     angular_from_mhz,
     apply_amplitude_error,
     build_dcs_waveform,
+    dynamics,
     nuclear_frequency,
+    protocols,
 )
 from dcspin.protocols import _stacks, _trajectory, pm_resonant_period, run_sweep
 
@@ -38,19 +42,22 @@ def _system(draw, n_nuclei: int) -> SpinSystem:
 
 @st.composite
 def sweeps(draw, nuclei=st.integers(0, 2), points=st.integers(1, 7)):
-    """(system, spec, axis, grid, T, point, policy) of a small non-T sweep."""
+    """(system, spec, axis, grid, T, point, policy) of a small non-T sweep;
+    a dcs sweep resets the electron every 0.3-7.3 centre periods, or never."""
     system = _system(draw, draw(nuclei))
     kind = draw(st.sampled_from(sorted(AXES)))
     axis = draw(st.sampled_from(AXES[kind]))
     error = draw(st.floats(-0.05, 0.05))
     center = angular_from_mhz(draw(st.floats(14.0, 15.5)))
     if kind == "dcs":
+        period = build_dcs_waveform(RABI, center).period
         spec = ProtocolSpec("dcs", omega_max=RABI, amplitude_error=error,
                             switch_fraction=draw(st.one_of(st.just(0.0),
                                                            st.floats(0.01, 0.3))),
                             t_initial=draw(st.one_of(st.sampled_from(["symmetric", "zero"]),
-                                                     st.floats(0.0, 0.99))))
-        period = build_dcs_waveform(RABI, center).period
+                                                     st.floats(0.0, 0.99))),
+                            reset_every=draw(st.one_of(st.none(), st.floats(0.3, 7.3).map(
+                                lambda periods: periods * period))))
     elif kind == "pm":
         spec = ProtocolSpec("pm", omega0=PM_OMEGA, omega1=PM_OMEGA, amplitude_error=error)
         period = pm_resonant_period(PM_OMEGA, center)
@@ -128,3 +135,37 @@ def test_a_64_dimensional_nu_sweep_equals_each_point_alone(proton_cluster):
         assert list(alone) == list(columns)[:len(alone)]
         for name, series in alone.items():
             assert np.array_equal(columns[name][i:i + 1], series[-1:]), (name, i)
+
+
+@pytest.mark.parametrize("switch_fraction, stack_bytes", [(0.0, None), (0.0, 600), (0.15, None)])
+def test_a_reset_nu_grid_evolves_as_stacks_of_chains(monkeypatch, switch_fraction, stack_bytes):
+    """The 41 points of a nu grid with resets share T and the reset times, so
+    their 4 segments line up.  A square drive gives every point the same
+    slice counts: one _evolve call of 41 x 4 points.  A ramped drive's
+    shifted anchors wrap its ramps differently per nu, so its grid splits
+    into stacks of equal counts, and a 600-byte budget splits the square
+    grid too.  Every row equals the point's own run."""
+    system = SpinSystem(field_z=0.35, nuclei=(
+        Nucleus(angular_from_mhz(42.5775), angular_from_khz(0.5), angular_from_khz(0.5), "1H"),))
+    spec = ProtocolSpec("dcs", "dnp_dcs", omega_max=RABI, reset_every=0.03e-3,
+                        switch_fraction=switch_fraction)
+    grid = angular_from_mhz(14.902375) + angular_from_mhz(0.2) * np.linspace(-1, 1, 41)
+    T, policy = 0.1e-3, IntegrationPolicy()
+    evolve, sizes = protocols._evolve, []
+
+    def counted(hamiltonian_of, schedules, *args, **kwargs):
+        sizes.append(len(schedules))
+        return evolve(hamiltonian_of, schedules, *args, **kwargs)
+
+    if stack_bytes is not None:
+        monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+    monkeypatch.setattr(protocols, "_evolve", counted)
+    columns = run_sweep(system, spec, "nu", grid, T=T, policy=policy, workers=1).columns
+    if switch_fraction == 0.0 and stack_bytes is None:
+        assert sizes == [41 * 4]
+    else:
+        assert len(sizes) > 1 and sum(sizes) == 41 * 4
+    for i, nu in enumerate(grid):
+        alone = _trajectory(system, spec, nu, [T], policy).observables
+        for name, series in alone.items():
+            assert np.array_equal(columns[name][i:i + 1], series), (name, i)

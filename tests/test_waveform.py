@@ -519,6 +519,22 @@ def test_optimal_dwell_times_limits():
         optimal_dwell_times(2.0, 1.0)
 
 
+@pytest.mark.parametrize("cls, args, kwargs", [
+    (PmWaveform, (math.nan, 0.5, 1.0), {}), (PmWaveform, (1.0, math.nan, 1.0), {}),
+    (PmWaveform, (math.inf, 0.5, 1.0), {}), (PmWaveform, (1.0, 0.5, math.inf), {}),
+    (PmWaveform, (1.0, 0.5, math.nan), {}), (DcsWaveform, (1.0, 1.0, math.inf), {}),
+    (DcsWaveform, (1.0, math.nan, 1.0), {}), (DcsWaveform, (math.inf, 1.0, 1.0), {}),
+    (DcsWaveform, (1.0, 1.0, 1.0, 0.3), {"t_initial": math.nan}),
+    (DcsWaveform, (1.0, 1.0, 1.0, 0.3), {"t_initial": -math.inf}),
+    (ConstantWaveform, (math.nan,), {}), (ConstantWaveform, (math.inf,), {}),
+], ids=lambda v: repr(v) if isinstance(v, (tuple, dict)) else v.__name__)
+def test_non_finite_waveform_parameters_are_rejected(cls, args, kwargs):
+    """Construction only: a NaN drive value would make a constant piece look
+    like a ramp, and its NaN phase would never converge in the quadrature."""
+    with pytest.raises(ValueError, match="must be finite"):
+        cls(*args, **kwargs)
+
+
 def test_dcs_waveform_validation():
     with pytest.raises(ValueError):
         DcsWaveform(1.0, -0.1, 0.5)
