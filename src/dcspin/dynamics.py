@@ -16,14 +16,17 @@ of one lane per segment, each from a map of the state the lane before
 ended in, and a reset sweep a stack of chains, weights kept per point.
 Each call decomposes every distinct key once and computes one unitary per
 distinct (key, duration); spans of whole periods between samples are
-applied as an integer power of the single-period propagator.
+applied as an integer power of the single-period propagator; the walk
+replays step programs built in array passes (see ``_evolve``).
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,14 +90,13 @@ class IntegrationPolicy:
     fast_forward: bool = True
 
     def __post_init__(self):
-        if self.max_step is not None and self.max_step <= 0:
-            raise ValueError("max_step must be positive when set")
-        if self.ramp_substeps < 1:
-            raise ValueError("ramp_substeps must be >= 1")
-        if self.unitarity_check_interval < 1:
-            raise ValueError("unitarity_check_interval must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.max_step is not None and not 0 < self.max_step < math.inf:
+            raise ValueError("max_step must be finite and positive when set")
+        for name in ("ramp_substeps", "unitarity_check_interval"):
+            if not isinstance(getattr(self, name), numbers.Integral) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def compile_waveform(w: Waveform, policy: IntegrationPolicy) -> CompiledSchedule
 def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) -> np.ndarray:
     """V diag(exp(-i lambda tau)) V^H for a stack of eigenpairs, each checked unitary."""
     u = (vecs * np.exp(-1j * vals * durations[:, None])[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    defect = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])))
+    defect = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])), initial=0.0)
     if defect >= SEGMENT_UNITARITY_TOL:
         raise PropagationError(f"segment unitary defect {defect:.3e} >= {SEGMENT_UNITARITY_TOL}")
     return u
@@ -194,8 +196,10 @@ class _UnitaryCache:
 
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
     """Sample times 0, s, 2s, ..., T (always including both endpoints)."""
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be finite and positive")
+    if sample_every is not None and not sample_every > 0:
+        raise ValueError("sample_every must be positive")
     if sample_every is None or sample_every >= T:
         return np.array([0.0, T])
     n = int(math.floor(T / sample_every + 1e-9))
@@ -253,6 +257,15 @@ def _normalized(weights: np.ndarray, vectors: np.ndarray) -> QuantumState:
     return QuantumState.mixture(weights, vectors / np.linalg.norm(vectors, axis=0))
 
 
+class _Rows(NamedTuple):
+    """A step that applies the stack ``u`` to the points ``rows`` of a lane alone."""
+    u: np.ndarray
+    rows: np.ndarray
+    def __matmul__(self, psi: np.ndarray) -> np.ndarray:
+        psi[self.rows] = self.u @ psi[self.rows]
+        return psi
+
+
 def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             schedules: Sequence[CompiledSchedule], times: Sequence[float] | np.ndarray,
             states: QuantumState | Sequence[QuantumState], policy: IntegrationPolicy,
@@ -280,16 +293,18 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     A slice a window clips applies its key for the clipped length, so
     constant slices stay exact; whole-period walks clip to (0, period] too.
     The whole stack is planned at once: one eigh over the distinct keys, one
-    unitary per distinct (key, duration), clipped slices in batches within
-    STACK_BYTES, and one power of each point's polar-projected period
-    product per distinct exponent (without fast-forward, whole periods are
-    stepped slice by slice).  The walk goes lane by lane; a window applies
-    a run of its lane's prebuilt whole-slice steps between the few slices
-    it clips or splits.  The state is checked every unitarity_check_interval
-    applied steps (at the end of the window or period that reaches the
-    count) and at every sample.  Samples are queued in a STACK_BYTES buffer
-    and read in one pass when it is full, before every interval check and
-    at the end of each lane; a failure names the time of the run.
+    unitary per distinct (key, duration), one power of each point's
+    polar-projected period product per distinct exponent, and the blocks
+    (a, b, k, event) of the walk: a window, a jump or a period of slices
+    (repeated k times, without fast-forward), then a sample read (event 1)
+    or a read and the end of a lane (event 2).  The walk replays them over
+    flat lists of the steps' unitaries in walk order (2-D for a one-point
+    lane), built in array passes per chunk of (lane, span) items within
+    3/4 of STACK_BYTES, clipped unitaries included.  The state is checked
+    every unitarity_check_interval applied steps, at the end of the window,
+    jump or period that reaches the count, and at every sample; samples are
+    read in STACK_BYTES chunks, before every interval check and at the end
+    of each lane; a failure names the time of the run.
     """
     slices = [s.steps or ((s.constant_key, 0.0),) for s in schedules]
     index = {k: i for i, k in enumerate(dict.fromkeys(k for row in slices for k, _ in row))}
@@ -304,11 +319,19 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
 
     def lanes(a: np.ndarray) -> np.ndarray:
         """(..., points) -> (lanes, ..., points of a lane)."""
-        return np.moveaxis(a.reshape(*a.shape[:-1], n_lanes, n), -2, 0)
+        a = a.reshape(*a.shape[:-1], n_lanes, n)
+        return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+
+    def items(a: np.ndarray) -> np.ndarray:
+        """(times, ..., points) -> (items l * n_times + j, ..., points of lane l)."""
+        return lanes(a).reshape(n_lanes * n_times, *a.shape[1:-1], n)
 
     stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
     values = np.empty((n_times, n_lanes, n, len(observables)), dtype=complex)
-    applied = queued = taken = 0
+    interval = policy.unitarity_check_interval
+    l, applied, due, queued, taken, weights, snapshots = 0, 0, interval, 0, 0, None, None
+    # a one-point lane holds its state and steps as 2-D arrays
+    mul = np.ndarray.dot if n == 1 else operator.matmul
 
     def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return _slice_unitaries(vals[k], vecs[k], taus)
@@ -330,7 +353,7 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
         chunk, and one einsum."""
         nonlocal queued
         if queued:
-            first, block = taken - queued, snapshots[:queued].reshape(-1, *psi.shape[1:])
+            first, block = taken - queued, snapshots[:queued].reshape(-1, *snapshots.shape[2:])
             check_health(snapshots[:queued],
                          lambda i: f"at sample t = {times[first + i, l * n]:.6e}")
             o_psi = (stacked @ block).reshape(len(block), len(observables), -1)
@@ -339,27 +362,57 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             values[first:taken, l] = np.einsum("zok,zk->zo", o_psi, bra).reshape(queued, n, -1)
             queued = 0
 
-    def sample() -> None:
+    def sample(psi: np.ndarray) -> None:
         nonlocal queued, taken
         snapshots[queued] = psi
         queued, taken = queued + 1, taken + 1
         if queued == len(snapshots):
             flush()
 
-    def run(steps: list[tuple[np.ndarray, np.ndarray | None]]) -> None:
-        """Apply each step (u, rows) in turn: u to the lane's points ``rows``,
-        or to all of them when rows is None."""
-        nonlocal psi, applied
-        for u, rows in steps:
-            if rows is None:
-                psi = u @ psi
-            else:
-                psi[rows] = u @ psi[rows]
-        if (applied + len(steps)) // policy.unitarity_check_interval \
-                > applied // policy.unitarity_check_interval:
-            flush()
-            check_health(psi[None], lambda _: f"after {applied + len(steps)} slices")
-        applied += len(steps)
+    def start(lane_states: QuantumState | Sequence[QuantumState]) -> np.ndarray:
+        """Lane l's state from ``lane_states``, one for all points or one each."""
+        nonlocal weights, snapshots, taken
+        weights, psi = ((np.repeat(a[None], n, axis=0) for a in lane_states.branches)
+                        if isinstance(lane_states, QuantumState) else
+                        (np.array(a) for a in zip(*(s.branches for s in lane_states))))
+        chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
+        snapshots, taken = np.empty((min(max(chunk, 1), n_times), *psi.shape), dtype=complex), 0
+        return psi[0] if n == 1 else psi
+
+    def replay(psi: np.ndarray, steps: list, blocks: zip) -> np.ndarray:
+        """Walk a step program (see the docstring); event 2 starts the next
+        lane, if any, from the chain map of the state this lane ended in."""
+        nonlocal l, applied, due
+        for a, b, k, event in blocks:
+            run = steps[a:b]
+            for _ in range(k):
+                for u in run:
+                    psi = mul(u, psi)
+                applied += b - a
+                if applied >= due:
+                    due = (applied // interval + 1) * interval
+                    flush()
+                    check_health(psi.reshape(1, n, *psi.shape[-2:]),
+                                 lambda _: f"after {applied} slices")
+            if event:
+                sample(psi)
+            if event == 2:
+                psi = psi.reshape(n, *psi.shape[-2:])
+                flush()
+                l += 1
+                if l < n_lanes:
+                    psi = start([chain[l - 1](_normalized(w, v)) for w, v in zip(weights, psi)])
+        return psi
+
+    def lane_steps(u: np.ndarray, rows: np.ndarray) -> list:
+        """The steps that apply consecutive stacks of ``u``, rows[i].sum()
+        unitaries for step i, to the points rows[i] of a lane."""
+        if n == 1:
+            return list(u)
+        ends = np.cumsum(rows.sum(-1)).tolist()
+        return [u[a:b] if r.all() else _Rows(u[a:b], r) for a, b, r in zip([0, *ends], ends, rows)]
+
+    events = np.where(np.arange(1, n_lanes * n_times + 1) % n_times, 1, 2)
 
     periodic_drive = schedules[0].period is not None
     if periodic_drive:
@@ -387,63 +440,8 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
         full = unitaries(table.real.astype(int), table.imag)
         walk_u, product_u = where.reshape(lengths.shape)[[0, -1]]
         lane_u = lanes(walk_u)  # (lanes, slices, points of a lane)
-        shared = (lane_u == lane_u[..., :1]).all(-1).tolist()
-
-        def whole_u(l: int, s: int, rows: np.ndarray | None = None) -> np.ndarray:
-            """The walk unitaries of slice s for lane l's points ``rows``."""
-            if shared[l][s]:
-                return full[lane_u[l, s, 0]]
-            return full[lane_u[l, s] if rows is None else lane_u[l, s, rows]]
-
-        # per lane and window, each slice is 2 when every point of the lane
-        # takes it whole, 3 when every point takes a clipped part, 1 for a
-        # mix and 0 when none does; a window applies the prebuilt whole steps
-        # of its first to last active slice, except at the slices coded 0, 1
-        # or 3, which are few (the clipped edges, for a lane of one point)
-        whole_l, clipped_l = lanes(whole), lanes(clipped)
-        code = np.where(whole_l.all(-1), np.int8(2),
-                        np.where(clipped_l.all(-1), np.int8(3), lanes(active).any(-1)))
-        on = code > 0
-        start = on.argmax(-1)
-        stop = np.where(on.any(-1), n_slices - on[..., ::-1].argmax(-1), 0)
-        s = np.arange(n_slices)
-        odd = (s >= start[..., None]) & (s < stop[..., None]) & (code != 2)
-        odd_slices, odd_codes = np.nonzero(odd)[-1].tolist(), code[odd].tolist()
-        cuts = np.concatenate([[0], np.cumsum(odd.sum(-1).ravel())]).tolist()
-        start, stop = start.ravel().tolist(), stop.ravel().tolist()
-
-        clip_l, _, _, clip_s, clip_i = np.nonzero(clipped_l)
-        clip_keys, clip_taus = keys[clip_s, clip_l * n + clip_i], lanes(take)[clipped_l]
-        batch = max(1, STACK_BYTES // (16 * vecs.shape[1] ** 2))
-        held, held_from, used = full[:0], 0, 0
-
-        def clipped_u(m: int) -> np.ndarray:
-            """The next m clipped-slice unitaries, in walk order."""
-            nonlocal held, held_from, used
-            if used + m > held_from + len(held):
-                held_from, end = used, min(len(clip_taus), used + max(m, batch))
-                held = unitaries(clip_keys[used:end], clip_taus[used:end])
-            used += m
-            return held[used - m - held_from:used - held_from]
-
-        def window(l: int, j: int, w: int, walk: list) -> list:
-            """The steps of window w (0: head, 1: tail) of span j in lane l,
-            whose whole-slice steps are ``walk``."""
-            i = (l * n_times + j) * 2 + w
-            steps, s = [], start[i]
-            for t, c in zip(odd_slices[cuts[i]:cuts[i + 1]], odd_codes[cuts[i]:cuts[i + 1]]):
-                steps += walk[s:t]
-                if c == 3:
-                    steps.append((clipped_u(n), None))
-                elif c:
-                    rows, cut = whole_l[l, j, w, t], clipped_l[l, j, w, t]
-                    if rows.any():
-                        steps.append((whole_u(l, t, rows), rows))
-                    if cut.any():
-                        steps.append((clipped_u(int(cut.sum())), cut))
-                s = t + 1
-            return steps + walk[s:stop[i]]
-
+        shared = (lane_u == lane_u[..., :1]).all(-1)
+        powers, which = full[:0], np.zeros(jumps.shape, dtype=int)
         if jumps.any():
             need = jumps.any(0)
             product = np.repeat(np.eye(vecs.shape[1], dtype=complex)[None], need.sum(), axis=0)
@@ -456,48 +454,87 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
             row = (np.cumsum(need) - 1)[np.nonzero(jumps)[1]]
             pairs, power_of = np.unique(n_whole[jumps] * n_points + row, return_inverse=True)
             powers = _matrix_powers((w @ vh)[pairs % n_points], pairs // n_points)
-            which = np.zeros(jumps.shape, dtype=int)
             which[jumps] = power_of
-            which = lanes(which)
-        jumps, n_whole, periodic = lanes(jumps), lanes(n_whole), lanes(walk_tau > 0)
-        jumping = jumps.any(-1).tolist()
+        clips, hops, which = items(clipped), items(jumps), items(which)
+        # the clipped slices' keys and lengths in walk order, and each item's first
+        clip_l, _, _, clip_s, clip_i = np.nonzero(lanes(clipped))
+        clip_keys, clip_taus = keys[clip_s, clip_l * n + clip_i], lanes(take)[lanes(clipped)]
+        clip_from = np.concatenate([[0], np.cumsum(clips.sum((1, 2, 3)))])
+        del take, active  # the largest plan arrays, before the windows are built
+        # an item's windows: its head window, its jump (one more slice), one
+        # period per group of points with as many whole periods left as the
+        # group's least (repeated reps times), and its tail window
+        count = items(n_whole)
+        upto = np.sort(count, -1)[:, :0 if policy.fast_forward else n]
+        reps = np.diff(upto, axis=-1, prepend=0)
+        groups = (lanes(walk_tau > 0)[np.arange(len(count)) // n_times][:, None]
+                  & (reps[..., None, None] > 0) & (count[:, None] >= upto[..., None])[:, :, None])
+        wh = items(whole)
+        wholes = np.concatenate([wh[:, :1], np.zeros_like(wh[:, :1]), groups, wh[:, 1:]], 1)
+        part = np.zeros((*wholes.shape[:2], n_slices + 1, 2), dtype=bool)
+        part[..., :-1, 0], part[:, ::wholes.shape[1] - 1, :-1, 1] = wholes.any(-1), clips.any(-1)
+        part[:, 1, -1, 0] = hops.any(-1)  # (items, windows, slices + jump, parts)
+        size, k = part.sum((2, 3)), np.ones(part.shape[:2], dtype=int)
+        k[:, 2:-1] = reps
+        cost = 128 * size.sum(1) + 16 * vecs.shape[1] ** 2 * np.diff(clip_from)
 
-    spans = np.diff(elapsed, axis=0, prepend=0.0)
-    for l in range(n_lanes):
-        if l:
-            states = [chain[l - 1](_normalized(w, v)) for w, v in zip(weights, psi)]
-        weights, psi = ((np.repeat(a[None], n, axis=0) for a in states.branches)
-                        if isinstance(states, QuantumState) else
-                        (np.array(a) for a in zip(*(s.branches for s in states))))
-        chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
-        snapshots = np.empty((min(max(chunk, 1), n_times), *psi.shape), dtype=complex)
-        taken = 0
-        if periodic_drive:
-            walk = [(whole_u(l, s), None) for s in range(n_slices)]
-        for j in range(n_times):
-            if not periodic_drive:
-                span = spans[j, l * n]
-                if span > 0:
-                    k, = _split_durations([(span, 1)], policy.max_step)
-                    run([(unitaries(keys[0, l * n:(l + 1) * n], np.full(n, span / k)), None)] * k)
-                sample()
-                continue
-            run(window(l, j, 0, walk))
-            if jumping[l][j]:
-                rows = jumps[l, j]
-                run([(powers[which[l, j, rows]], None if rows.all() else rows)])
-            elif not policy.fast_forward:
-                done = 0
-                for upto in np.unique(n_whole[l, j][n_whole[l, j] > 0]).tolist():
-                    one_period = [(whole_u(l, s, r), None if r.all() else r)
-                                  for s, r in enumerate(periodic[l] & (n_whole[l, j] >= upto))
-                                  if r.any()]
-                    for _ in range(upto - done):
-                        run(one_period)
-                    done = upto
-            run(window(l, j, 1, walk))
-            sample()
-        flush()
+        def program(i0: int, i1: int) -> list:
+            """The steps of items i0 to i1 - 1 in walk order."""
+            l0, l1 = i0 // n_times, (i1 - 1) // n_times + 1
+            e, w, s, kind = np.nonzero(part[i0:i1])  # (item, window, slice, whole or clipped)
+            e, t = e + i0, np.minimum(s, n_slices - 1)
+            rows = np.where(kind[:, None] == 1, clips[e, np.minimum(w, 1), t], wholes[e, w, t])
+            kind[s == n_slices], rows[s == n_slices] = 2, hops[e[s == n_slices]]  # jumps
+            # the whole steps of each lane's slices, then the other steps
+            steps = [full[u] for u in lane_u[l0:l1, :, 0].ravel().tolist()]
+            for i in np.flatnonzero(~shared[l0:l1]).tolist():  # points with their own
+                steps[i] = full[lane_u[l0 + i // n_slices, i % n_slices]]
+            lane, some = e // n_times, (kind == 0) & ~rows.all(-1)
+            ids = (lane - l0) * n_slices + t
+            for mask, u in ((kind == 1, unitaries(clip_keys[clip_from[i0]:clip_from[i1]],
+                                                  clip_taus[clip_from[i0]:clip_from[i1]])),
+                            (kind == 2, [powers[i] for i in which[i0:i1][hops[i0:i1]].tolist()]
+                             if n == 1 else powers[which[i0:i1][hops[i0:i1]]]),
+                            (some, full[lane_u[lane[some], t[some]][rows[some]]])):
+                ids[mask] = len(steps) + np.arange(mask.sum())
+                steps += lane_steps(u, rows[mask])
+            return list(map(steps.__getitem__, ids.tolist()))
+    else:
+        # a constant drive: each span is equal slices of the lane's keys
+        span = lanes(np.diff(elapsed, axis=0, prepend=0.0) + np.zeros(n_points))[..., 0].ravel()
+        count = np.array([_split_durations([(x, 1)], policy.max_step)[0] if x > 0 else 0
+                          for x in span.tolist()], dtype=int)
+        size, k = count[:, None], np.ones((len(count), 1), dtype=int)
+        cost = 128 * count + 16 * vecs.shape[1] ** 2 * n
+
+        def program(i0: int, i1: int) -> list:
+            go = np.flatnonzero(count[i0:i1]) + i0
+            u = unitaries(keys[0, (go[:, None] // n_times * n + np.arange(n)).ravel()],
+                          np.repeat(span[go] / count[go], n))
+            return [v for v, c in zip(lane_steps(u, np.ones((len(go), n), dtype=bool)),
+                                      count[go].tolist()) for _ in range(c)]
+
+    # blocks (a, b, k, event) of every item's windows in walk order, an item's
+    # last window followed by its event; consecutive single runs that no check
+    # or event separates are one block
+    windows, ends, event = k.shape[1], np.cumsum(size), np.zeros_like(k)
+    event[:, -1] = events
+    k, event, starts = k.ravel(), event.ravel(), ends - size.ravel()
+    reach = np.cumsum((ends - starts) * k) // interval  # checks due so far
+    join = ((k[:-1] == 1) & (k[1:] == 1) & (event[:-1] == 0)
+            & (reach[:-1] == np.append(0, reach[:-2])))
+    first = np.flatnonzero(np.concatenate([[True], ~join]))
+    last = np.append(first[1:], len(k)) - 1
+    block_of = np.searchsorted(first // windows, np.arange(len(cost) + 1))
+    psi = start(states)
+    # chunks of items costing at most 3/4 of STACK_BYTES, or one item: a program lives on
+    # until the next is built, so freed pages are reused, not returned and faulted in again
+    edges = (np.flatnonzero(np.diff(np.cumsum(cost) // (STACK_BYTES * 3 // 4))) + 1).tolist()
+    for i0, i1 in zip([0, *edges], [*edges, len(cost)]):
+        steps, off = program(i0, i1), starts[i0 * windows]
+        f, g = first[block_of[i0]:block_of[i1]], last[block_of[i0]:block_of[i1]]
+        psi = replay(psi, steps, zip((starts[f] - off).tolist(), (ends[g] - off).tolist(),
+                                     k[g].tolist(), event[g].tolist()))
     imag = np.abs(values.imag).max()
     if imag >= 1e-10:
         raise PropagationError(f"observable developed imaginary part {imag:.3e}")
@@ -518,6 +555,8 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     times = np.asarray(sample_times, dtype=float)
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("sample times must be finite, nonnegative and increasing")
     values, weights, psi = _evolve(hamiltonian_of, [schedule], times, state0, policy,
                                    observables)
     return Trajectory(
@@ -561,8 +600,8 @@ def propagate(system: SpinSystem, w: Waveform, state0: QuantumState, T: float,
     Records sigma_z and every nuclear I_z on the sample grid (given either
     as a spacing or as explicit times; the final time T is always sampled).
     """
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError("T must be finite and positive")
     if state0.dimension != system.dimension:
         raise ValueError("initial state dimension does not match the system")
     policy = policy or IntegrationPolicy()

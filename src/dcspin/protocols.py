@@ -285,11 +285,10 @@ def _pulse_train_hamiltonian(system: SpinSystem, key: tuple) -> np.ndarray:
     return h + _undriven_hamiltonian(system)
 
 
-def _waveform(spec: ProtocolSpec, point: float | None, start: float = 0.0) -> Waveform:
+def _waveform(spec: ProtocolSpec, point: float | None) -> Waveform:
     if spec.kind == "dcs":
-        w = build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
-                               t_initial=spec.t_initial, amplitude_error=spec.amplitude_error)
-        return replace(w, t_initial=w.t_initial - start) if start else w
+        return build_dcs_waveform(spec.omega_max, point, switch_fraction=spec.switch_fraction,
+                                  t_initial=spec.t_initial, amplitude_error=spec.amplitude_error)
     if spec.kind == "pm":
         return build_pm_waveform(spec.omega0, spec.omega1, point,
                                  amplitude_error=spec.amplitude_error)
@@ -297,23 +296,20 @@ def _waveform(spec: ProtocolSpec, point: float | None, start: float = 0.0) -> Wa
 
 
 def _drive(system: SpinSystem, spec: ProtocolSpec, point: float | None,
-           policy: IntegrationPolicy, start: float = 0.0):
-    """The keyed Hamiltonians and the compiled schedule of ``spec`` at
-    ``point``, for the segment of its run that starts at ``start``.
+           policy: IntegrationPolicy):
+    """The keyed Hamiltonians and the compiled schedule of ``spec`` at ``point``.
 
     The point is nu for dcs and pm and the pulse detuning for topdnp;
     constant has none.  A key names the same Hamiltonian of ``system`` at
     every point (a drive value, or a pulse-train segment with its rabi and
     detuning), so the points of a sweep share the keys they have in common.
-    A dcs segment keeps the drive's phase by shifting its anchor back by
-    ``start``; only dcs runs, which have resets, have later segments.
     """
     if spec.kind == "topdnp":
         train = PulseTrain(spec.rabi * (1 + spec.amplitude_error), spec.pulse_len,
                            spec.delay, point)
         return (functools.partial(_pulse_train_hamiltonian, system),
                 train.compiled_schedule(policy))
-    return waveform_drive(system, _waveform(spec, point, start), policy)
+    return waveform_drive(system, _waveform(spec, point), policy)
 
 
 def _segments(reset_every: float, sample_times: np.ndarray):
@@ -404,9 +400,13 @@ def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]],
     with equal slice counts in every segment (one without resets), within
     STACK_BYTES (dynamics._stack_groups)."""
     spec = points[0][0]
-    starts = [0.0] if spec.reset_every is None else \
-        _segments(spec.reset_every, np.asarray(T, dtype=float).reshape(-1))[0][0].tolist()
-    drives = [[_drive(system, s, point, policy, t) for s, point in points] for t in starts]
+    if spec.reset_every is None:
+        drives = [[_drive(system, s, point, policy) for s, point in points]]
+    else:  # dcs: each point's drive, built once, keeps its phase in every segment
+        starts = _segments(spec.reset_every, np.asarray(T, dtype=float).reshape(-1))[0][0]
+        waves = [_waveform(s, point) for s, point in points]
+        drives = [[waveform_drive(system, replace(w, t_initial=w.t_initial - t) if t else w, policy)
+                   for w in waves] for t in starts.tolist()]
     # per point, its schedule and its slice count in every segment
     schedules = list(zip(*[[x for _, x in segment] for segment in drives]))
     counts = list(zip(*[[len(x.steps) or 1 for _, x in segment] for segment in drives]))

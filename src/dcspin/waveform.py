@@ -273,8 +273,9 @@ def _linear_spans(w, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray, np.n
     return dur, a + slope * (u_start - s0) / width, a + slope * (u_start + dur - s0) / width
 
 
+@functools.lru_cache(maxsize=PIECES_CACHE_SIZE)
 def drive_area_per_period(w) -> float:
-    """Integral of omega_e over one period (exact trapezoid per linear piece)."""
+    """Integral of omega_e over one period (exact trapezoid per linear piece), once per drive."""
     _require_periodic(w)
     return sum(0.5 * (p.v0 + p.v1) * p.duration for p in w.pieces())
 

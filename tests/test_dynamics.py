@@ -31,7 +31,7 @@ from dcspin import (
     propagate,
     propagate_spin_pair,
 )
-from dcspin import dynamics
+from dcspin import dynamics, presets
 from dcspin.dynamics import (
     SEGMENT_UNITARITY_TOL,
     CompiledSchedule,
@@ -437,6 +437,93 @@ def test_batched_health_checks_report_the_first_failure(interval, where):
         propagate(system, drive, initial_state("dnp_dcs", system), 20e-6, policy,
                   sample_every=2e-6)
     assert str(info.value).endswith(where)
+
+
+def _one_proton_drive(switch_fraction: float = 0.0):
+    a = angular_from_khz(0.5)
+    system = SpinSystem(field_z=0.35, nuclei=(nucleus_from_isotope("1H", a, a),))
+    return system, build_dcs_waveform(angular_from_mhz(2.0),
+                                      nuclear_frequency(system.nuclei[0], system.field_z),
+                                      switch_fraction=switch_fraction)
+
+
+@pytest.mark.parametrize("switch_fraction, fast_forward, interval, where", [
+    (0.0, True, 5, "after 5 slices"),
+    (0.0, False, 5, "after 6 slices"),
+    (0.0, False, 10, "after 12 slices"),
+    (0.0, False, 37, "after 39 slices"),
+    (0.2, True, 10, "after 195 slices"),
+    (0.2, False, 10, "after 195 slices"),
+    (0.0, True, 10 ** 6, "at sample t = 2.000000e-06"),
+    (0.0, False, 10 ** 6, "at sample t = 2.000000e-06"),
+])
+def test_interval_checks_fire_where_the_count_is_reached(switch_fraction, fast_forward, interval,
+                                                         where):
+    """The state is checked every ``interval`` applied steps, at the end of
+    the head window, jump, tail window or whole period that reaches the
+    count (a jump is one step): 20 us of the 1H system sampled every 2 us,
+    against a tolerance no rounded state meets."""
+    system, drive = _one_proton_drive(switch_fraction)
+    policy = IntegrationPolicy(tolerance=1e-300, unitarity_check_interval=interval,
+                               fast_forward=fast_forward)
+    with pytest.raises(PropagationError, match="^state drift .* >= 1e-300 ") as info:
+        propagate(system, drive, initial_state("dnp_dcs", system), 20e-6, policy,
+                  sample_every=2e-6)
+    assert str(info.value).endswith(where)
+
+
+def test_chunked_step_programs_equal_one_program_bit_for_bit(monkeypatch):
+    """A 301-sample trace on fig4a's ramped variant drive, walked as many
+    small step programs with their clipped unitaries in many small batches
+    (STACK_BYTES of 16 KiB), equals the default walk bit for bit."""
+    system = presets.proton_system()
+    drive = build_dcs_waveform(presets.RABI_FIG3_MATCHED,
+                               nuclear_frequency(system.nuclei[0], system.field_z),
+                               switch_fraction=presets.SWITCH_FRACTION_FIG4, t_initial="zero")
+    times = np.linspace(0.0, presets.TOTAL_TIME_FIG3, presets.N_GRID)
+    unitaries, batches = dynamics._slice_unitaries, []
+
+    def counted(vals, vecs, durations):
+        batches.append(len(durations))
+        return unitaries(vals, vecs, durations)
+
+    monkeypatch.setattr(dynamics, "_slice_unitaries", counted)
+    runs = []
+    for stack_bytes in (dynamics.STACK_BYTES, 1 << 14):
+        monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+        batches.clear()
+        runs.append((propagate(system, drive, initial_state("dnp_dcs", system), times[-1],
+                               sample_times=times), len(batches)))
+    (default, default_batches), (chunked, chunked_batches) = runs
+    assert chunked_batches > default_batches + 3
+    for name, series in default.observables.items():
+        assert np.array_equal(chunked.observables[name], series), name
+    assert np.array_equal(chunked.final_state.density_matrix(),
+                          default.final_state.density_matrix())
+
+
+@pytest.mark.parametrize("make", [
+    lambda system, drive, state: propagate(system, drive, state, math.nan),
+    lambda system, drive, state: propagate(system, drive, state, 2e-6, sample_times=[math.nan]),
+    lambda system, drive, state: propagate(system, drive, state, 2e-6, sample_every=0.0),
+    lambda system, drive, state: propagate(system, drive, state, 2e-6, sample_every=-1e-6),
+    lambda system, drive, state: propagate(system, drive, state, 2e-6, sample_every=math.nan),
+    lambda *_: IntegrationPolicy(max_step=math.nan),
+    lambda *_: IntegrationPolicy(tolerance=math.nan),
+    lambda *_: IntegrationPolicy(tolerance=math.inf),
+    lambda *_: IntegrationPolicy(ramp_substeps=2.5),
+    lambda *_: IntegrationPolicy(unitarity_check_interval=2.5),
+], ids=["T-nan", "sample-time-nan", "sample-every-0", "sample-every-negative",
+        "sample-every-nan", "max-step-nan", "tolerance-nan", "tolerance-inf",
+        "ramp-substeps-2.5", "check-interval-2.5"])
+def test_bad_propagation_inputs_raise_before_any_slice_is_stepped(monkeypatch, make):
+    def stepped(*args, **kwargs):
+        raise AssertionError("a slice was stepped")
+
+    monkeypatch.setattr(dynamics, "_evolve", stepped)
+    system, drive = _one_proton_drive()
+    with pytest.raises(ValueError):
+        make(system, drive, initial_state("dnp_dcs", system))
 
 
 def test_sampling_a_64_dimensional_cluster_matches_a_four_operand_einsum(proton_cluster):
