@@ -8,7 +8,9 @@ verify <name>       run a preset and evaluate its acceptance checks
 list-presets        list available presets
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  Errors also emit a one-line JSON record on stderr.
+3 numerical failure.  Errors also emit a one-line JSON record on stderr,
+with the preset (preset, verify) or the config path (run) it came from.
+A --workers value below 1 is a usage error (exit 2).
 """
 from __future__ import annotations
 
@@ -164,6 +166,13 @@ def _cmd_list_presets(_args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dcspin",
@@ -175,19 +184,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--workers", type=int, default=None,
+    p_run.add_argument("--workers", type=_positive_int, default=None,
                        help="sweep workers (default: available parallelism)")
     p_run.set_defaults(func=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="execute a named preset")
     p_preset.add_argument("name")
     p_preset.add_argument("--out", default=None)
-    p_preset.add_argument("--workers", type=int, default=None)
+    p_preset.add_argument("--workers", type=_positive_int, default=None)
     p_preset.set_defaults(func=_cmd_preset)
 
     p_verify = sub.add_parser("verify", help="run a preset and check its assertions")
     p_verify.add_argument("name")
-    p_verify.add_argument("--workers", type=int, default=None)
+    p_verify.add_argument("--workers", type=_positive_int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_list = sub.add_parser("list-presets", help="list available presets")
@@ -195,8 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_record(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
+def _error_record(exc: Exception, args: argparse.Namespace) -> str:
+    """The error as one JSON line, with the preset (preset, verify) or the
+    config path (run) it came from."""
+    where = {key: vars(args)[attr] for key, attr in (("preset", "name"), ("config", "config"))
+             if attr in vars(args)}
+    return json.dumps({"error": type(exc).__name__, "message": str(exc), **where})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -204,11 +217,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, KeyError) as exc:
-        print(_error_record(exc), file=sys.stderr)
+        print(_error_record(exc, args), file=sys.stderr)
         return 2
     except (PropagationError, QuadratureError, FactorizationError, ArithmeticError,
             np.linalg.LinAlgError) as exc:
-        print(_error_record(exc), file=sys.stderr)
+        print(_error_record(exc, args), file=sys.stderr)
         return 3
 
 

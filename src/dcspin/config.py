@@ -151,25 +151,22 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
     if kind not in per_kind:
         raise ConfigError(f"{block.path}.kind: unknown protocol {kind!r}")
     block.reject_unknown(common | per_kind[kind])
-    kwargs: dict = {
-        "kind": kind,
-        "amplitude_error": block.get("amplitude_error", _NUMBER, default=0.0),
-    }
-    kwargs["initial_state_kind"] = block.get("initial_state", str)
-    measured = block.get("measured", list, default=[])
-    if not all(isinstance(m, str) for m in measured):
-        raise ConfigError(f"{block.path}.measured: expected a list of column names")
-    kwargs["measured"] = tuple(measured)
+    # a field the block leaves out takes the ProtocolSpec default
+    kwargs = {field: block.get(key, expected) for key, field, expected in (
+        ("initial_state", "initial_state_kind", str),
+        ("amplitude_error", "amplitude_error", _NUMBER),
+        ("switch_fraction", "switch_fraction", _NUMBER),
+        ("t_initial", "t_initial", (str, int, float))) if key in block.data}
+    if "measured" in block.data:
+        measured = block.get("measured", list)
+        if not all(isinstance(m, str) for m in measured):
+            raise ConfigError(f"{block.path}.measured: expected a list of column names")
+        kwargs["measured"] = tuple(measured)
+    if "reset_every_ms" in block.data:
+        kwargs["reset_every"] = block.get("reset_every_ms", _NUMBER) * 1e-3
     try:
         if kind == "dcs":
             kwargs["omega_max"] = angular_from_mhz(block.require("rabi_mhz", _NUMBER))
-            kwargs["switch_fraction"] = block.get("switch_fraction", _NUMBER, default=0.0)
-            t_initial = block.get("t_initial", default="symmetric")
-            if not isinstance(t_initial, (str, int, float)):
-                raise ConfigError(f"{block.path}.t_initial: expected string or number")
-            kwargs["t_initial"] = t_initial
-            reset_ms = block.get("reset_every_ms", _NUMBER)
-            kwargs["reset_every"] = None if reset_ms is None else reset_ms * 1e-3
         elif kind == "pm":
             kwargs["omega0"] = angular_from_mhz(block.require("omega0_mhz", _NUMBER))
             kwargs["omega1"] = angular_from_mhz(block.require("omega1_mhz", _NUMBER))
@@ -179,7 +176,7 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
             kwargs["delay"] = block.require("delay_ns", _NUMBER) * 1e-9
         else:
             kwargs["omega_e"] = angular_from_mhz(block.require("omega_e_mhz", _NUMBER))
-        return ProtocolSpec(**kwargs)
+        return ProtocolSpec(kind, **kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -263,16 +260,18 @@ def _parse_integration(block: _Block) -> IntegrationPolicy:
 
 
 def _parse_output(block: _Block) -> OutputOptions:
+    """Fields left out of the block take the OutputOptions defaults."""
     block.reject_unknown({"directory", "polarization_convention", "workers"})
-    convention = block.get("polarization_convention", str, default="doubled")
-    if convention not in POLARIZATION_CONVENTIONS:
+    kwargs = {key: block.get(key, expected) for key, expected in (
+        ("directory", str), ("polarization_convention", str), ("workers", int))
+        if key in block.data}
+    if "polarization_convention" in kwargs \
+            and kwargs["polarization_convention"] not in POLARIZATION_CONVENTIONS:
         raise ConfigError(f"{block.path}.polarization_convention: must be one of "
                           f"{POLARIZATION_CONVENTIONS}")
-    return OutputOptions(
-        directory=block.get("directory", str, default="dcspin_results"),
-        polarization_convention=convention,
-        workers=block.get("workers", int),
-    )
+    if kwargs.get("workers", 1) < 1:
+        raise ConfigError(f"{block.path}.workers: must be at least 1, got {kwargs['workers']}")
+    return OutputOptions(**kwargs)
 
 
 def parse_config(data: dict, source: str = "config") -> ExperimentConfig:

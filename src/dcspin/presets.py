@@ -4,7 +4,9 @@ Each preset encodes one complete comparison scenario: the spin system, the
 drive parameters, the swept axis and grid, and the acceptance assertions
 that the produced tables must satisfy.  The fig2* presets use a weakly
 coupled 13C nucleus at 1 T, the fig3*/fig4* presets a 1H nucleus at
-0.35 T, and fig1f is the purely analytic coupling-factor sweep.
+0.35 T, and fig1f is the purely analytic coupling-factor sweep.  A fig2
+or fig3 entry binds its runner and its verifier to one named drive
+constant, so a check reads the drive that was run.
 
 Grid resolutions are not externally mandated; every preset uses 301 points
 over its displayed range and records that choice in the result metadata.
@@ -12,6 +14,7 @@ over its displayed range and records that choice in the result metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -93,6 +96,10 @@ def _check_order(name: str, smaller: float, larger: float, what: str) -> Check:
 CARBON_RESONANCE = angular_from_mhz(10.713)
 RABI_FIG2 = angular_from_mhz(1.0)
 SENSING_TIME_FIG2 = 0.308e-3
+# phase modulation (omega0 = omega1) at the switching drive's peak Rabi
+# frequency (fig2a, fig2b) and at its average power (fig2c, fig2d)
+PM_FIG2A = angular_from_mhz(0.5)
+PM_FIG2C = RABI_FIG2 / np.sqrt(2.0)
 
 RABI_FIG3 = angular_from_mhz(2.0)
 PULSE_LEN_FIG3 = 56e-9
@@ -122,23 +129,20 @@ def proton_system() -> SpinSystem:
     return SpinSystem(field_z=0.35, nuclei=(nucleus_from_isotope("1H", a, a),))
 
 
+def _fit_dip(sweep: Callable[..., SweepResult], center: float, halfspan: float,
+             points: int = 41) -> float:
+    """The nu of the signal dip that ``sweep(nu_grid=...)`` finds in a fine grid."""
+    grid = np.linspace(center - halfspan, center + halfspan, points)
+    nu_star, _ = refine_extremum(grid, sweep(nu_grid=grid).column("sigma_z"), "min")
+    return nu_star
+
+
 def fit_dcs_resonance(system: SpinSystem, omega_max: float, T: float,
                       center: float, halfspan: float, points: int = 41,
                       workers: int | None = 1, **kwargs) -> float:
     """Locate the switching-drive resonance by a fine sweep of the signal dip."""
-    grid = np.linspace(center - halfspan, center + halfspan, points)
-    res = run_dcs_sensing(system, omega_max, grid, T, workers=workers, **kwargs)
-    nu_star, _ = refine_extremum(grid, res.column("sigma_z"), "min")
-    return nu_star
-
-
-def fit_pm_resonance(system: SpinSystem, omega0: float, omega1: float, T: float,
-                     center: float, halfspan: float, points: int = 41,
-                     workers: int | None = 1) -> float:
-    grid = np.linspace(center - halfspan, center + halfspan, points)
-    res = run_pm(system, omega0, omega1, nu_grid=grid, T=T, workers=workers)
-    nu_star, _ = refine_extremum(grid, res.column("sigma_z"), "min")
-    return nu_star
+    return _fit_dip(partial(run_dcs_sensing, system, omega_max, T=T, workers=workers, **kwargs),
+                    center, halfspan, points)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +237,8 @@ def _fig2_time_trace(pm_omega: float, name: str, workers=None) -> list[SweepResu
     halfspan = TWO_PI * 3e3
     nu_dcs = fit_dcs_resonance(system, RABI_FIG2, SENSING_TIME_FIG2,
                                CARBON_RESONANCE, halfspan, workers=workers)
-    nu_pm = fit_pm_resonance(system, pm_omega, pm_omega, SENSING_TIME_FIG2,
-                             CARBON_RESONANCE, TWO_PI * 5e3, workers=workers)
+    nu_pm = _fit_dip(partial(run_pm, system, pm_omega, pm_omega, T=SENSING_TIME_FIG2,
+                             workers=workers), CARBON_RESONANCE, TWO_PI * 5e3)
     T_grid = np.linspace(0.0, 0.5e-3, 501)
     dcs = run_dcs_dnp(system, RABI_FIG2, nu_dcs, T_grid)
     pm = run_pm(system, pm_omega, pm_omega, nu=nu_pm, T_grid=T_grid)
@@ -261,30 +265,6 @@ def _verify_fig2_time_trace(results: list[SweepResult]) -> list[Check]:
         Check("closed form at T = 0.308 ms", "|value - 0.858| < 5e-4",
               bool(abs(reference - 0.858) < 5e-4), f"closed form = {reference:.6f}"),
     ]
-
-
-def _run_fig2a(workers=None):
-    return _fig2_spectrum(angular_from_mhz(0.5), "fig2a", workers)
-
-
-def _verify_fig2a(results):
-    return _verify_fig2_spectrum(results, angular_from_mhz(0.5), power_matched=False)
-
-
-def _run_fig2b(workers=None):
-    return _fig2_time_trace(angular_from_mhz(0.5), "fig2b", workers)
-
-
-def _run_fig2c(workers=None):
-    return _fig2_spectrum(RABI_FIG2 / np.sqrt(2.0), "fig2c", workers)
-
-
-def _verify_fig2c(results):
-    return _verify_fig2_spectrum(results, RABI_FIG2 / np.sqrt(2.0), power_matched=True)
-
-
-def _run_fig2d(workers=None):
-    return _fig2_time_trace(RABI_FIG2 / np.sqrt(2.0), "fig2d", workers)
 
 
 # ---------------------------------------------------------------------------
@@ -396,38 +376,6 @@ def _verify_fig3_time_traces(results: list[SweepResult], rabi_dcs: float) -> lis
     ]
 
 
-def _run_fig3a(workers=None):
-    return _fig3_spectra(RABI_FIG3, "fig3a", workers)
-
-
-def _verify_fig3a(results):
-    return _verify_fig3_spectra(results, RABI_FIG3, power_matched=False)
-
-
-def _run_fig3b(workers=None):
-    return _fig3_time_traces(RABI_FIG3, "fig3b", workers)
-
-
-def _verify_fig3b(results):
-    return _verify_fig3_time_traces(results, RABI_FIG3)
-
-
-def _run_fig3c(workers=None):
-    return _fig3_spectra(RABI_FIG3_MATCHED, "fig3c", workers)
-
-
-def _verify_fig3c(results):
-    return _verify_fig3_spectra(results, RABI_FIG3_MATCHED, power_matched=True)
-
-
-def _run_fig3d(workers=None):
-    return _fig3_time_traces(RABI_FIG3_MATCHED, "fig3d", workers)
-
-
-def _verify_fig3d(results):
-    return _verify_fig3_time_traces(results, RABI_FIG3_MATCHED)
-
-
 # ---------------------------------------------------------------------------
 # fig4: robustness to amplitude errors, switching timing, and phase offset
 # ---------------------------------------------------------------------------
@@ -531,33 +479,42 @@ PRESETS: dict[str, Preset] = {
     "fig2a": Preset("fig2a",
                     "13C sensing spectrum at 1 T: switching vs phase modulation "
                     "at equal peak Rabi frequency (1 MHz, T = 0.308 ms)",
-                    _run_fig2a, _verify_fig2a),
+                    partial(_fig2_spectrum, PM_FIG2A, "fig2a"),
+                    partial(_verify_fig2_spectrum, pm_omega=PM_FIG2A, power_matched=False)),
     "fig2b": Preset("fig2b",
                     "13C signal vs sensing time at the fitted resonance, with the "
                     "flip-flop model overlay",
-                    _run_fig2b, lambda r: _verify_fig2_time_trace(r)),
+                    partial(_fig2_time_trace, PM_FIG2A, "fig2b"),
+                    _verify_fig2_time_trace),
     "fig2c": Preset("fig2c",
                     "13C sensing spectrum: phase modulation at equal average power "
                     "(omega0 = omega1 = 1/sqrt(2) MHz)",
-                    _run_fig2c, _verify_fig2c),
+                    partial(_fig2_spectrum, PM_FIG2C, "fig2c"),
+                    partial(_verify_fig2_spectrum, pm_omega=PM_FIG2C, power_matched=True)),
     "fig2d": Preset("fig2d",
                     "13C signal vs sensing time with the equal-average-power "
                     "phase modulation",
-                    _run_fig2d, lambda r: _verify_fig2_time_trace(r)),
+                    partial(_fig2_time_trace, PM_FIG2C, "fig2d"),
+                    _verify_fig2_time_trace),
     "fig3a": Preset("fig3a",
                     "1H polarization spectra at 0.35 T: switching (2 MHz) vs "
                     "pulse train (56/28 ns), equal peak Rabi frequency",
-                    _run_fig3a, _verify_fig3a),
+                    partial(_fig3_spectra, RABI_FIG3, "fig3a"),
+                    partial(_verify_fig3_spectra, rabi_dcs=RABI_FIG3, power_matched=False)),
     "fig3b": Preset("fig3b",
                     "1H polarization buildup at resonance, equal peak Rabi frequency",
-                    _run_fig3b, _verify_fig3b),
+                    partial(_fig3_time_traces, RABI_FIG3, "fig3b"),
+                    partial(_verify_fig3_time_traces, rabi_dcs=RABI_FIG3)),
     "fig3c": Preset("fig3c",
                     "1H polarization spectra with the switching drive reduced to "
                     "the pulse train's average power",
-                    _run_fig3c, _verify_fig3c),
+                    partial(_fig3_spectra, RABI_FIG3_MATCHED, "fig3c"),
+                    partial(_verify_fig3_spectra, rabi_dcs=RABI_FIG3_MATCHED,
+                            power_matched=True)),
     "fig3d": Preset("fig3d",
                     "1H polarization buildup at resonance, equal average power",
-                    _run_fig3d, _verify_fig3d),
+                    partial(_fig3_time_traces, RABI_FIG3_MATCHED, "fig3d"),
+                    partial(_verify_fig3_time_traces, rabi_dcs=RABI_FIG3_MATCHED)),
     "fig4a": Preset("fig4a",
                     "Robustness reference: polarization buildup for switching "
                     "(ideal and ramped/shifted variant), phase modulation, pulse train",

@@ -1,12 +1,14 @@
 """The four experiment families: DCS sensing, DCS DNP, PM, and TOP-DNP.
 
 A ProtocolSpec and its operating point (nu for dcs and pm, the pulse
-detuning for topdnp) turn into one trajectory in ``_trajectory``, and
-``run_sweep`` is the one runner over every sweep axis: total time, the
+detuning for topdnp) turn into keyed Hamiltonians and a compiled schedule
+in ``_drive``.  Every run evolves as stacks of such points (``_stacks``,
+``_evolve_stack``): a trajectory (``_trajectory``) is a one-point stack,
+and ``run_sweep`` is the one runner over every sweep axis: total time, the
 operating point, or the amplitude error.  The run_* functions are short
-front ends that build a spec and call it.  Sweep points are independent and
-can execute on a process pool; results merge in sweep order, so output is
-deterministic for any worker count.
+front ends that build a spec and call it.  The stacks of a sweep are
+independent and can execute on a process pool; results merge in sweep
+order, so output is deterministic for any worker count.
 
 Amplitude errors model miscalibrated drive power: every drive amplitude is
 scaled by (1 + delta) while timing parameters stay at their nominal values,
@@ -34,7 +36,7 @@ from .dynamics import (
     _stack_groups,
     _UnitaryCache,
     propagate,  # noqa: F401  perfbench/tracing.py wraps this name here
-    propagate_compiled,
+    propagate_compiled,  # noqa: F401  perfbench/tracing.py wraps this name here
     standard_observables,
     waveform_drive,
 )
@@ -360,18 +362,21 @@ def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, hamiltonian_of,
 
 def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
                 sample_times: Sequence[float], policy: IntegrationPolicy) -> Trajectory:
-    """Evolve ``spec`` at its operating point from its initial state to the
-    last sample time; a run with resets is a one-point stack."""
-    # with only t = 0 to sample there is no segment to reset
-    if spec.reset_every is None or not sample_times[-1] > 0:
-        hamiltonian_of, schedule = _drive(system, spec, point, policy)
-        return propagate_compiled(hamiltonian_of, schedule,
-                                  initial_state(spec.initial_state_kind, system), sample_times,
-                                  policy, standard_observables(system))
-    values, weights, psi = _evolve_stack(*_stacks(system, [(spec, point)], sample_times,
-                                                  policy)[0])
-    return Trajectory(times=sample_times, final_state=_normalized(weights[0], psi[0]),
-                      observables={o.name: values[:, 0, i]
+    """Evolve ``spec`` at its operating point from its initial state as a
+    one-point stack of _stacks (with resets, a stack of chains).  The run is
+    read at t = 0 whether or not that is asked for, and the trajectory holds
+    the requested sample times only."""
+    times = np.asarray(sample_times, dtype=float)
+    if times[0] != 0.0:
+        times = np.concatenate([[0.0], times])
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("sample times must be finite, nonnegative and increasing")
+    if not times[-1] > 0:  # with only t = 0 to sample there is no segment to reset
+        spec = replace(spec, reset_every=None)
+    values, weights, psi = _evolve_stack(*_stacks(system, [(spec, point)], times, policy)[0])
+    skip = len(times) - len(sample_times)
+    return Trajectory(times=times[skip:], final_state=_normalized(weights[0], psi[0]),
+                      observables={o.name: values[skip:, 0, i]
                                    for i, o in enumerate(standard_observables(system))})
 
 
@@ -438,9 +443,7 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     policy = policy or IntegrationPolicy()
     grid = np.asarray(grid, dtype=float)
     if axis == "T":
-        traj = _trajectory(system, spec, point, grid, policy)
-        first = len(traj.times) - len(grid)  # the t = 0 sample, unless asked for
-        columns = {name: series[first:] for name, series in traj.observables.items()}
+        columns = _trajectory(system, spec, point, grid, policy).observables
     else:
         if axis == "amplitude_error":
             points = [(apply_amplitude_error(spec, d), point) for d in grid]

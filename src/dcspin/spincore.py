@@ -134,68 +134,52 @@ class Observable:
 class QuantumState:
     """A state of the composite system as weighted pure branches.
 
-    rho = sum_b w_b |psi_b><psi_b|, one column of ``branches[1]`` per
-    branch.  A pure vector is a single branch; a density matrix enters as
-    its eigendecomposition (eigenvalues as weights, eigenvectors as
-    branches), so propagation only ever evolves branch vectors.
+    rho = sum_b w_b |psi_b><psi_b|: ``QuantumState(weights, vectors)`` (or
+    ``mixture``) takes nonnegative weights that sum to 1 and one unit column
+    of ``vectors`` per weight, and checks them.  ``pure`` makes a vector one
+    branch, and ``from_density`` takes a density matrix's eigendecomposition
+    (eigenvalues as weights, eigenvectors as branches), so propagation only
+    ever evolves branch vectors.
     """
 
-    def __init__(self, *, vector: np.ndarray | None = None,
-                 matrix: np.ndarray | None = None,
-                 branch_weights: np.ndarray | None = None,
-                 branch_vectors: np.ndarray | None = None):
-        if (vector is None) == (matrix is None) and branch_vectors is None:
-            raise ValueError("provide exactly one of vector, matrix, or branches")
-        if vector is not None:
-            v = np.asarray(vector, dtype=complex).ravel()
-            norm = np.linalg.norm(v)
-            if abs(norm - 1.0) >= NORM_TOL:
-                raise ValueError(f"pure-state vector norm {norm} differs from 1 beyond {NORM_TOL}")
-            self._branch_weights = np.array([1.0])
-            self._branch_vectors = v[:, None]
-        elif branch_vectors is not None:
-            w = np.asarray(branch_weights, dtype=float)
-            vs = np.asarray(branch_vectors, dtype=complex)
-            if vs.ndim != 2 or vs.shape[1] != w.size:
-                raise ValueError("branch_vectors must be (dimension, n_branches)")
-            if abs(w.sum() - 1.0) >= TRACE_TOL or np.any(w < 0):
-                raise ValueError("branch weights must be nonnegative and sum to 1")
-            norms = np.linalg.norm(vs, axis=0)
-            if np.max(np.abs(norms - 1.0)) >= NORM_TOL:
-                raise ValueError("branch vectors must be unit norm")
-            self._branch_weights = w
-            self._branch_vectors = vs
-        else:
-            m = np.asarray(matrix, dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise DimensionMismatchError("density matrix must be square")
-            if np.max(np.abs(m - m.conj().T)) >= HERMITICITY_TOL:
-                raise ValueError(f"density matrix not Hermitian within {HERMITICITY_TOL}")
-            tr = np.trace(m).real
-            if abs(tr - 1.0) >= TRACE_TOL:
-                raise ValueError(f"density matrix trace {tr} differs from 1 beyond {TRACE_TOL}")
-            vals, vecs = np.linalg.eigh(m)
-            if vals[0] < EIGENVALUE_FLOOR:
-                raise ValueError("density matrix has an eigenvalue below the tolerance floor")
-            # zero-weight branches are kept; clipping the negative rounding
-            # may lift the sum above 1 by at most dimension * |floor|
-            w = np.clip(vals, 0.0, None)
-            self._branch_weights = w / w.sum()
-            self._branch_vectors = vecs
+    def __init__(self, weights, vectors):
+        w = np.asarray(weights, dtype=float)
+        vs = np.asarray(vectors, dtype=complex)
+        if vs.ndim != 2 or vs.shape[1] != w.size:
+            raise ValueError("branch vectors must be (dimension, n_branches)")
+        if abs(w.sum() - 1.0) >= TRACE_TOL or np.any(w < 0):
+            raise ValueError("branch weights must be nonnegative and sum to 1")
+        defect = np.max(np.abs(np.linalg.norm(vs, axis=0) - 1.0))
+        if defect >= NORM_TOL:
+            raise ValueError(f"branch vector norms differ from 1 by {defect:.3g} >= {NORM_TOL}")
+        self._branch_weights, self._branch_vectors = w, vs
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "QuantumState":
-        return cls(vector=vector)
+        return cls([1.0], np.asarray(vector, dtype=complex).ravel()[:, None])
 
     @classmethod
     def from_density(cls, matrix: np.ndarray) -> "QuantumState":
-        return cls(matrix=matrix)
+        m = np.asarray(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionMismatchError("density matrix must be square")
+        if np.max(np.abs(m - m.conj().T)) >= HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian within {HERMITICITY_TOL}")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) >= TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr} differs from 1 beyond {TRACE_TOL}")
+        vals, vecs = np.linalg.eigh(m)
+        if vals[0] < EIGENVALUE_FLOOR:
+            raise ValueError("density matrix has an eigenvalue below the tolerance floor")
+        # zero-weight branches are kept; clipping the negative rounding
+        # may lift the sum above 1 by at most dimension * |floor|
+        w = np.clip(vals, 0.0, None)
+        return cls(w / w.sum(), vecs)
 
     @classmethod
     def mixture(cls, weights, vectors) -> "QuantumState":
-        """Weighted mixture of pure states; ``vectors`` has one column per branch."""
-        return cls(branch_weights=np.asarray(weights, dtype=float),
-                   branch_vectors=np.asarray(vectors, dtype=complex))
+        """Weighted mixture of pure states: the constructor by its name."""
+        return cls(weights, vectors)
 
     @property
     def dimension(self) -> int:
@@ -352,30 +336,18 @@ _ELECTRON_VECTORS = {
 }
 
 
-def _read_only_state(state: QuantumState) -> QuantumState:
-    for array in state.branches:
-        _read_only(array)
-    return state
-
-
 @functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
 def initial_state(kind: InitialStateKind | str, system: SpinSystem) -> QuantumState:
     """Electron prepared per ``kind``, nuclei in the maximally mixed state.
 
     The nuclear identity is expanded over the 2**N basis states as equally
-    weighted pure branches, which propagation handles by linearity.  The
-    state is cached per (kind, system) and its arrays are read-only.
+    weighted pure branches |electron> (x) |b>, which propagation handles by
+    linearity.  The state is cached per (kind, system) and its arrays are
+    read-only.
     """
-    kind = InitialStateKind(kind)
-    electron = _ELECTRON_VECTORS[kind]
-    n = system.n_nuclei
-    if n == 0:
-        return _read_only_state(QuantumState.pure(electron))
-    dim_n = 2 ** n
-    vectors = np.zeros((2 * dim_n, dim_n), dtype=complex)
-    for b in range(dim_n):
-        basis = np.zeros(dim_n, dtype=complex)
-        basis[b] = 1.0
-        vectors[:, b] = np.kron(electron, basis)
-    weights = np.full(dim_n, 1.0 / dim_n)
-    return _read_only_state(QuantumState.mixture(weights, vectors))
+    electron, dim_n = _ELECTRON_VECTORS[InitialStateKind(kind)], 2 ** system.n_nuclei
+    state = QuantumState.mixture(np.full(dim_n, 1.0 / dim_n),
+                                 np.kron(electron[:, None], np.eye(dim_n)))
+    for array in state.branches:
+        _read_only(array)
+    return state

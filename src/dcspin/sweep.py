@@ -52,7 +52,9 @@ class SweepResult:
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None = 1) -> list:
-    """Order-preserving map; uses a process pool when workers != 1."""
+    """Order-preserving map; uses a process pool when workers != 1 (None: all CPUs)."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]

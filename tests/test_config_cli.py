@@ -23,7 +23,7 @@ from dcspin import (
     run_topdnp,
 )
 from dcspin.cli import main, run_experiment
-from dcspin.config import parse_config
+from dcspin.config import OutputOptions, parse_config
 from dcspin.dynamics import IntegrationPolicy
 from dcspin.presets import (
     CARBON_RESONANCE,
@@ -38,6 +38,8 @@ from dcspin.presets import (
     carbon13_system,
     proton_system,
 )
+from dcspin.protocols import ProtocolSpec
+from dcspin.sweep import parallel_map
 
 EXPLICIT = {
     "system": {
@@ -72,6 +74,12 @@ def test_minimal_explicit_config_resolves_defaults(tmp_path):
     assert config.policy.ramp_substeps == 64  # defaults applied
     assert config.output.polarization_convention == "doubled"
     assert config.sweep.points == 7
+
+
+def test_protocol_and_output_defaults_come_from_their_dataclasses():
+    config = parse_config({**EXPLICIT, "output": {}})
+    assert config.protocol == ProtocolSpec("dcs", omega_max=angular_from_mhz(1.0))
+    assert config.output == OutputOptions()
 
 
 def test_integration_block_defaults_come_from_policy(tmp_path):
@@ -335,8 +343,54 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError"
-    assert main(["preset", "not-a-preset"]) == 2
-    assert main(["verify", "not-a-preset"]) == 2
+    assert record["config"] == str(tmp_path / "missing.json")
+    for command in ("preset", "verify"):
+        assert main([command, "not-a-preset"]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["preset"] == "not-a-preset"
+
+
+#: five 1H nuclei (dimension 64): a 5-point nu grid needs several stacks, so
+#: it reaches the process pool
+CLUSTER_SPECTRUM = {
+    "system": {"field_tesla": 0.35, "nuclei": [
+        {"isotope": "1H", "hyperfine_x_khz": 0.5 + j, "hyperfine_z_khz": 0.5} for j in range(5)]},
+    "protocol": {"kind": "dcs", "rabi_mhz": 2.0},
+    "sweep": {"axis": "nu_mhz", "start": 14.8, "stop": 15.0, "points": 5,
+              "total_time_ms": 0.001},
+}
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # an argparse usage error
+        return exc.code
+
+
+@pytest.mark.parametrize("command, output", [
+    (["run", "{config}", "--workers", "0"], {}),
+    (["run", "{config}", "--workers", "-2"], {}),
+    (["run", "{config}"], {"output": {"workers": 0}}),
+    (["preset", "fig1f", "--workers", "0"], {}),
+    (["verify", "fig1f", "--workers", "-2"], {}),
+], ids=["run-0", "run-negative", "config-0", "preset-0", "verify-negative"])
+def test_cli_rejects_a_worker_count_below_one(tmp_path, capsys, command, output):
+    config = write_config(tmp_path, {**CLUSTER_SPECTRUM, **output})
+    argv = [str(config) if arg == "{config}" else arg for arg in command]
+    assert _exit_code(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    if output:
+        assert "output.workers" in json.loads(err.strip())["message"]
+    else:
+        assert "--workers" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("items", [[], [1], [1, 2, 3]])
+@pytest.mark.parametrize("workers", [0, -2])
+def test_parallel_map_rejects_a_worker_count_below_one(items, workers):
+    with pytest.raises(ValueError, match="workers"):
+        parallel_map(abs, items, workers)
 
 
 def _cli_config_error(tmp_path, capsys, data) -> dict:
@@ -427,6 +481,7 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert main(["preset", "fig1f", "--out", "/tmp/dcspin-x"]) == 3
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "PropagationError"
+    assert record["preset"] == "fig1f"
 
 
 # ---------------------------------------------------------------------------
@@ -658,4 +713,5 @@ def test_a_config_with_one_bad_field_runs_or_exits_with_a_record(data):
     assert "Traceback" not in err.getvalue()
     if code:
         record = json.loads(err.getvalue().strip().splitlines()[-1])
-        assert set(record) == {"error", "message"}, record
+        assert set(record) == {"error", "message", "config"}, record
+        assert record["config"] == str(path)

@@ -42,7 +42,7 @@ from dcspin.dynamics import (
     standard_observables,
     waveform_drive,
 )
-from dcspin.protocols import _drive, pm_resonant_period
+from dcspin.protocols import _drive, _trajectory, pm_resonant_period
 from dcspin.spincore import (
     nuclear_x_observable,
     nuclear_z_observable,
@@ -242,6 +242,23 @@ def test_fast_forward_matches_sequential(case):
     slow = _propagate_case(case, fast_forward=False)
     for name, series in fast.observables.items():
         npt.assert_allclose(series, slow.observables[name], rtol=0, atol=1e-11, err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drives())
+def test_a_trajectory_equals_the_one_point_propagation_bit_for_bit(case):
+    """protocols._trajectory, a one-point stack of _stacks, gives the bits of
+    _drive + propagate_compiled at every requested time and the same final
+    branches, and holds exactly the requested times, with or without t = 0."""
+    system, spec, point, times, policy = case
+    trajectory, reference = _trajectory(system, spec, point, times, policy), _propagate_case(case)
+    skip = len(reference.times) - len(times)  # the t = 0 row, when not asked for
+    assert np.array_equal(trajectory.times, times)
+    assert list(trajectory.observables) == list(reference.observables)
+    for name, series in reference.observables.items():
+        assert np.array_equal(trajectory.observables[name], series[skip:]), name
+    for ours, theirs in zip(trajectory.final_state.branches, reference.final_state.branches):
+        assert np.array_equal(ours, theirs)
 
 
 # ---------------------------------------------------------------------------
