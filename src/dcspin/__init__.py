@@ -67,12 +67,9 @@ from .protocols import (  # noqa: F401
     build_dcs_waveform,
     build_pm_waveform,
     effective_field_topdnp,
-    run_amplitude_error_sweep,
-    run_constant,
     run_dcs_dnp,
     run_dcs_sensing,
-    run_pm,
-    run_topdnp,
+    run_sweep,
     solve_topdnp_detuning,
     topdnp_average_power,
 )

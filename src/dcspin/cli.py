@@ -10,7 +10,8 @@ list-presets        list available presets
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.  Errors also emit a one-line JSON record on stderr,
 with the preset (preset, verify) or the config path (run) it came from.
-A --workers value below 1 is a usage error (exit 2).
+A usage error, such as a --workers value below 1, exits 2 with the same
+record.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config, point_field
 from .constants import angular_from_mhz
 from .dynamics import MAX_SLICES, PropagationError, SliceCountError
 from .presets import PRESETS, run_preset, verify_preset
@@ -32,19 +33,23 @@ from .spincore import nuclear_frequency
 from .sweep import SweepResult
 from .waveform import FactorizationError, QuadratureError
 
-#: config sweep axis -> run_sweep axis and the conversion from config units
-_AXES = {
-    "nu_mhz": ("nu", angular_from_mhz),
-    "detuning_mhz": ("detuning", angular_from_mhz),
-    "total_time_ms": ("T", lambda ms: ms * 1e-3),
-    "amplitude_error": ("amplitude_error", float),
-}
+
+class UsageError(ValueError):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the JSON record (main), not as the usage text."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _operating_point(system, spec, plan) -> float | None:
-    """nu (dcs, pm) or the pulse detuning (topdnp) when the sweep holds it fixed."""
-    fixed = plan.detuning_mhz if spec.kind == "topdnp" else plan.nu_mhz
-    if fixed is None or plan.axis in ("nu_mhz", "detuning_mhz"):
+    """The operating point the sweep holds fixed (config.point_field), if any."""
+    field = point_field(spec.kind, plan.axis)
+    fixed = None if field is None else getattr(plan, field)
+    if fixed is None:
         return None
     if fixed == "auto":
         omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
@@ -58,7 +63,7 @@ def _operating_point(system, spec, plan) -> float | None:
 
 def _execute_explicit(config: ExperimentConfig, workers: int | None) -> list[SweepResult]:
     system, spec, plan = config.system, config.protocol, config.sweep
-    axis, to_si = _AXES[plan.axis]
+    axis, to_si = SWEEP_AXES[plan.axis]
     try:
         res = run_sweep(system, spec, axis, [to_si(v) for v in plan.grid_display],
                         T=None if plan.total_time_ms is None else plan.total_time_ms * 1e-3,
@@ -174,7 +179,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcspin",
         description="Electron-nuclear resonance experiments with switched driving",
     )
@@ -213,10 +218,11 @@ def _error_record(exc: Exception, args: argparse.Namespace) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (UsageError, ConfigError, FileNotFoundError, KeyError) as exc:
         print(_error_record(exc, args), file=sys.stderr)
         return 2
     except (PropagationError, QuadratureError, FactorizationError, ArithmeticError,

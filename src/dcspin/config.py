@@ -18,10 +18,16 @@ import numpy as np
 
 from .constants import angular_from_khz, angular_from_mhz
 from .dynamics import IntegrationPolicy
-from .protocols import ProtocolSpec
+from .protocols import OPERATING_POINT, TABLE_NAMES, ProtocolSpec
 from .spincore import Nucleus, SpinSystem, nucleus_from_isotope
 
-SWEEP_AXES = ("nu_mhz", "total_time_ms", "detuning_mhz", "amplitude_error")
+#: config sweep axis -> run_sweep axis and the conversion from config units
+SWEEP_AXES = {
+    "nu_mhz": ("nu", angular_from_mhz),
+    "total_time_ms": ("T", lambda ms: ms * 1e-3),
+    "detuning_mhz": ("detuning", angular_from_mhz),
+    "amplitude_error": ("amplitude_error", float),
+}
 POLARIZATION_CONVENTIONS = ("doubled", "bare")
 
 
@@ -87,8 +93,10 @@ class _Block:
         if key not in self.data:
             return default
         value = self.data[key]
-        if expected is not None and not isinstance(value, expected):
-            names = expected if isinstance(expected, tuple) else (expected,)
+        names = expected if isinstance(expected, tuple) else (expected,)
+        # JSON true/false are Python bools, and bool is a subclass of int
+        if expected is not None and (not isinstance(value, expected)
+                                     or isinstance(value, bool) and bool not in names):
             names = "/".join(t.__name__ for t in names)
             raise ConfigError(f"{self.path}.{key}: expected {names}, "
                               f"got {type(value).__name__}")
@@ -183,13 +191,22 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         raise ConfigError(f"{block.path}: {exc}") from None
 
 
+def point_field(kind: str, axis: str) -> str | None:
+    """The sweep field holding the operating point (protocols.OPERATING_POINT)
+    that a sweep of ``kind`` along config ``axis`` keeps fixed, or None when
+    the kind has none or the sweep moves it.  The field is named after the
+    config axis of that point."""
+    return next((name for name, (swept, _) in SWEEP_AXES.items()
+                 if swept == OPERATING_POINT[kind] and name != axis), None)
+
+
 def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
     block.reject_unknown({"axis", "start", "stop", "points", "total_time_ms",
                           "nu_mhz", "detuning_mhz"})
     kind = protocol.kind
     axis = block.require("axis", str)
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"{block.path}.axis: must be one of {SWEEP_AXES}")
+        raise ConfigError(f"{block.path}.axis: must be one of {tuple(SWEEP_AXES)}")
     points = block.require("points", int)
     if points < 2:
         raise ConfigError(f"{block.path}.points: need at least 2 sweep points")
@@ -213,17 +230,14 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
     if plan.total_time_ms is not None and not plan.total_time_ms > 0:
         raise ConfigError(f"{block.path}.total_time_ms: must be positive, "
                           f"got {plan.total_time_ms}")
-    if axis == "nu_mhz" and kind not in ("dcs", "pm"):
-        raise ConfigError(f"{block.path}.axis: nu_mhz applies to dcs/pm, not {kind!r}")
-    if axis == "detuning_mhz" and kind != "topdnp":
-        raise ConfigError(f"{block.path}.axis: detuning_mhz applies to topdnp only")
-    if axis in ("total_time_ms", "amplitude_error"):
-        if kind in ("dcs", "pm") and plan.nu_mhz is None:
-            raise ConfigError(f"{block.path}.nu_mhz: required for a {axis} sweep "
-                              f"of {kind!r}")
-        if kind == "topdnp" and plan.detuning_mhz is None:
-            raise ConfigError(f"{block.path}.detuning_mhz: required for a {axis} "
-                              "sweep of 'topdnp' (a number, or 'auto')")
+    swept = SWEEP_AXES[axis][0]
+    if (kind, swept) not in TABLE_NAMES:
+        kinds = "/".join(k for k, point in OPERATING_POINT.items() if point == swept)
+        raise ConfigError(f"{block.path}.axis: {axis} applies to {kinds}, not {kind!r}")
+    fixed = point_field(kind, axis)
+    if fixed is not None and getattr(plan, fixed) is None:
+        raise ConfigError(f"{block.path}.{fixed}: required for a {axis} sweep of {kind!r}"
+                          + (" (a number, or 'auto')" if fixed == "detuning_mhz" else ""))
     # the dcs drive needs nu > rabi_mhz, the pm drive nu > omega0_mhz
     floor = {"dcs": ("rabi_mhz", protocol.omega_max), "pm": ("omega0_mhz", protocol.omega0)}
     if kind in floor:
@@ -234,10 +248,8 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
             raise ConfigError(f"{block.path}.{name}: every nu of a {kind!r} drive must "
                               f"exceed protocol.{floor[kind][0]}, got {lowest} MHz")
     # a field the (kind, axis) pair never reads is rejected, not ignored
-    fixed = axis in ("total_time_ms", "amplitude_error")
     for key, used in (("total_time_ms", axis != "total_time_ms"),
-                      ("nu_mhz", fixed and kind in ("dcs", "pm")),
-                      ("detuning_mhz", fixed and kind == "topdnp")):
+                      ("nu_mhz", fixed == "nu_mhz"), ("detuning_mhz", fixed == "detuning_mhz")):
         if key in block.data and not used:
             raise ConfigError(f"{block.path}.{key}: not used by a {axis} sweep of {kind!r}")
     return plan

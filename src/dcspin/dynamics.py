@@ -211,6 +211,17 @@ def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
     return times
 
 
+def _times_from_zero(sample_times: Sequence[float]) -> np.ndarray:
+    """The sample times with t = 0 put first when absent; every run is read
+    there.  They must be finite and increasing."""
+    times = np.asarray(sample_times, dtype=float)
+    if times[0] != 0.0:
+        times = np.concatenate([[0.0], times])
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise ValueError("sample times must be finite, nonnegative and increasing")
+    return times
+
+
 def _matrix_powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     """a[b] to the power n[b] >= 1 in np.linalg.matrix_power's multiplication
     order (the powers a**(2**k) of the set bits of n multiplied in from the
@@ -552,11 +563,7 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
                        observables: Sequence[Observable]) -> Trajectory:
     """Evolve one point and sample it (a one-point stack of _evolve); t = 0
     is always sampled."""
-    times = np.asarray(sample_times, dtype=float)
-    if times[0] != 0.0:
-        times = np.concatenate([[0.0], times])
-    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
-        raise ValueError("sample times must be finite, nonnegative and increasing")
+    times = _times_from_zero(sample_times)
     values, weights, psi = _evolve(hamiltonian_of, [schedule], times, state0, policy,
                                    observables)
     return Trajectory(

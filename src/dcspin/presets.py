@@ -6,14 +6,16 @@ that the produced tables must satisfy.  The fig2* presets use a weakly
 coupled 13C nucleus at 1 T, the fig3*/fig4* presets a 1H nucleus at
 0.35 T, and fig1f is the purely analytic coupling-factor sweep.  A fig2
 or fig3 entry binds its runner and its verifier to one named drive
-constant, so a check reads the drive that was run.
+constant, so a check reads the drive that was run.  The phase-modulation
+and pulse-train drives are module-level ProtocolSpecs that go straight to
+protocols.run_sweep.
 
 Grid resolutions are not externally mandated; every preset uses 301 points
 over its displayed range and records that choice in the result metadata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -23,10 +25,10 @@ from . import __version__
 from .constants import angular_from_khz, angular_from_mhz, mhz_from_angular
 from .dynamics import effective_flipflop_signal
 from .protocols import (
+    ProtocolSpec,
     run_dcs_dnp,
     run_dcs_sensing,
-    run_pm,
-    run_topdnp,
+    run_sweep,
     solve_topdnp_detuning,
     topdnp_average_power,
 )
@@ -93,13 +95,18 @@ def _check_order(name: str, smaller: float, larger: float, what: str) -> Check:
 # scenario systems
 # ---------------------------------------------------------------------------
 
+def _phase_modulation(omega: float, initial_state_kind: str | None = None) -> ProtocolSpec:
+    """The phase-modulation drive with omega0 = omega1 = omega."""
+    return ProtocolSpec("pm", initial_state_kind, omega0=omega, omega1=omega)
+
+
 CARBON_RESONANCE = angular_from_mhz(10.713)
 RABI_FIG2 = angular_from_mhz(1.0)
 SENSING_TIME_FIG2 = 0.308e-3
 # phase modulation (omega0 = omega1) at the switching drive's peak Rabi
 # frequency (fig2a, fig2b) and at its average power (fig2c, fig2d)
-PM_FIG2A = angular_from_mhz(0.5)
-PM_FIG2C = RABI_FIG2 / np.sqrt(2.0)
+PM_FIG2A = _phase_modulation(angular_from_mhz(0.5))
+PM_FIG2C = _phase_modulation(RABI_FIG2 / np.sqrt(2.0))
 
 RABI_FIG3 = angular_from_mhz(2.0)
 PULSE_LEN_FIG3 = 56e-9
@@ -108,6 +115,11 @@ TOTAL_TIME_FIG3 = 1.0e-3
 # equal average power: the switching drive runs continuously, the pulse
 # train only for pulse_len out of every period
 RABI_FIG3_MATCHED = RABI_FIG3 * np.sqrt(PULSE_LEN_FIG3 / (PULSE_LEN_FIG3 + DELAY_FIG3))
+# the pulse train of fig3 and fig4 from the parallel preparation (its
+# default) and from the perpendicular one
+TOPDNP_FIG3 = ProtocolSpec("topdnp", rabi=RABI_FIG3, pulse_len=PULSE_LEN_FIG3,
+                           delay=DELAY_FIG3)
+TOPDNP_FIG3_PERPENDICULAR = replace(TOPDNP_FIG3, initial_state_kind="topdnp_perpendicular")
 
 
 def carbon13_system() -> SpinSystem:
@@ -129,11 +141,11 @@ def proton_system() -> SpinSystem:
     return SpinSystem(field_z=0.35, nuclei=(nucleus_from_isotope("1H", a, a),))
 
 
-def _fit_dip(sweep: Callable[..., SweepResult], center: float, halfspan: float,
+def _fit_dip(sweep: Callable[[np.ndarray], SweepResult], center: float, halfspan: float,
              points: int = 41) -> float:
-    """The nu of the signal dip that ``sweep(nu_grid=...)`` finds in a fine grid."""
+    """The nu of the signal dip that ``sweep(nu_grid)`` finds in a fine grid."""
     grid = np.linspace(center - halfspan, center + halfspan, points)
-    nu_star, _ = refine_extremum(grid, sweep(nu_grid=grid).column("sigma_z"), "min")
+    nu_star, _ = refine_extremum(grid, sweep(grid).column("sigma_z"), "min")
     return nu_star
 
 
@@ -196,22 +208,21 @@ def _verify_fig1f(results: list[SweepResult]) -> list[Check]:
 # fig2: sensing spectra and time traces, switching vs phase modulation
 # ---------------------------------------------------------------------------
 
-def _fig2_spectrum(pm_omega: float, name: str, workers=None) -> list[SweepResult]:
+def _fig2_spectrum(pm: ProtocolSpec, name: str, workers=None) -> list[SweepResult]:
     system = carbon13_system()
     grid = TWO_PI * np.linspace(10.60e6, 10.83e6, N_GRID)
     dcs = run_dcs_sensing(system, RABI_FIG2, grid, SENSING_TIME_FIG2, workers=workers)
-    pm = run_pm(system, pm_omega, pm_omega, nu_grid=grid, T=SENSING_TIME_FIG2,
-                workers=workers)
+    pm_run = run_sweep(system, pm, "nu", grid, T=SENSING_TIME_FIG2, workers=workers)
     meta = _meta(name, rabi_mhz=mhz_from_angular(RABI_FIG2),
-                 pm_omega_mhz=mhz_from_angular(pm_omega),
+                 pm_omega_mhz=mhz_from_angular(pm.omega0),
                  sensing_time_ms=SENSING_TIME_FIG2 * 1e3, points=N_GRID)
     values = np.array([mhz_from_angular(nu) for nu in grid])
     return [SweepResult("sigma_z", "nu_mhz", values,
-                        {"dcs": dcs.column("sigma_z"), "pm": pm.column("sigma_z")},
+                        {"dcs": dcs.column("sigma_z"), "pm": pm_run.column("sigma_z")},
                         meta)]
 
 
-def _verify_fig2_spectrum(results: list[SweepResult], pm_omega: float,
+def _verify_fig2_spectrum(results: list[SweepResult], pm: ProtocolSpec,
                           power_matched: bool) -> list[Check]:
     table = _table(results, "sigma_z")
     step_mhz = table.values[1] - table.values[0]
@@ -226,30 +237,30 @@ def _verify_fig2_spectrum(results: list[SweepResult], pm_omega: float,
                      "contrast pm < dcs"),
     ]
     if power_matched:
-        pm_power = average_power(PmWaveform(pm_omega, pm_omega, 1.0))
+        pm_power = average_power(PmWaveform(pm.omega0, pm.omega1, 1.0))
         checks.append(_check_close("average drive power matches the switching drive",
                                    pm_power, RABI_FIG2 ** 2, 1e-12))
     return checks
 
 
-def _fig2_time_trace(pm_omega: float, name: str, workers=None) -> list[SweepResult]:
+def _fig2_time_trace(pm: ProtocolSpec, name: str, workers=None) -> list[SweepResult]:
     system = carbon13_system()
     halfspan = TWO_PI * 3e3
     nu_dcs = fit_dcs_resonance(system, RABI_FIG2, SENSING_TIME_FIG2,
                                CARBON_RESONANCE, halfspan, workers=workers)
-    nu_pm = _fit_dip(partial(run_pm, system, pm_omega, pm_omega, T=SENSING_TIME_FIG2,
+    nu_pm = _fit_dip(partial(run_sweep, system, pm, "nu", T=SENSING_TIME_FIG2,
                              workers=workers), CARBON_RESONANCE, TWO_PI * 5e3)
     T_grid = np.linspace(0.0, 0.5e-3, 501)
     dcs = run_dcs_dnp(system, RABI_FIG2, nu_dcs, T_grid)
-    pm = run_pm(system, pm_omega, pm_omega, nu=nu_pm, T_grid=T_grid)
+    pm_run = run_sweep(system, pm, "T", T_grid, point=nu_pm)
     a_x = system.nuclei[0].hyperfine_x
     model = np.array([effective_flipflop_signal(RABI_FIG2, nu_dcs, a_x, t)
                       for t in T_grid])
     meta = _meta(name, rabi_mhz=mhz_from_angular(RABI_FIG2),
-                 pm_omega_mhz=mhz_from_angular(pm_omega),
+                 pm_omega_mhz=mhz_from_angular(pm.omega0),
                  nu_dcs_mhz=mhz_from_angular(nu_dcs), nu_pm_mhz=mhz_from_angular(nu_pm))
     return [SweepResult("sigma_z", "T_ms", T_grid * 1e3,
-                        {"dcs": dcs.column("sigma_z"), "pm": pm.column("sigma_z"),
+                        {"dcs": dcs.column("sigma_z"), "pm": pm_run.column("sigma_z"),
                          "dcs_effective_model": model}, meta)]
 
 
@@ -279,12 +290,9 @@ def _fig3_spectra(rabi_dcs: float, name: str, workers=None) -> list[SweepResult]
     dcs = run_dcs_sensing(system, rabi_dcs, nu_grid, TOTAL_TIME_FIG3, workers=workers)
     det_star = solve_topdnp_detuning(RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3, omega_n)
     det_grid = det_star + np.linspace(-halfspan, halfspan, N_GRID)
-    par = run_topdnp(system, RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3,
-                     detuning_grid=det_grid, T=TOTAL_TIME_FIG3,
-                     initial_state_kind="topdnp_parallel", workers=workers)
-    perp = run_topdnp(system, RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3,
-                      detuning_grid=det_grid, T=TOTAL_TIME_FIG3,
-                      initial_state_kind="topdnp_perpendicular", workers=workers)
+    par, perp = [run_sweep(system, spec, "detuning", det_grid, T=TOTAL_TIME_FIG3,
+                           workers=workers)
+                 for spec in (TOPDNP_FIG3, TOPDNP_FIG3_PERPENDICULAR)]
     meta = _meta(name, rabi_dcs_mhz=mhz_from_angular(rabi_dcs),
                  rabi_pulse_mhz=mhz_from_angular(RABI_FIG3),
                  pulse_len_ns=PULSE_LEN_FIG3 * 1e9, delay_ns=DELAY_FIG3 * 1e9,
@@ -341,12 +349,8 @@ def _fig3_time_traces(rabi_dcs: float, name: str, workers=None) -> list[SweepRes
     det_star = solve_topdnp_detuning(RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3, omega_n)
     T_grid = np.linspace(0.0, TOTAL_TIME_FIG3, N_GRID)
     dcs = run_dcs_dnp(system, rabi_dcs, omega_n, T_grid)
-    par = run_topdnp(system, RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3,
-                     detuning=det_star, T_grid=T_grid,
-                     initial_state_kind="topdnp_parallel")
-    perp = run_topdnp(system, RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3,
-                      detuning=det_star, T_grid=T_grid,
-                      initial_state_kind="topdnp_perpendicular")
+    par, perp = [run_sweep(system, spec, "T", T_grid, point=det_star)
+                 for spec in (TOPDNP_FIG3, TOPDNP_FIG3_PERPENDICULAR)]
     meta = _meta(name, rabi_dcs_mhz=mhz_from_angular(rabi_dcs),
                  rabi_pulse_mhz=mhz_from_angular(RABI_FIG3),
                  resonant_detuning_mhz=mhz_from_angular(det_star),
@@ -381,7 +385,7 @@ def _verify_fig3_time_traces(results: list[SweepResult], rabi_dcs: float) -> lis
 # ---------------------------------------------------------------------------
 
 SWITCH_FRACTION_FIG4 = 0.14
-PM_OMEGA_FIG4 = RABI_FIG3_MATCHED / np.sqrt(2.0)
+PM_FIG4 = _phase_modulation(RABI_FIG3_MATCHED / np.sqrt(2.0), "dnp_dcs")
 
 
 def _fig4_curves(delta: float, with_variant: bool) -> dict[str, np.ndarray]:
@@ -391,11 +395,10 @@ def _fig4_curves(delta: float, with_variant: bool) -> dict[str, np.ndarray]:
     T_grid = np.linspace(0.0, TOTAL_TIME_FIG3, N_GRID)
     dcs = run_dcs_dnp(system, RABI_FIG3_MATCHED, omega_n, T_grid,
                       amplitude_error=delta)
-    pm = run_pm(system, PM_OMEGA_FIG4, PM_OMEGA_FIG4, nu=omega_n, T_grid=T_grid,
-                initial_state_kind="dnp_dcs", amplitude_error=delta)
-    top = run_topdnp(system, RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3,
-                     detuning=det_star, T_grid=T_grid,
-                     initial_state_kind="topdnp_parallel", amplitude_error=delta)
+    pm = run_sweep(system, replace(PM_FIG4, amplitude_error=delta), "T", T_grid,
+                   point=omega_n)
+    top = run_sweep(system, replace(TOPDNP_FIG3, amplitude_error=delta), "T", T_grid,
+                    point=det_star)
     curves = {
         "dcs": dcs.column("nuclear_polarization"),
         "pm": pm.column("nuclear_polarization"),
@@ -411,7 +414,7 @@ def _fig4_curves(delta: float, with_variant: bool) -> dict[str, np.ndarray]:
 
 def _fig4_meta(name: str) -> dict:
     return _meta(name, rabi_dcs_mhz=mhz_from_angular(RABI_FIG3_MATCHED),
-                 pm_omega_mhz=mhz_from_angular(PM_OMEGA_FIG4),
+                 pm_omega_mhz=mhz_from_angular(PM_FIG4.omega0),
                  rabi_pulse_mhz=mhz_from_angular(RABI_FIG3),
                  switch_fraction=SWITCH_FRACTION_FIG4,
                  variant_t_initial="zero", total_time_ms=TOTAL_TIME_FIG3 * 1e3)
@@ -480,7 +483,7 @@ PRESETS: dict[str, Preset] = {
                     "13C sensing spectrum at 1 T: switching vs phase modulation "
                     "at equal peak Rabi frequency (1 MHz, T = 0.308 ms)",
                     partial(_fig2_spectrum, PM_FIG2A, "fig2a"),
-                    partial(_verify_fig2_spectrum, pm_omega=PM_FIG2A, power_matched=False)),
+                    partial(_verify_fig2_spectrum, pm=PM_FIG2A, power_matched=False)),
     "fig2b": Preset("fig2b",
                     "13C signal vs sensing time at the fitted resonance, with the "
                     "flip-flop model overlay",
@@ -490,7 +493,7 @@ PRESETS: dict[str, Preset] = {
                     "13C sensing spectrum: phase modulation at equal average power "
                     "(omega0 = omega1 = 1/sqrt(2) MHz)",
                     partial(_fig2_spectrum, PM_FIG2C, "fig2c"),
-                    partial(_verify_fig2_spectrum, pm_omega=PM_FIG2C, power_matched=True)),
+                    partial(_verify_fig2_spectrum, pm=PM_FIG2C, power_matched=True)),
     "fig2d": Preset("fig2d",
                     "13C signal vs sensing time with the equal-average-power "
                     "phase modulation",

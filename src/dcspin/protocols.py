@@ -1,14 +1,17 @@
 """The four experiment families: DCS sensing, DCS DNP, PM, and TOP-DNP.
 
-A ProtocolSpec and its operating point (nu for dcs and pm, the pulse
-detuning for topdnp) turn into keyed Hamiltonians and a compiled schedule
-in ``_drive``.  Every run evolves as stacks of such points (``_stacks``,
-``_evolve_stack``): a trajectory (``_trajectory``) is a one-point stack,
-and ``run_sweep`` is the one runner over every sweep axis: total time, the
-operating point, or the amplitude error.  The run_* functions are short
-front ends that build a spec and call it.  The stacks of a sweep are
-independent and can execute on a process pool; results merge in sweep
-order, so output is deterministic for any worker count.
+A ProtocolSpec and its operating point turn into keyed Hamiltonians and a
+compiled schedule in ``_drive``.  ``OPERATING_POINT`` names the sweep axis
+that holds each kind's point: nu for dcs and pm, the pulse detuning for
+topdnp, none for constant.  Every run evolves as stacks of such points
+(``_stacks``, ``_evolve_stack``): a trajectory (``_trajectory``) is a
+one-point stack, and ``run_sweep`` is the one runner over every sweep axis:
+total time, the operating point, or the amplitude error.  Two front ends
+build a dcs spec and call it, ``run_dcs_sensing`` (a nu sweep) and
+``run_dcs_dnp`` (a total-time sweep); the benchmark and its tracer call
+them by name.  The stacks of a sweep are independent and can execute on a
+process pool; results merge in sweep order, so output is deterministic for
+any worker count.
 
 Amplitude errors model miscalibrated drive power: every drive amplitude is
 scaled by (1 + delta) while timing parameters stay at their nominal values,
@@ -34,6 +37,7 @@ from .dynamics import (
     _normalized,
     _split_durations,
     _stack_groups,
+    _times_from_zero,
     _UnitaryCache,
     propagate,  # noqa: F401  perfbench/tracing.py wraps this name here
     propagate_compiled,  # noqa: F401  perfbench/tracing.py wraps this name here
@@ -57,7 +61,9 @@ from .spincore import (
 from .sweep import SweepResult, parallel_map
 from .waveform import ConstantWaveform, DcsWaveform, PmWaveform, Waveform, optimal_dwell_times
 
-PROTOCOL_KINDS = ("dcs", "pm", "topdnp", "constant")
+#: the sweep axis that holds each protocol kind's operating point, if it has one
+OPERATING_POINT = {"dcs": "nu", "pm": "nu", "topdnp": "detuning", "constant": None}
+PROTOCOL_KINDS = tuple(OPERATING_POINT)
 
 
 @dataclass(frozen=True)
@@ -264,11 +270,11 @@ def topdnp_average_power(rabi: float, pulse_len: float, delay: float) -> float:
 # one trajectory per operating point, one runner for every sweep axis
 # ---------------------------------------------------------------------------
 
-#: result table (and CSV file) name of every (kind, axis) pair run_sweep accepts
-TABLE_NAMES = {("dcs", "nu"): "dcs_sensing", ("dcs", "T"): "dcs_dnp",
-               ("pm", "nu"): "pm", ("pm", "T"): "pm",
-               ("topdnp", "detuning"): "topdnp", ("topdnp", "T"): "topdnp",
-               ("constant", "T"): "constant",
+#: result table (and CSV file) name of every (kind, axis) pair run_sweep accepts:
+#: total time, the amplitude error, and the kind's operating point
+TABLE_NAMES = {**{(kind, axis): kind for kind, point in OPERATING_POINT.items()
+                  for axis in ("T", point) if axis},
+               ("dcs", "nu"): "dcs_sensing", ("dcs", "T"): "dcs_dnp",
                **{(kind, "amplitude_error"): "amplitude_error_sweep"
                   for kind in PROTOCOL_KINDS}}
 
@@ -366,11 +372,7 @@ def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
     one-point stack of _stacks (with resets, a stack of chains).  The run is
     read at t = 0 whether or not that is asked for, and the trajectory holds
     the requested sample times only."""
-    times = np.asarray(sample_times, dtype=float)
-    if times[0] != 0.0:
-        times = np.concatenate([[0.0], times])
-    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
-        raise ValueError("sample times must be finite, nonnegative and increasing")
+    times = _times_from_zero(sample_times)
     if not times[-1] > 0:  # with only t = 0 to sample there is no segment to reset
         spec = replace(spec, reset_every=None)
     values, weights, psi = _evolve_stack(*_stacks(system, [(spec, point)], times, policy)[0])
@@ -426,17 +428,18 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     """Run ``spec`` over ``grid`` along one axis.
 
     Axis "T" is one evolution at ``point``, sampled at the grid times.  The
-    other axes record the observables at time T per grid value: "nu" (dcs,
-    pm) and "detuning" (topdnp) move the operating point, and
-    "amplitude_error" scales the drive amplitudes by (1 + delta) on top of
-    ``spec.amplitude_error`` at the fixed ``point``.  Their grid points
+    other axes record the observables at time T per grid value: the kind's
+    OPERATING_POINT axis ("nu" for dcs and pm, "detuning" for topdnp) moves
+    the operating point, and "amplitude_error" scales the drive amplitudes
+    by (1 + delta) on top of ``spec.amplitude_error`` at the fixed
+    ``point``.  Their grid points
     evolve as stacks (dynamics._evolve), which the pool spreads when a grid
     needs more than one; with resets, a stack is a stack of chains, one
     lane per segment (_evolve_stack).
     """
     if (spec.kind, axis) not in TABLE_NAMES:
         raise ValueError(f"axis {axis!r} does not apply to protocol {spec.kind!r}")
-    if point is None and axis in ("T", "amplitude_error") and spec.kind != "constant":
+    if point is None and OPERATING_POINT[spec.kind] not in (None, axis):
         raise ValueError(f"a {axis} sweep of {spec.kind!r} needs the operating point")
     if axis != "T" and not (T is not None and T > 0):
         raise ValueError(f"a {axis} sweep needs T > 0")
@@ -491,68 +494,3 @@ def run_dcs_dnp(system: SpinSystem, omega_max: float, nu: float,
                         t_initial=t_initial, amplitude_error=amplitude_error,
                         reset_every=reset_every)
     return run_sweep(system, spec, "T", T_grid, point=nu, policy=policy)
-
-
-def _spectrum_or_time(system, spec, axis, grid, T, point, T_grid, policy, workers):
-    """Spectrum mode (``axis`` grid + T) or time mode (point + T_grid)."""
-    if (grid is None) == (T_grid is None):
-        raise ValueError("provide exactly one of a spectrum grid (with T) or T_grid")
-    if grid is None:
-        return run_sweep(system, spec, "T", T_grid, point=point, policy=policy)
-    return run_sweep(system, spec, axis, grid, T=T, policy=policy, workers=workers)
-
-
-def run_pm(system: SpinSystem, omega0: float, omega1: float, *,
-           nu_grid: Sequence[float] | None = None, T: float | None = None,
-           nu: float | None = None, T_grid: Sequence[float] | None = None,
-           policy: IntegrationPolicy | None = None,
-           initial_state_kind: str | None = None,
-           amplitude_error: float = 0.0,
-           workers: int | None = 1) -> SweepResult:
-    """PM protocol: spectrum mode (nu_grid + T) scans the resonance through
-    the modulation period; time mode (nu + T_grid) follows one evolution."""
-    spec = ProtocolSpec("pm", initial_state_kind, amplitude_error=amplitude_error,
-                        omega0=omega0, omega1=omega1)
-    return _spectrum_or_time(system, spec, "nu", nu_grid, T, nu, T_grid, policy, workers)
-
-
-def run_topdnp(system: SpinSystem, rabi: float, pulse_len: float, delay: float, *,
-               detuning_grid: Sequence[float] | None = None, T: float | None = None,
-               detuning: float | None = None, T_grid: Sequence[float] | None = None,
-               policy: IntegrationPolicy | None = None,
-               initial_state_kind: str | None = None,
-               amplitude_error: float = 0.0,
-               workers: int | None = 1) -> SweepResult:
-    """Pulse-train DNP: sweep the pulse detuning (detuning_grid + T) or
-    follow the polarization buildup at fixed detuning (detuning + T_grid)."""
-    spec = ProtocolSpec("topdnp", initial_state_kind, amplitude_error=amplitude_error,
-                        rabi=rabi, pulse_len=pulse_len, delay=delay)
-    return _spectrum_or_time(system, spec, "detuning", detuning_grid, T, detuning, T_grid,
-                             policy, workers)
-
-
-def run_constant(system: SpinSystem, omega_e: float, T_grid: Sequence[float],
-                 policy: IntegrationPolicy | None = None, *,
-                 initial_state_kind: str | None = None,
-                 amplitude_error: float = 0.0) -> SweepResult:
-    """Continuous constant drive (the Hartmann-Hahn reference case)."""
-    spec = ProtocolSpec("constant", initial_state_kind, amplitude_error=amplitude_error,
-                        omega_e=omega_e)
-    return run_sweep(system, spec, "T", T_grid, policy=policy)
-
-
-def run_amplitude_error_sweep(system: SpinSystem, spec: ProtocolSpec,
-                              deltas: Sequence[float], T: float, *,
-                              nu: float | None = None,
-                              detuning: float | None = None,
-                              policy: IntegrationPolicy | None = None,
-                              workers: int | None = 1) -> SweepResult:
-    """Final observables at time T versus the drive-amplitude error delta.
-
-    The protocol stays at its nominal operating point (nu for dcs/pm,
-    detuning for topdnp); each delta scales the drive amplitudes on top of
-    any error already carried by ``spec``.
-    """
-    point = detuning if spec.kind == "topdnp" else nu
-    return run_sweep(system, spec, "amplitude_error", deltas, T=T, point=point,
-                     policy=policy, workers=workers)

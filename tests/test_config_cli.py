@@ -15,15 +15,10 @@ from dcspin import (
     angular_from_khz,
     angular_from_mhz,
     load_config,
-    run_amplitude_error_sweep,
-    run_constant,
-    run_dcs_dnp,
-    run_dcs_sensing,
-    run_pm,
-    run_topdnp,
+    run_sweep,
 )
 from dcspin.cli import main, run_experiment
-from dcspin.config import OutputOptions, parse_config
+from dcspin.config import SWEEP_AXES, OutputOptions, parse_config
 from dcspin.dynamics import IntegrationPolicy
 from dcspin.presets import (
     CARBON_RESONANCE,
@@ -38,7 +33,7 @@ from dcspin.presets import (
     carbon13_system,
     proton_system,
 )
-from dcspin.protocols import ProtocolSpec
+from dcspin.protocols import TABLE_NAMES, ProtocolSpec
 from dcspin.sweep import parallel_map
 
 EXPLICIT = {
@@ -367,6 +362,44 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["frobnicate"], "frobnicate"),
+    (["run", "x.json", "--workers", "two"], "--workers"),
+])
+def test_cli_usage_errors_leave_one_json_record(capsys, argv, names):
+    assert _exit_code(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "UsageError"
+    assert names in record["message"]
+
+
+def test_cli_help_and_version_print_and_exit_zero(capsys):
+    assert _exit_code(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("dcspin ")
+    assert _exit_code(["run", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: dcspin run") and captured.err == ""
+
+
+@pytest.mark.parametrize("block, key", [
+    ("protocol", "rabi_mhz"), ("integration", "ramp_substeps"), ("output", "workers"),
+])
+def test_cli_rejects_a_json_boolean_where_a_number_is_expected(tmp_path, capsys, block, key):
+    data = json.loads(json.dumps(EXPLICIT))
+    data.setdefault(block, {})[key] = True
+    assert main(["run", str(write_config(tmp_path, data)), "--out", str(tmp_path / "out")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert f"{block}.{key}: expected" in record["message"]
+
+
+def test_fast_forward_still_takes_a_boolean():
+    data = dict(EXPLICIT, integration={"fast_forward": False})
+    assert parse_config(data).policy.fast_forward is False
+
+
 @pytest.mark.parametrize("command, output", [
     (["run", "{config}", "--workers", "0"], {}),
     (["run", "{config}", "--workers", "-2"], {}),
@@ -485,7 +518,7 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# every (kind, axis) pair: the CLI equals the library front ends
+# every (kind, axis) pair: the CLI equals run_sweep
 # ---------------------------------------------------------------------------
 
 PROTON = {"field_tesla": 0.35,
@@ -513,32 +546,17 @@ PAIRS += [(kind, "amplitude_error", "amplitude_error_sweep") for kind in PAIR_PR
 
 
 def _library_result(config):
-    """The same run through the library front end of its (kind, axis) pair."""
+    """The same run through run_sweep, with this test's own unit conversion
+    and its own operating point: nu for dcs and pm, the detuning for topdnp."""
     system, spec, plan = config.system, config.protocol, config.sweep
     T = None if plan.total_time_ms is None else plan.total_time_ms * 1e-3
-    nu = None if plan.nu_mhz is None else angular_from_mhz(plan.nu_mhz)
-    det = None if plan.detuning_mhz is None else angular_from_mhz(plan.detuning_mhz)
-    grid = np.array([angular_from_mhz(v) for v in plan.grid_display])
-    T_grid = plan.grid_display * 1e-3
-    common = {"policy": config.policy, "amplitude_error": spec.amplitude_error}
-    if plan.axis == "amplitude_error":
-        return run_amplitude_error_sweep(system, spec, plan.grid_display, T, nu=nu,
-                                         detuning=det, policy=config.policy)
-    if spec.kind == "dcs" and plan.axis == "nu_mhz":
-        return run_dcs_sensing(system, spec.omega_max, grid, T, **common)
-    if spec.kind == "dcs":
-        return run_dcs_dnp(system, spec.omega_max, nu, T_grid, **common)
-    if spec.kind == "pm" and plan.axis == "nu_mhz":
-        return run_pm(system, spec.omega0, spec.omega1, nu_grid=grid, T=T, **common)
-    if spec.kind == "pm":
-        return run_pm(system, spec.omega0, spec.omega1, nu=nu, T_grid=T_grid, **common)
-    if plan.axis == "detuning_mhz":
-        return run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay,
-                          detuning_grid=grid, T=T, **common)
-    if spec.kind == "topdnp":
-        return run_topdnp(system, spec.rabi, spec.pulse_len, spec.delay, detuning=det,
-                          T_grid=T_grid, **common)
-    return run_constant(system, spec.omega_e, T_grid, **common)
+    axis, grid = {"nu_mhz": ("nu", [angular_from_mhz(v) for v in plan.grid_display]),
+                  "detuning_mhz": ("detuning", [angular_from_mhz(v) for v in plan.grid_display]),
+                  "total_time_ms": ("T", plan.grid_display * 1e-3),
+                  "amplitude_error": ("amplitude_error", plan.grid_display)}[plan.axis]
+    fixed = {"dcs": plan.nu_mhz, "pm": plan.nu_mhz, "topdnp": plan.detuning_mhz}.get(spec.kind)
+    point = None if fixed is None else angular_from_mhz(fixed)
+    return run_sweep(system, spec, axis, grid, T=T, point=point, policy=config.policy)
 
 
 def _csv_columns(path) -> dict[str, np.ndarray]:
@@ -564,6 +582,29 @@ def test_every_kind_axis_pair_runs_and_matches_the_library(tmp_path, kind, axis,
         assert list(columns)[1:] == list(library.columns)
         for name, values in library.columns.items():
             assert np.array_equal(columns[name], values), name
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+@pytest.mark.parametrize("kind", PAIR_PROTOCOLS)
+def test_config_accepts_exactly_the_sweeps_run_sweep_accepts(kind, axis):
+    swept = SWEEP_AXES[axis][0]
+    sweep = dict(PAIR_SWEEPS[axis], axis=axis)
+    if axis in ("total_time_ms", "amplitude_error"):
+        sweep.update(PAIR_POINTS[kind])
+    data = {"system": PROTON, "protocol": PAIR_PROTOCOLS[kind], "sweep": sweep}
+    if (kind, swept) in TABLE_NAMES:
+        assert parse_config(data).sweep.axis == axis
+        return
+    with pytest.raises(ConfigError, match=f"sweep.axis: {axis} applies"):
+        parse_config(data)
+    config = parse_config(dict(data, sweep=dict(PAIR_SWEEPS["total_time_ms"],
+                                                axis="total_time_ms", **PAIR_POINTS[kind])))
+    with pytest.raises(ValueError, match="does not apply"):
+        run_sweep(config.system, config.protocol, swept, [1.0], T=1e-6, point=1.0)
+
+
+def test_the_pair_runs_cover_every_sweep_run_sweep_accepts():
+    assert {(kind, SWEEP_AXES[axis][0]): table for kind, axis, table in PAIRS} == TABLE_NAMES
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""The benchmark's tracer still finds every name it wraps.
+"""The benchmark still finds every dcspin name it uses.
 
 perfbench/tracing.py wraps functions by name in dcspin's module namespaces
 and raises KeyError when one is missing, so a refactor that drops one of
-them breaks the traced benchmark run.  This test runs the tracer around a
-small sweep.
+them breaks the traced benchmark run.  These tests run the tracer around
+small sweeps, and read every ``<module>.<name>`` that perfbench's sources
+take from dcspin.
 """
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -14,7 +17,8 @@ import numpy as np
 from dcspin import (angular_from_mhz, build_dcs_waveform, initial_state, nuclear_frequency,
                     presets, propagate, protocols, waveform)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing(monkeypatch):
@@ -81,3 +85,36 @@ def test_tracer_spans_a_reset_run_and_restores_everything(monkeypatch, carbon_sy
     assert totals["dynamics.eigh"]["calls"] == 1
     assert "dynamics.propagate" not in totals
     assert tracing.leftover_wrappers() == []
+
+
+def _dcspin_names(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) of every name the source takes from dcspin: each
+    ``from dcspin.m import name``, and each attribute ``m.name`` read off a
+    dcspin module that ``from dcspin import m`` brought in."""
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dcspin"):
+            for alias in node.names:
+                target = f"{node.module}.{alias.name}"
+                if node.module == "dcspin" and importlib.util.find_spec(target):
+                    modules[alias.asname or alias.name] = target
+                else:
+                    names.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            names.add((modules[node.value.id], node.attr))
+    return names
+
+
+def test_every_dcspin_name_the_benchmark_reads_exists():
+    """A name the benchmark takes from dcspin that a change deletes fails
+    here, not first in the benchmark run."""
+    used = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _dcspin_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert ("dcspin.protocols", "run_dcs_dnp") in used
+    assert ("dcspin.dynamics", "propagate") in used
+    missing = sorted(f"{module}.{name}" for module, name in used
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []

@@ -26,11 +26,8 @@ from dcspin import (
     initial_state,
     nuclear_frequency,
     propagate,
-    run_constant,
     run_dcs_dnp,
     run_dcs_sensing,
-    run_pm,
-    run_topdnp,
     solve_topdnp_detuning,
     topdnp_average_power,
 )
@@ -430,16 +427,10 @@ def test_spec_resolves_the_initial_state_default():
 def test_pm_zero_modulation_is_flat(carbon_system):
     omega0 = angular_from_mhz(0.5)
     grid = TWO_PI * np.linspace(10.6e6, 10.83e6, 5)
-    res = run_pm(carbon_system, omega0, 0.0, nu_grid=grid, T=0.308e-3)
+    res = run_sweep(carbon_system, ProtocolSpec("pm", omega0=omega0, omega1=0.0), "nu", grid,
+                    T=0.308e-3)
     sz = res.column("sigma_z")
     npt.assert_allclose(sz, sz[0], atol=1e-9)
-
-
-def test_pm_mode_validation(carbon_system):
-    with pytest.raises(ValueError):
-        run_pm(carbon_system, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        run_pm(carbon_system, 1.0, 1.0, nu_grid=[10.0], T=1.0, T_grid=[1.0])
 
 
 def test_pm_against_independent_two_segment_stepper(carbon_system):
@@ -450,7 +441,8 @@ def test_pm_against_independent_two_segment_stepper(carbon_system):
     w = build_pm_waveform(omega0, omega1, omega_n)
     n_periods = 200
     T = n_periods * w.period
-    res = run_pm(carbon_system, omega0, omega1, nu=omega_n, T_grid=[0.0, T])
+    res = run_sweep(carbon_system, ProtocolSpec("pm", omega0=omega0, omega1=omega1), "T",
+                    [0.0, T], point=omega_n)
 
     u_hi = expm(-1j * build_hamiltonian(carbon_system, omega0 + omega1).matrix
                 * (w.period / 2))
@@ -481,7 +473,8 @@ def test_pulse_train_validation():
 
 def test_no_drive_no_transfer(proton):
     times = np.linspace(0.0, 0.1e-3, 5)
-    res = run_topdnp(proton, 0.0, 56e-9, 28e-9, detuning=0.0, T_grid=times)
+    spec = ProtocolSpec("topdnp", rabi=0.0, pulse_len=56e-9, delay=28e-9)
+    res = run_sweep(proton, spec, "T", times, point=0.0)
     npt.assert_allclose(res.column("nuclear_polarization"), 0.0, atol=1e-12)
 
 
@@ -525,10 +518,10 @@ def test_topdnp_transfer_orders_of_state_preparations(proton):
     omega_n = nuclear_frequency(proton.nuclei[0], proton.field_z)
     det = solve_topdnp_detuning(rabi, 56e-9, 28e-9, omega_n)
     times = np.linspace(0.0, 1e-3, 11)
-    par = run_topdnp(proton, rabi, 56e-9, 28e-9, detuning=det, T_grid=times,
-                     initial_state_kind="topdnp_parallel")
-    perp = run_topdnp(proton, rabi, 56e-9, 28e-9, detuning=det, T_grid=times,
-                      initial_state_kind="topdnp_perpendicular")
+    spec = ProtocolSpec("topdnp", "topdnp_parallel", rabi=rabi, pulse_len=56e-9, delay=28e-9)
+    par = run_sweep(proton, spec, "T", times, point=det)
+    perp = run_sweep(proton, replace(spec, initial_state_kind="topdnp_perpendicular"), "T",
+                     times, point=det)
     assert par.column("nuclear_polarization")[-1] > 0
     assert perp.column("nuclear_polarization")[-1] > 0
     assert par.column("nuclear_polarization")[-1] > perp.column("nuclear_polarization")[-1]
@@ -544,7 +537,7 @@ def test_topdnp_average_power():
 
 def test_constant_protocol_runs(proton):
     times = np.linspace(0.0, 1e-5, 5)
-    res = run_constant(proton, angular_from_mhz(1.0), times)
+    res = run_sweep(proton, ProtocolSpec("constant", omega_e=angular_from_mhz(1.0)), "T", times)
     assert res.column("sigma_z").shape == times.shape
 
 
