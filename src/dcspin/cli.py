@@ -10,8 +10,8 @@ list-presets        list available presets
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.  Errors also emit a one-line JSON record on stderr,
 with the preset (preset, verify) or the config path (run) it came from.
-A usage error, such as a --workers value below 1, exits 2 with the same
-record.
+A usage error, such as a --workers value below 1, or a file that cannot
+be read or written exits 2 with the same record.
 """
 from __future__ import annotations
 
@@ -222,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError, FileNotFoundError, KeyError) as exc:
+    except (UsageError, ConfigError, OSError, KeyError) as exc:
         print(_error_record(exc, args), file=sys.stderr)
         return 2
     except (PropagationError, QuadratureError, FactorizationError, ArithmeticError,

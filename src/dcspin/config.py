@@ -332,10 +332,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     offending field path on schema violations.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # e.g. a directory, or not UTF-8
+        raise ConfigError(f"{path}: cannot read: {getattr(exc, 'strerror', exc)}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -14,10 +14,11 @@ lane's points side by side.  A trajectory is one point, a nu, detuning or
 amplitude-error sweep one lane of many, a run with electron resets a chain
 of one lane per segment, each from a map of the state the lane before
 ended in, and a reset sweep a stack of chains, weights kept per point.
-Each call decomposes every distinct key once and computes one unitary per
-distinct (key, duration); spans of whole periods between samples are
-applied as an integer power of the single-period propagator; the walk
-replays step programs built in array passes (see ``_evolve``).
+Each key is decomposed once per sweep, in one key table within STACK_BYTES,
+and each call computes one unitary per distinct (key, duration); spans of
+whole periods between samples are applied as an integer power of the
+single-period propagator; the walk replays step programs built in array
+passes (see ``_evolve``).
 """
 from __future__ import annotations
 
@@ -60,10 +61,10 @@ SEGMENT_UNITARITY_TOL = 1e-10
 MAX_SLICES = 10_000
 
 # bytes that the unitaries of one stack of sweep points or reset segments or
-# of one batch of clipped slices, or one buffer of samples and their
-# observable product, may span: a 301-point grid of one nucleus is one
-# stack, and a 64-dimensional grid runs 2 to 4 points per stack, keeping its
-# arrays to a few hundred KB
+# of one batch of clipped slices, one buffer of samples and their observable
+# product, or the eigenpairs of one key table may span: a 301-point grid of
+# one nucleus is one stack, and a 64-dimensional grid runs 2 to 4 points per
+# stack, keeping its arrays to a few hundred KB
 STACK_BYTES = 1 << 19
 
 
@@ -181,17 +182,30 @@ def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) 
 
 
 class _UnitaryCache:
-    """exp(-i H dt) of a keyed Hamiltonian, one eigendecomposition per key."""
+    """The key table of a keyed Hamiltonian: one eigendecomposition per key,
+    held while the held eigenpairs fit STACK_BYTES (past it, one per lookup)."""
 
     def __init__(self, hamiltonian_of: Callable[[Hashable], np.ndarray]):
         self._hamiltonian_of = hamiltonian_of
         self._eigs: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
+        self._room = STACK_BYTES
+
+    def eigenpairs(self, keys: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked eigenpairs of the distinct ``keys``: one eigh over those not held."""
+        new = [k for k in keys if k not in self._eigs]
+        if new:
+            vals, vecs = np.linalg.eigh(np.asarray([self._hamiltonian_of(k) for k in new], complex))
+            held = min(len(new), self._room // (vals[0].nbytes + vecs[0].nbytes))
+            self._room -= held * (vals[0].nbytes + vecs[0].nbytes)
+            self._eigs.update(zip(new[:held], zip(vals[:held].copy(), vecs[:held].copy())))
+            if len(new) == len(keys):
+                return vals, vecs
+            fresh = dict(zip(new, zip(vals, vecs)))
+        pairs = [self._eigs.get(k) or fresh[k] for k in keys]
+        return np.array([v for v, _ in pairs]), np.array([v for _, v in pairs])
 
     def unitary(self, key: Hashable, duration: float) -> np.ndarray:
-        if key not in self._eigs:
-            h = np.asarray(self._hamiltonian_of(key), dtype=complex)
-            self._eigs[key] = np.linalg.eigh(h[None])
-        return _slice_unitaries(*self._eigs[key], np.array([duration]))[0]
+        return _slice_unitaries(*self.eigenpairs([key]), np.array([duration]))[0]
 
 
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
@@ -277,7 +291,7 @@ class _Rows(NamedTuple):
         return psi
 
 
-def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
+def _evolve(table: _UnitaryCache,
             schedules: Sequence[CompiledSchedule], times: Sequence[float] | np.ndarray,
             states: QuantumState | Sequence[QuantumState], policy: IntegrationPolicy,
             observables: Sequence[Observable],
@@ -303,9 +317,10 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     in, whole periods, and a tail window (0, r] of the period it ends in.
     A slice a window clips applies its key for the clipped length, so
     constant slices stay exact; whole-period walks clip to (0, period] too.
-    The whole stack is planned at once: one eigh over the distinct keys, one
-    unitary per distinct (key, duration), one power of each point's
-    polar-projected period product per distinct exponent, and the blocks
+    The whole stack is planned at once: the eigenpairs of the distinct keys
+    from ``table`` (one eigh over those it does not hold), one unitary per
+    distinct (key, duration), one power of each point's polar-projected
+    period product per distinct exponent, and the blocks
     (a, b, k, event) of the walk: a window, a jump or a period of slices
     (repeated k times, without fast-forward), then a sample read (event 1)
     or a read and the end of a lane (event 2).  The walk replays them over
@@ -315,11 +330,12 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     every unitarity_check_interval applied steps, at the end of the window,
     jump or period that reaches the count, and at every sample; samples are
     read in STACK_BYTES chunks, before every interval check and at the end
-    of each lane; a failure names the time of the run.
+    of each lane; a failure names when in the run it happened (a sample time
+    or, for an interval check, the span of samples it fell in).
     """
     slices = [s.steps or ((s.constant_key, 0.0),) for s in schedules]
     index = {k: i for i, k in enumerate(dict.fromkeys(k for row in slices for k, _ in row))}
-    vals, vecs = np.linalg.eigh(np.asarray([hamiltonian_of(k) for k in index], dtype=complex))
+    vals, vecs = table.eigenpairs(list(index))
     keys = np.array([[index[k] for k, _ in row] for row in slices]).T  # (slices, points)
     durations = np.array([[d for _, d in row] for row in slices]).T
     n_times, n_slices, n_points = len(times), len(keys), len(schedules)
@@ -347,16 +363,16 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
     def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
         return _slice_unitaries(vals[k], vecs[k], taus)
 
-    def check_health(stacks: np.ndarray, where: Callable[[int], str]) -> None:
+    def check_health(stacks: np.ndarray, where: Callable[[int, int], str]) -> None:
         """Raise for the first of the point ``stacks`` (in time order) that
-        is not finite or whose largest branch-norm defect fails."""
+        is not finite or whose largest branch-norm defect fails, at ``where(stack, point)``."""
         defect = np.abs(np.linalg.norm(stacks, axis=-2) - 1.0).max(axis=-1)
         defect[~np.isfinite(stacks).all(axis=(-2, -1))] = np.nan
         i = int(np.argmax(~(defect.max(axis=1) < policy.tolerance)))
         if not defect[i].max() < policy.tolerance:
             raise PropagationError("state became non-finite" if np.isnan(defect[i]).any() else
                                    f"state drift {defect[i].max():.3e} >= {policy.tolerance} "
-                                   f"at point {defect[i].argmax()} " + where(i))
+                                   + where(i, defect[i].argmax()))
 
     def flush() -> None:
         """Check and read the queued samples of lane l: one BLAS product per
@@ -365,8 +381,8 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
         nonlocal queued
         if queued:
             first, block = taken - queued, snapshots[:queued].reshape(-1, *snapshots.shape[2:])
-            check_health(snapshots[:queued],
-                         lambda i: f"at sample t = {times[first + i, l * n]:.6e}")
+            check_health(snapshots[:queued], lambda i, point: (
+                f"at point {point} at sample t = {times[first + i, l * n]:.6e}"))
             o_psi = (stacked @ block).reshape(len(block), len(observables), -1)
             # weighted <psi_b| of each point
             bra = (snapshots[:queued].conj() * weights[:, None]).reshape(len(block), -1)
@@ -403,8 +419,9 @@ def _evolve(hamiltonian_of: Callable[[Hashable], np.ndarray],
                 if applied >= due:
                     due = (applied // interval + 1) * interval
                     flush()
-                    check_health(psi.reshape(1, n, *psi.shape[-2:]),
-                                 lambda _: f"after {applied} slices")
+                    check_health(psi.reshape(1, n, *psi.shape[-2:]), lambda _, point: (
+                        f"between t = {times[taken - 1, l * n] if taken else 0.0:.6e} and "
+                        f"t = {times[taken, l * n]:.6e} at point {point} after {applied} slices"))
             if event:
                 sample(psi)
             if event == 2:
@@ -564,8 +581,8 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     """Evolve one point and sample it (a one-point stack of _evolve); t = 0
     is always sampled."""
     times = _times_from_zero(sample_times)
-    values, weights, psi = _evolve(hamiltonian_of, [schedule], times, state0, policy,
-                                   observables)
+    values, weights, psi = _evolve(_UnitaryCache(hamiltonian_of), [schedule], times, state0,
+                                   policy, observables)
     return Trajectory(
         times=times,
         observables={o.name: values[:, 0, i] for i, o in enumerate(observables)},

@@ -9,9 +9,9 @@ one-point stack, and ``run_sweep`` is the one runner over every sweep axis:
 total time, the operating point, or the amplitude error.  Two front ends
 build a dcs spec and call it, ``run_dcs_sensing`` (a nu sweep) and
 ``run_dcs_dnp`` (a total-time sweep); the benchmark and its tracer call
-them by name.  The stacks of a sweep are independent and can execute on a
-process pool; results merge in sweep order, so output is deterministic for
-any worker count.
+them by name.  The stacks of a sweep share one key table (a pool task its
+own copy) and can execute on a process pool; results merge in sweep order,
+so output is deterministic for any worker count.
 
 Amplitude errors model miscalibrated drive power: every drive amplitude is
 scaled by (1 + delta) while timing parameters stay at their nominal values,
@@ -335,7 +335,7 @@ def _segments(reset_every: float, sample_times: np.ndarray):
     return np.stack([np.concatenate([[0.0], at[:-1]]), at]), at_reset
 
 
-def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, hamiltonian_of,
+def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, table: _UnitaryCache,
                   schedules: Sequence[Sequence[CompiledSchedule]], T: float | np.ndarray,
                   policy: IntegrationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The observables (times, points, observables) at T (one time, or
@@ -347,7 +347,7 @@ def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, hamiltonian_of,
     times, obs = np.asarray(T, dtype=float).reshape(-1), standard_observables(system)
     state = initial_state(spec.initial_state_kind, system)
     if spec.reset_every is None:
-        return _evolve(hamiltonian_of, [row[0] for row in schedules], times, state, policy, obs)
+        return _evolve(table, [row[0] for row in schedules], times, state, policy, obs)
     bounds, at_reset = _segments(spec.reset_every, times)
     electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
     links = [(lambda state: _reset_electron(state, electron)) if reset else (lambda state: state)
@@ -357,7 +357,7 @@ def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, hamiltonian_of,
     for g in _stack_groups(counts, system.dimension, n):
         if g[0]:
             state = [links[g[0] - 1](_normalized(w, v)) for w, v in zip(weights, psi)]
-        values, weights, psi = _evolve(hamiltonian_of, [row[s] for s in g for row in schedules],
+        values, weights, psi = _evolve(table, [row[s] for s in g for row in schedules],
                                        np.repeat(bounds[:, g], n, axis=1), state, policy, obs,
                                        chain=links[g[0]:g[-1]])
         if not ends:
@@ -403,9 +403,9 @@ def _stack_rows(args) -> np.ndarray:
 
 def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]],
             T: float | np.ndarray, policy: IntegrationPolicy) -> list[tuple]:
-    """_evolve_stack arguments, one per stack: a run of consecutive points
-    with equal slice counts in every segment (one without resets), within
-    STACK_BYTES (dynamics._stack_groups)."""
+    """_evolve_stack arguments, one per stack (a run of consecutive points
+    with equal slice counts in every segment, one without resets, within
+    STACK_BYTES: dynamics._stack_groups), all holding one key table."""
     spec = points[0][0]
     if spec.reset_every is None:
         drives = [[_drive(system, s, point, policy) for s, point in points]]
@@ -417,7 +417,8 @@ def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]],
     # per point, its schedule and its slice count in every segment
     schedules = list(zip(*[[x for _, x in segment] for segment in drives]))
     counts = list(zip(*[[len(x.steps) or 1 for _, x in segment] for segment in drives]))
-    return [(system, spec, drives[0][0][0], [schedules[b] for b in g], T, policy)
+    table = _UnitaryCache(drives[0][0][0])
+    return [(system, spec, table, [schedules[b] for b in g], T, policy)
             for g in _stack_groups(counts, system.dimension)]
 
 

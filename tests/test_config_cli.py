@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -342,6 +343,57 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     for command in ("preset", "verify"):
         assert main([command, "not-a-preset"]) == 2
         assert json.loads(capsys.readouterr().err.strip())["preset"] == "not-a-preset"
+
+
+def _one_record(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_cli_rejects_a_config_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    record = _one_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{tmp_path}: cannot read")
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(EXPLICIT).encode("utf-16-le"))
+    assert main(["run", str(path)]) == 2
+    record = _one_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{path}: cannot read: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["run", "{config}", "--out", "{file}"], "FileExistsError"),
+    (["preset", "fig1f", "--out", "{file}/x"], "NotADirectoryError"),
+], ids=["run-out-is-a-file", "preset-out-under-a-file"])
+def test_cli_reports_an_output_directory_it_cannot_make(tmp_path, capsys, argv, error):
+    config, file = write_config(tmp_path, EXPLICIT), tmp_path / "file"
+    file.write_text("")
+    assert main([arg.format(config=config, file=file) for arg in argv]
+                + ["--workers", "1"]) == 2
+    record = _one_record(capsys)
+    assert record["error"] == error and str(file) in record["message"]
+
+
+def test_an_interval_check_failure_names_its_sample_span(tmp_path, capsys):
+    """With a check after every slice and a tolerance below rounding, the
+    first 0.5 us span fails its interval check; the record names that span."""
+    data = json.loads((Path(__file__).parents[1] / "configs"
+                       / "explicit_dnp_buildup.json").read_text())
+    data["sweep"].update(stop=0.001, points=3)
+    data["integration"] = {"unitarity_check_interval": 1, "tolerance": 1e-300}
+    assert main(["run", str(write_config(tmp_path, data)), "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 3
+    record = _one_record(capsys)
+    assert record["error"] == "PropagationError"
+    assert record["message"].startswith("state drift ")
+    assert " between t = 0.000000e+00 and t = 5.000000e-07 at point 0 after " \
+        in record["message"]
 
 
 #: five 1H nuclei (dimension 64): a 5-point nu grid needs several stacks, so
@@ -756,3 +808,56 @@ def test_a_config_with_one_bad_field_runs_or_exits_with_a_record(data):
         record = json.loads(err.getvalue().strip().splitlines()[-1])
         assert set(record) == {"error", "message", "config"}, record
         assert record["config"] == str(path)
+
+
+# ---------------------------------------------------------------------------
+# every command line: a nonzero exit leaves one JSON record, never a traceback
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A directory holding a small valid config, a config that is not UTF-8
+    and a subdirectory; ``missing.json`` is not there."""
+    root = tmp_path_factory.mktemp("argv")
+    data = {**_short_run(_EXAMPLES["explicit_sensing_spectrum.json"]),
+            "output": {"directory": str(root / "default")}}
+    (root / "small.json").write_text(json.dumps(data))
+    (root / "utf16.json").write_bytes(b"\xff\xfe{}")
+    (root / "subdir").mkdir()
+    return root
+
+
+@st.composite
+def command_lines(draw):
+    """argv of every subcommand with or without --workers and --out; paths
+    are relative to the ``argv_files`` directory."""
+    command = draw(st.sampled_from(["run", "preset", "verify", "list-presets"]))
+    argv = [command]
+    if command == "run":
+        argv.append(draw(st.sampled_from(["missing.json", "subdir", "utf16.json",
+                                          "small.json"])))
+    elif command != "list-presets":
+        argv.append(draw(st.sampled_from(["fig1f", "no-such-preset"])))
+    for flag, values in (("--workers", [None, "1", "2", "0", "-1", "two"]),
+                         ("--out", [None, "out", "small.json", "small.json/x"])):
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(command_lines())
+def test_every_nonzero_exit_leaves_one_json_record(argv_files, argv):
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(argv_files)  # a preset without --out writes under the working directory
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = _exit_code(argv)
+    finally:
+        os.chdir(cwd)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert {"error", "message"} <= set(json.loads(lines[0])), argv

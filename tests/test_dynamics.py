@@ -519,6 +519,23 @@ def test_chunked_step_programs_equal_one_program_bit_for_bit(monkeypatch):
                           default.final_state.density_matrix())
 
 
+def test_the_key_table_holds_eigenpairs_within_its_byte_budget():
+    """Ten 64-dimensional keys: the table holds the first seven (462 KB of
+    the 512 KB budget), decomposes a key past it again for each lookup, never
+    a held one, and every eigenpair equals the key's own eigh bit for bit."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(10, 64, 64)) + 1j * rng.normal(size=(10, 64, 64))
+    h, asked = a + a.conj().swapaxes(1, 2), []
+    table = dynamics._UnitaryCache(lambda k: asked.append(k) or h[k])
+    first = table.eigenpairs(list(range(10)))
+    held = table.eigenpairs([9, 0, 6])
+    assert asked == [*range(10), 9]
+    assert sum(v.nbytes + w.nbytes for v, w in table._eigs.values()) <= dynamics.STACK_BYTES
+    for k, got in [*enumerate(zip(*first)), *zip([9, 0, 6], zip(*held))]:
+        for ours, theirs in zip(got, np.linalg.eigh(h[k][None])):
+            assert np.array_equal(ours, theirs[0]), k
+
+
 @pytest.mark.parametrize("make", [
     lambda system, drive, state: propagate(system, drive, state, math.nan),
     lambda system, drive, state: propagate(system, drive, state, 2e-6, sample_times=[math.nan]),

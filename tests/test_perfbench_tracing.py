@@ -16,6 +16,7 @@ import numpy as np
 
 from dcspin import (angular_from_mhz, build_dcs_waveform, initial_state, nuclear_frequency,
                     presets, propagate, protocols, waveform)
+from dcspin.dynamics import IntegrationPolicy
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -84,6 +85,43 @@ def test_tracer_spans_a_reset_run_and_restores_everything(monkeypatch, carbon_sy
     totals = tracer.totals()
     assert totals["dynamics.eigh"]["calls"] == 1
     assert "dynamics.propagate" not in totals
+    assert tracing.leftover_wrappers() == []
+
+
+def test_a_square_drive_nu_sweep_decomposes_its_keys_once(monkeypatch, proton_cluster):
+    """A 5-point nu sweep at d = 64 splits into one stack per one or two
+    points, and all of them read their +-omega_max eigenpairs from one key
+    table: one eigh, so the benchmark's eigh count is one per sweep."""
+    tracing = _load_tracing(monkeypatch)
+    omega_n = nuclear_frequency(proton_cluster.nuclei[0], proton_cluster.field_z)
+    grid = omega_n + angular_from_mhz(0.05) * np.linspace(-1, 1, 5)
+    rabi, T = angular_from_mhz(2.0), 1e-6
+    spec = protocols.ProtocolSpec("dcs", omega_max=rabi)
+    assert len(protocols._stacks(proton_cluster, [(spec, nu) for nu in grid], T,
+                                 IntegrationPolicy())) >= 3
+    with tracing.Tracer() as tracer:
+        protocols.run_dcs_sensing(proton_cluster, rabi, grid, T, workers=1)
+    assert tracer.totals()["dynamics.eigh"]["calls"] == 1
+    assert tracing.leftover_wrappers() == []
+
+
+def test_a_reset_run_over_several_calls_decomposes_its_keys_once(monkeypatch, proton_cluster):
+    """At d = 64 a chain of five reset segments spans three _evolve calls;
+    every call reads the one key table of the run."""
+    tracing = _load_tracing(monkeypatch)
+    evolve, sizes = protocols._evolve, []
+
+    def counted(table, schedules, *args, **kwargs):
+        sizes.append(len(schedules))
+        return evolve(table, schedules, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "_evolve", counted)
+    omega_n = nuclear_frequency(proton_cluster.nuclei[0], proton_cluster.field_z)
+    with tracing.Tracer() as tracer:
+        protocols.run_dcs_dnp(proton_cluster, angular_from_mhz(2.0), omega_n,
+                              np.linspace(0.0, 5e-6, 6), reset_every=1e-6)
+    assert len(sizes) >= 3 and sum(sizes) == 5
+    assert tracer.totals()["dynamics.eigh"]["calls"] == 1
     assert tracing.leftover_wrappers() == []
 
 
