@@ -98,7 +98,6 @@ def _apply_polarization_convention(results: list[SweepResult],
 
 
 def write_outputs(results: list[SweepResult], out_dir: Path, manifest: dict) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for res in results:
         written.append(res.write_csv(out_dir / f"{res.name}.csv"))
@@ -114,13 +113,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                    workers: int | None = None) -> list[Path]:
     """Execute a resolved config and write one CSV per result plus a manifest."""
     workers = workers if workers is not None else config.output.workers
+    out_dir = Path(out_dir or Path(config.output.directory, config.preset or ""))
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the run
     started = time.monotonic()
     if config.preset is not None:
         results = run_preset(config.preset, workers)
-        default_dir = Path(config.output.directory) / config.preset
     else:
         results = _execute_explicit(config, workers)
-        default_dir = Path(config.output.directory)
     results = _apply_polarization_convention(results,
                                              config.output.polarization_convention)
     manifest = {
@@ -130,7 +129,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
         "polarization_convention": config.output.polarization_convention,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    return write_outputs(results, Path(out_dir or default_dir), manifest)
+    return write_outputs(results, out_dir, manifest)
 
 
 def _cmd_run(args) -> int:

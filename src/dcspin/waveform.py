@@ -18,8 +18,10 @@ needs quadrature only across switching ramps (where phi is quadratic).
 For a periodic drive and T = N tau the coupling factor factorizes as
 g = eta * J, where J is the single-period average of exp(i phi) and eta
 is the coherent sum over periods, peaked where the per-period phase
-advances by a multiple of 2 pi.  Both routes are computed and compared
-whenever the factorization applies.
+advances by a multiple of 2 pi.  The direct g is checked against eta * J
+whenever the factorization applies: eta is the closed-form sum, and J is
+read from the first period's spans of the direct pass, which equal a
+one-period pass bit for bit.
 """
 from __future__ import annotations
 
@@ -395,29 +397,33 @@ def _span_plan(w, t0: float, t1: float) -> tuple[np.ndarray, ...]:
     return plan
 
 
-def _exp_phase_integral(w, omega_n: float, t0: float, t1: float,
-                        phi0: float, rel_tol: float) -> tuple[complex, float]:
-    """Integral of exp(i phi(t)) over [t0, t1] with phi(t0) = phi0.
+def _exp_phase_integral(w, omega_n: float, t1: float, rel_tol: float,
+                        head: int = 0) -> tuple[complex, complex]:
+    """Integrals of exp(i phi(t)) over the spans of [0, t1] and over the first `head` of them.
 
-    Returns (integral, phi(t1)).  Every span is evaluated in one array pass:
-    constant spans (linear phase) in closed form, ramps (quadratic phase)
-    by adaptive Gauss quadrature.  Everything that does not depend on
+    One array pass: constant spans (linear phase) in closed form, ramps
+    (quadratic phase) by adaptive Gauss quadrature.  What does not depend on
     omega_n (durations, start values, ramp mask, c2 and c2 dur^2) comes from
-    _span_plan, cached per (drive, window).  The cache is exact: the plan is
-    computed by the same operations in the same order whether cached or not.
+    _span_plan, cached exactly per (drive, window).  A span's value depends
+    only on its start phase and interval, and the start phases are a running
+    sum, so the head integral is bit for bit a pass over the head's window.
     """
-    dur, va, ramp, c2, quad = _span_plan(w, t0, t1)
+    dur, va, ramp, c2, quad = _span_plan(w, 0.0, t1)
     c1 = omega_n - va
-    phi = np.add.accumulate(np.concatenate([[phi0], c1 * dur + quad]))
-    start = phi[:-1]
-    x = c1 * dur
+    step = c1 * dur
+    start = np.add.accumulate(np.concatenate([[0.0], step + quad]))[:-1]
+    const = ~ramp
+    x, c, rotor = step[const], c1[const], np.exp(1j * start[const])
     small = np.abs(x) < 1e-6
-    rotor = np.exp(1j * start)
-    series = dur * rotor * (1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0)
-    closed = rotor * (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c1))
-    total = np.sum(np.where(small, series, closed)[~ramp]) + np.sum(
-        _integral_quadratic_phase(start[ramp], c1[ramp], c2[ramp], dur[ramp], rel_tol))
-    return complex(total), float(phi[-1])
+    series = dur[const] * rotor * (1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0)
+    closed = np.where(small, series,
+                      rotor * (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c)))
+    ramps = _integral_quadratic_phase(start[ramp], c1[ramp], c2[ramp], dur[ramp], rel_tol)
+    total = complex(np.sum(closed) + np.sum(ramps))
+    if not head:
+        return total, 0j
+    n_ramps = np.count_nonzero(ramp[:head])
+    return total, complex(np.sum(closed[:head - n_ramps]) + np.sum(ramps[:n_ramps]))
 
 
 def _check_quadrature_args(omega_n: float, rel_tol: float) -> None:
@@ -429,43 +435,47 @@ def _check_quadrature_args(omega_n: float, rel_tol: float) -> None:
         raise ValueError("rel_tol must be finite and positive")
 
 
-def period_coupling_factor(w: Waveform, omega_n: float,
-                           rel_tol: float = DEFAULT_QUAD_TOL) -> complex:
-    """Single-period average J = (1/tau) integral_0^tau exp(i phi(t)) dt."""
-    tau = _require_periodic(w)
-    _check_quadrature_args(omega_n, rel_tol)
-    value, _ = _exp_phase_integral(w, omega_n, 0.0, tau, 0.0, rel_tol)
+def _period_average(value: complex, tau: float) -> complex:
     j = value / tau
     if abs(j) > 1.0 + 1e-9:
         raise ArithmeticError(f"|J| = {abs(j)} exceeds 1")
     return j
 
 
+def period_coupling_factor(w: Waveform, omega_n: float,
+                           rel_tol: float = DEFAULT_QUAD_TOL) -> complex:
+    """Single-period average J = (1/tau) integral_0^tau exp(i phi(t)) dt."""
+    tau = _require_periodic(w)
+    _check_quadrature_args(omega_n, rel_tol)
+    return _period_average(_exp_phase_integral(w, omega_n, tau, rel_tol)[0], tau)
+
+
 def coupling_factor(w: Waveform, omega_n: float, T: float,
                     rel_tol: float = DEFAULT_QUAD_TOL) -> complex:
     """g = (1/T) integral_0^T exp(i phi(t)) dt.
 
-    When the waveform is periodic and T is a whole number of periods the
-    factorization g = eta * J is evaluated independently and the two
-    routes are required to agree within FACTORIZATION_TOL.
+    When the waveform is periodic and T is a whole number N of periods, g
+    must agree within FACTORIZATION_TOL with eta * J: eta is the closed-form
+    N-period sum, and J is read from the first period's spans of the direct
+    pass (from a one-period pass if T falls short of tau by rounding).
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be finite and positive")
     _check_quadrature_args(omega_n, rel_tol)
-    value, _ = _exp_phase_integral(w, omega_n, 0.0, T, 0.0, rel_tol)
-    g = value / T
     tau = getattr(w, "period", None)
-    if tau is not None:
-        n = T / tau
-        n_int = round(n)
-        if n_int >= 1 and abs(n - n_int) < 1e-9:
-            eta = coherence_factor(phase_per_period(w, omega_n), n_int)
-            j = period_coupling_factor(w, omega_n, rel_tol)
-            if abs(g - eta * j) >= FACTORIZATION_TOL:
-                raise FactorizationError(
-                    f"direct g = {g} disagrees with eta*J = {eta * j} "
-                    f"(|diff| = {abs(g - eta * j):.3e}) for N = {n_int}"
-                )
+    n_int = 0 if tau is None else round(T / tau)
+    whole = n_int >= 1 and abs(T / tau - n_int) < 1e-9
+    head = len(_span_plan(w, 0.0, tau)[0]) if whole and T >= tau else 0
+    value, first = _exp_phase_integral(w, omega_n, T, rel_tol, head)
+    g = value / T
+    if whole:
+        eta = coherence_factor(phase_per_period(w, omega_n), n_int)
+        j = _period_average(first, tau) if head else period_coupling_factor(w, omega_n, rel_tol)
+        if abs(g - eta * j) >= FACTORIZATION_TOL:
+            raise FactorizationError(
+                f"direct g = {g} disagrees with eta*J = {eta * j} "
+                f"(|diff| = {abs(g - eta * j):.3e}) for N = {n_int}"
+            )
     return g
 
 

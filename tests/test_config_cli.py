@@ -380,6 +380,22 @@ def test_cli_reports_an_output_directory_it_cannot_make(tmp_path, capsys, argv, 
     assert record["error"] == error and str(file) in record["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{config}", "--out", "{file}"],
+    ["preset", "fig1f", "--out", "{file}/x"],
+], ids=["run-out-is-a-file", "preset-out-under-a-file"])
+def test_cli_makes_the_output_directory_before_the_run(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args):
+        raise AssertionError("the run started before the output directory was made")
+
+    monkeypatch.setattr("dcspin.cli.run_preset", no_run)
+    monkeypatch.setattr("dcspin.cli._execute_explicit", no_run)
+    config, file = write_config(tmp_path, EXPLICIT), tmp_path / "file"
+    file.write_text("")
+    assert main([arg.format(config=config, file=file) for arg in argv]) == 2
+    assert str(file) in _one_record(capsys)["message"]
+
+
 def test_an_interval_check_failure_names_its_sample_span(tmp_path, capsys):
     """With a check after every slice and a tolerance below rounding, the
     first 0.5 us span fails its interval check; the record names that span."""
@@ -808,6 +824,52 @@ def test_a_config_with_one_bad_field_runs_or_exits_with_a_record(data):
         record = json.loads(err.getvalue().strip().splitlines()[-1])
         assert set(record) == {"error", "message", "config"}, record
         assert record["config"] == str(path)
+
+
+def _json_type(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object", type(None): "null"}[type(value)]
+
+
+#: fields that take a second JSON type: t_initial is a keyword or a period fraction
+_ALSO_ACCEPTED = {"t_initial": "number"}
+
+
+@st.composite
+def retyped_examples(draw):
+    """An example config with one field set to a value of another JSON type,
+    and that field's path as the error message writes it."""
+    data = _short_run(_EXAMPLES[draw(st.sampled_from(sorted(_EXAMPLES)))])
+    *parents, last = path = draw(st.sampled_from(list(_fields(data))))
+    node = data
+    for key in parents:
+        node = node[key]
+    taken = {_json_type(node[last]), _ALSO_ACCEPTED.get(last)}
+    node[last] = draw(st.one_of(
+        st.integers(-3, 3), st.floats(-1e3, 1e3), st.text(max_size=4), st.booleans(),
+        st.none(), st.lists(st.integers(0, 3), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+    ).filter(lambda value: _json_type(value) not in taken))
+    name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    return data, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(retyped_examples())
+def test_a_field_of_another_json_type_exits_2_naming_the_field(case):
+    data, name = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(path), "--out", str(Path(tmp) / "out"), "--workers", "1"])
+    assert code == 2, (name, data)
+    record = json.loads(err.getvalue())
+    assert f"{path}{name}" in record["message"], (name, record)
 
 
 # ---------------------------------------------------------------------------

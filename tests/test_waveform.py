@@ -477,6 +477,39 @@ def test_the_span_plan_cache_changes_no_coupling_factor(w, periods):
     assert not any(a.flags.writeable for a in plan)
 
 
+@settings(max_examples=40, deadline=None)
+@given(w=st.one_of(ramped_dcs(), pm_drives()), omega_n=st.floats(0.5, 12.0),
+       n_periods=st.integers(1, 60))
+def test_the_first_period_of_a_whole_period_pass_is_a_one_period_pass(w, omega_n, n_periods):
+    """The eta * J check reads J from the first spans of the [0, N tau] pass."""
+    tau = w.period
+    period_plan = waveform._span_plan(w, 0.0, tau)
+    for one, whole in zip(period_plan, waveform._span_plan(w, 0.0, n_periods * tau)):
+        assert one.tobytes() == whole[:len(one)].tobytes()
+    one_pass, _ = waveform._exp_phase_integral(w, omega_n, tau, waveform.DEFAULT_QUAD_TOL)
+    _, head = waveform._exp_phase_integral(w, omega_n, n_periods * tau,
+                                           waveform.DEFAULT_QUAD_TOL, len(period_plan[0]))
+    assert np.array([head]).tobytes() == np.array([one_pass]).tobytes()
+
+
+@pytest.mark.parametrize("periods, passes", [(50, 1), (12.37, 1), (1 - 1e-12, 2)],
+                         ids=["whole", "fractional", "just-short-of-one"])
+def test_a_coupling_factor_makes_one_ramp_quadrature_pass(monkeypatch, periods, passes):
+    """T just short of tau still counts as one period, but its spans end
+    before tau, so J takes a one-period pass of its own."""
+    calls = []
+    quadrature = waveform._integral_quadratic_phase
+
+    def counted(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(waveform, "_integral_quadratic_phase", counted)
+    w = _ramped_drive()
+    coupling_factor(w, _NU, periods * w.period)
+    assert len(calls) == passes
+
+
 # ---------------------------------------------------------------------------
 # resonance condition and optimal dwell times
 # ---------------------------------------------------------------------------
