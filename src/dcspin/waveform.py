@@ -14,6 +14,9 @@ is evaluated in closed form segment by segment, and the coupling factor
     g = (1/T) integral_0^T exp(i phi(t)) dt
 
 needs quadrature only across switching ramps (where phi is quadratic).
+Every span of [0, T] is one of a few shapes (the whole spans of a piece
+share one), so g sums each span's start-phase rotor times its shape's
+integral from phase 0, and the quadrature runs once per ramp shape.
 
 For a periodic drive and T = N tau the coupling factor factorizes as
 g = eta * J, where J is the single-period average of exp(i phi) and eta
@@ -238,17 +241,19 @@ def _require_periodic(w) -> float:
     return w.period
 
 
-def _linear_spans(w, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(duration, v_start, v_end) arrays of the linear spans covering [t0, t1] in order.
+def _linear_spans(w, t0: float, t1: float) -> tuple[np.ndarray, ...]:
+    """(duration, v_start, v_end, shape) arrays of the linear spans covering [t0, t1] in order.
 
     Span ends are the absolute piece ends k tau + piece.end clipped to t1;
     the values at both ends of a span come from the Piece.value_at formula.
+    A whole span's shape is its piece index; a span clipped by t0 or t1 has
+    a shape of its own, the index plus 1, 2 or 3 times len(pieces).
     """
     empty = np.empty(0)
     if t1 <= t0:
-        return empty, empty, empty
+        return empty, empty, empty, empty
     if getattr(w, "period", None) is None:
-        return np.array([t1 - t0]), np.array([w.omega_e]), np.array([w.omega_e])
+        return np.array([t1 - t0]), np.array([w.omega_e]), np.array([w.omega_e]), np.zeros(1)
     tau = w.period
     start, end, v0, v1 = np.array(w.pieces()).T
     k = math.floor(t0 / tau)
@@ -259,7 +264,7 @@ def _linear_spans(w, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray, np.n
     first = max(0, np.searchsorted(start, u, side="right") - 1)
     stop = t1 - 1e-18 * max(1.0, abs(t1))
     if not t0 < stop:
-        return empty, empty, empty
+        return empty, empty, empty, empty
     periods = np.arange(k, math.floor(t1 / tau) + 3, dtype=float)
     piece_ends = (periods[:, None] * tau + end).ravel()[first:]
     n = 1 + np.searchsorted(piece_ends, stop, side="left")
@@ -268,11 +273,12 @@ def _linear_spans(w, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray, np.n
     idx = (first + np.arange(n)) % len(start)
     u_start = start[idx]
     u_start[0] = u
+    shape = idx + len(start) * ((u_start != start[idx]) + 2 * (ends < piece_ends[:n]))
     keep = dur > 0
-    dur, idx, u_start = dur[keep], idx[keep], u_start[keep]
+    dur, idx, u_start, shape = dur[keep], idx[keep], u_start[keep], shape[keep]
     a, slope = v0[idx], (v1 - v0)[idx]
     s0, width = start[idx], (end - start)[idx]
-    return dur, a + slope * (u_start - s0) / width, a + slope * (u_start + dur - s0) / width
+    return dur, a + slope * (u_start - s0) / width, a + slope * (u_start + dur - s0) / width, shape
 
 
 @functools.lru_cache(maxsize=PIECES_CACHE_SIZE)
@@ -303,7 +309,7 @@ def drive_integral(w, t0: float, t1: float) -> float:
 
 
 def _span_area(w, t0: float, t1: float) -> float:
-    dur, va, vb = _linear_spans(w, t0, t1)
+    dur, va, vb, _ = _linear_spans(w, t0, t1)
     return float(np.sum(0.5 * (va + vb) * dur))
 
 
@@ -345,13 +351,14 @@ def coherence_factor(delta_phi: float, n_periods: int) -> complex:
     return complex(np.exp(0.5j * (n - 1) * delta_phi) * ratio)
 
 
-def _integral_quadratic_phase(phi0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
-                              dt: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Adaptive Gauss integrals of exp(i(phi0 + c1 s + c2 s^2)) over s in [0, dt], per span.
+def _integral_quadratic_phase(c1: np.ndarray, c2: np.ndarray, dt: np.ndarray,
+                              rel_tol: float) -> np.ndarray:
+    """Adaptive Gauss integrals of exp(i(c1 s + c2 s^2)) over s in [0, dt], per span.
 
-    Refinement is breadth-first: each round evaluates every pending interval
-    whole and in halves with 15-point Gauss-Legendre in one np.exp, accepts
-    the intervals whose halves agree with the whole (or that reached
+    Every span is integrated from phase 0; the caller rotates it to its start
+    phase.  Refinement is breadth-first: each round evaluates every pending
+    interval whole and in halves with 15-point Gauss-Legendre in one np.exp,
+    accepts the intervals whose halves agree with the whole (or that reached
     _QUAD_MAX_DEPTH) and splits the rest.  |exp(i phi)| = 1, so tolerances
     are measured relative to the span dt.
     """
@@ -365,7 +372,7 @@ def _integral_quadratic_phase(phi0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
         lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])
         half_width = 0.5 * (hi - lo)
         s = half_width[..., None] * _GL_NODES + (0.5 * (lo + hi))[..., None]
-        phase = phi0[span, None] + c1[span, None] * s + c2[span, None] * s * s
+        phase = c1[span, None] * s + c2[span, None] * s * s
         whole, left, right = half_width * np.sum(_GL_WEIGHTS * np.exp(1j * phase), axis=-1)
         halves = left + right
         err = np.abs(whole - halves)
@@ -384,14 +391,18 @@ def _integral_quadratic_phase(phi0: np.ndarray, c1: np.ndarray, c2: np.ndarray,
 
 @functools.lru_cache(maxsize=4)
 def _span_plan(w, t0: float, t1: float) -> tuple[np.ndarray, ...]:
-    """(dur, va, ramp, c2, c2 dur^2) of the spans of [t0, t1].
+    """(dur, va, ramp, c2, c2 dur^2, shape, rep) of the spans of [t0, t1].
 
-    The arrays are read-only because every caller shares them.  A sweep over
-    omega_n at a fixed drive and T uses two entries, [0, T] and [0, tau].
+    shape numbers each span's shape: the whole spans of one drive piece
+    share one, a span clipped by t0 or t1 has its own.  rep holds the first
+    span of each shape, its representative.  The arrays are read-only
+    because every caller shares them.  A sweep over omega_n at a fixed
+    drive and T uses two entries, [0, T] and [0, tau].
     """
-    dur, va, vb = _linear_spans(w, t0, t1)
+    dur, va, vb, key = _linear_spans(w, t0, t1)
     c2 = -0.5 * (vb - va) / dur
-    plan = (dur, va, va != vb, c2, c2 * dur * dur)
+    _, rep, shape = np.unique(key, return_index=True, return_inverse=True)
+    plan = (dur, va, va != vb, c2, c2 * dur * dur, shape, rep)
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -401,29 +412,26 @@ def _exp_phase_integral(w, omega_n: float, t1: float, rel_tol: float,
                         head: int = 0) -> tuple[complex, complex]:
     """Integrals of exp(i phi(t)) over the spans of [0, t1] and over the first `head` of them.
 
-    One array pass: constant spans (linear phase) in closed form, ramps
-    (quadratic phase) by adaptive Gauss quadrature.  What does not depend on
-    omega_n (durations, start values, ramp mask, c2 and c2 dur^2) comes from
-    _span_plan, cached exactly per (drive, window).  A span's value depends
-    only on its start phase and interval, and the start phases are a running
-    sum, so the head integral is bit for bit a pass over the head's window.
+    Each span is its shape's integral from phase 0 (constant shapes in
+    closed form, ramps by adaptive Gauss quadrature, each once over its
+    representative span) times the rotor of its own start phase.  So a
+    whole-piece span is integrated over its representative's interval, while
+    the start phases still chain through every span's own duration as a
+    running sum.  The plan comes from _span_plan, cached per (drive, window);
+    the head's shapes and start phases are those of a pass over the head's
+    window, so the head integral is bit for bit that pass.
     """
-    dur, va, ramp, c2, quad = _span_plan(w, 0.0, t1)
+    dur, va, ramp, c2, quad, shape, rep = _span_plan(w, 0.0, t1)
     c1 = omega_n - va
     step = c1 * dur
     start = np.add.accumulate(np.concatenate([[0.0], step + quad]))[:-1]
-    const = ~ramp
-    x, c, rotor = step[const], c1[const], np.exp(1j * start[const])
+    x, c, d, bent = step[rep], c1[rep], dur[rep], ramp[rep]
     small = np.abs(x) < 1e-6
-    series = dur[const] * rotor * (1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0)
-    closed = np.where(small, series,
-                      rotor * (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c)))
-    ramps = _integral_quadratic_phase(start[ramp], c1[ramp], c2[ramp], dur[ramp], rel_tol)
-    total = complex(np.sum(closed) + np.sum(ramps))
-    if not head:
-        return total, 0j
-    n_ramps = np.count_nonzero(ramp[:head])
-    return total, complex(np.sum(closed[:head - n_ramps]) + np.sum(ramps[:n_ramps]))
+    base = np.where(small, d * (1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0),
+                    (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c)))
+    base[bent] = _integral_quadratic_phase(c[bent], c2[rep][bent], d[bent], rel_tol)
+    terms = np.exp(1j * start) * base[shape]
+    return complex(np.sum(terms)), complex(np.sum(terms[:head]))
 
 
 def _check_quadrature_args(omega_n: float, rel_tol: float) -> None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -508,6 +509,51 @@ def test_a_coupling_factor_makes_one_ramp_quadrature_pass(monkeypatch, periods, 
     w = _ramped_drive()
     coupling_factor(w, _NU, periods * w.period)
     assert len(calls) == passes
+
+
+def test_ramp_quadrature_work_does_not_grow_with_the_period_count(monkeypatch):
+    """Whole spans of one piece share one quadrature; only a span clipped
+    by T (the tail of a fractional period) adds one of its own."""
+    spans = []
+    quadrature = waveform._integral_quadratic_phase
+
+    def counted(c1, *args):
+        spans.append(len(c1))
+        return quadrature(c1, *args)
+
+    monkeypatch.setattr(waveform, "_integral_quadratic_phase", counted)
+    w = _ramped_drive()
+    for periods in (1, 50, 12.37):
+        coupling_factor(w, 1.01 * _NU, periods * w.period)
+    one, fifty, fractional = spans
+    assert one == fifty
+    assert one <= fractional <= one + 1
+
+
+def test_a_long_coupling_factor_stays_small_in_memory():
+    """The ramp quadrature runs per shape, not per span; the span arrays
+    themselves still grow with the period count."""
+    w = _ramped_drive()
+    waveform._span_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        coupling_factor(w, 1.01 * _NU, 10 ** 4 * w.period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        waveform._span_plan.cache_clear()
+    assert peak < 20e6
+
+
+@pytest.mark.parametrize("w, omega_n", [
+    (DcsWaveform(2.0, 1.3, 0.9, 0.4, t_initial=-1.2), 3.1),
+    (PmWaveform(2.0, 0.7, 1.7), 2.3),
+], ids=["ramp-split-at-the-period-boundary", "pm"])
+def test_a_long_fractional_coupling_factor_equals_the_scalar_loop(w, omega_n):
+    """Hundreds of periods plus a clipped tail, each span rotated by its own
+    running-sum start phase, against the span-by-span scalar loop."""
+    T = 300.37 * w.period
+    assert abs(coupling_factor(w, omega_n, T) - _scalar_exp_phase_integral(w, omega_n, T) / T) < 1e-12
 
 
 # ---------------------------------------------------------------------------
