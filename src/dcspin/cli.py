@@ -8,7 +8,8 @@ verify <name>       run a preset and evaluate its acceptance checks
 list-presets        list available presets
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  Errors also emit a one-line JSON record on stderr,
+3 numerical or worker failure (a pool worker that dies, say by the OOM
+killer, breaks the pool).  Errors also emit a one-line JSON record on stderr,
 with the preset (preset, verify) or the config path (run) it came from.
 A usage error, such as a --workers value below 1, or a file that cannot
 be read or written exits 2 with the same record.
@@ -19,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_record(exc, args), file=sys.stderr)
         return 2
     except (PropagationError, QuadratureError, FactorizationError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+            np.linalg.LinAlgError, BrokenProcessPool) as exc:
         print(_error_record(exc, args), file=sys.stderr)
         return 3
 

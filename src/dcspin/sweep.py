@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -51,15 +54,48 @@ class SweepResult:
         return path
 
 
+_pool: ProcessPoolExecutor | None = None  # the process's one pool, keyed by its size
+_pool_workers = 0
+
+
+def _available_workers() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def parallel_map(fn: Callable, items: Sequence, workers: int | None = 1) -> list:
-    """Order-preserving map; uses a process pool when workers != 1 (None: all CPUs)."""
+    """Order-preserving map; uses a process pool when workers != 1 (None:
+    the CPUs this process may run on).
+
+    The items go out as one chunk per worker. The pool is started (forked,
+    on Linux) at the first pooled call and reused by later ones until a call
+    asks for another worker count, the pool breaks (the call raises
+    BrokenProcessPool and the next call starts a new pool) or the
+    interpreter exits, which joins its workers. So module state changed
+    after the pool started, such as a monkeypatch, does not reach the
+    workers. If this process is killed by SIGKILL, its idle workers stay
+    blocked on the pool's call queue.
+    """
+    global _pool, _pool_workers
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = workers or _available_workers()
     items = list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (8 * (workers or 8)))))
+    if _pool is not None and _pool_workers != workers:
+        _pool.shutdown()
+        _pool = None
+    if _pool is None:
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    try:
+        return list(_pool.map(fn, items, chunksize=math.ceil(len(items) / workers)))
+    except BrokenProcessPool:
+        _pool.shutdown()
+        _pool = None
+        raise
 
 
 def refine_extremum(x: np.ndarray, y: np.ndarray, kind: str = "min") -> tuple[float, float]:

@@ -585,6 +585,25 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert record["preset"] == "fig1f"
 
 
+def test_cli_broken_worker_pool_exit_code(monkeypatch, tmp_path, capsys):
+    from concurrent.futures.process import BrokenProcessPool
+
+    from dcspin import presets as presets_module
+
+    def broken(workers=None):
+        raise BrokenProcessPool("a worker was killed")
+
+    monkeypatch.setitem(
+        presets_module.PRESETS, "fig1f",
+        presets_module.Preset("fig1f", "d", broken, lambda results: []))
+    assert main(["preset", "fig1f", "--out", str(tmp_path)]) == 3
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "BrokenProcessPool"
+    assert record["preset"] == "fig1f"
+
+
 # ---------------------------------------------------------------------------
 # every (kind, axis) pair: the CLI equals run_sweep
 # ---------------------------------------------------------------------------

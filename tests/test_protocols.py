@@ -1,4 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -549,6 +556,69 @@ def test_parallel_map_matches_serial():
 
 def _square(x):
     return x * x
+
+
+def _pid_after_a_nap(_):
+    time.sleep(0.2)  # long enough that every worker takes one of the chunks
+    return os.getpid()
+
+
+def _exit_abruptly(_):
+    os._exit(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(), max_size=60))
+def test_parallel_map_keeps_the_item_order_across_uneven_chunks(items):
+    assert parallel_map(_square, items, workers=2) == [_square(x) for x in items]
+
+
+def test_pooled_calls_reuse_one_pool():
+    first = parallel_map(_pid_after_a_nap, range(2), workers=2)
+    second = parallel_map(_pid_after_a_nap, range(2), workers=2)
+    assert len(set(first)) == 2 and os.getpid() not in first
+    assert set(second) == set(first)
+
+
+def test_a_broken_pool_raises_and_the_next_call_gets_new_workers():
+    before = set(parallel_map(_pid_after_a_nap, range(2), workers=2))
+    with pytest.raises(BrokenProcessPool):
+        parallel_map(_exit_abruptly, range(2), workers=2)
+    after = set(parallel_map(_pid_after_a_nap, range(2), workers=2))
+    assert len(after) == 2 and not after & before
+
+
+def test_another_worker_count_replaces_the_pool():
+    two = set(parallel_map(_pid_after_a_nap, range(2), workers=2))
+    three = set(parallel_map(_pid_after_a_nap, range(3), workers=3))
+    assert len(three) == 3 and not three & two
+    for pid in two:  # the replaced pool was shut down and its workers joined
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+_TWO_POOLED_MAPS = """
+import json, os, time
+from dcspin.sweep import parallel_map
+
+def pid(_):
+    time.sleep(0.2)
+    return os.getpid()
+
+print(json.dumps(parallel_map(pid, range(2), 2) + parallel_map(pid, range(2), 2)))
+"""
+
+
+def test_no_pool_worker_outlives_its_interpreter():
+    src = str(Path(parallel_map.__code__.co_filename).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _TWO_POOLED_MAPS], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    pids = set(json.loads(done.stdout))
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def _clear_system_caches():
