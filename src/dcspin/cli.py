@@ -32,7 +32,7 @@ from .dynamics import MAX_SLICES, PropagationError, SliceCountError
 from .presets import PRESETS, run_preset, verify_preset
 from .protocols import run_sweep, solve_topdnp_detuning
 from .spincore import nuclear_frequency
-from .sweep import SweepResult
+from .sweep import SweepResult, resolve_workers
 from .waveform import FactorizationError, QuadratureError
 
 
@@ -114,7 +114,7 @@ def write_outputs(results: list[SweepResult], out_dir: Path, manifest: dict) -> 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None,
                    workers: int | None = None) -> list[Path]:
     """Execute a resolved config and write one CSV per result plus a manifest."""
-    workers = workers if workers is not None else config.output.workers
+    workers = resolve_workers(workers if workers is not None else config.output.workers)
     out_dir = Path(out_dir or Path(config.output.directory, config.preset or ""))
     out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the run
     started = time.monotonic()

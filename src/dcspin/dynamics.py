@@ -9,13 +9,15 @@ boundaries, so nothing aliases across a switch, and a period may hold at
 most MAX_SLICES slices.
 
 One engine (``_evolve``) runs every propagation: a stack of points, each
-with its own slices and period, in lanes that run one after another, a
-lane's points side by side.  A trajectory is one point, a nu, detuning or
+with its own slices and period (a row of a CompiledSchedule's keys and
+durations arrays), in lanes that run one after another, a lane's points
+side by side.  A trajectory is one point, a nu, detuning or
 amplitude-error sweep one lane of many, a run with electron resets a chain
 of one lane per segment, each from a map of the state the lane before
 ended in, and a reset sweep a stack of chains, weights kept per point.
-Each key is decomposed once per sweep, in one key table within STACK_BYTES,
-and each call computes one unitary per distinct (key, duration); spans of
+Each key is decomposed once per sweep, in one key table within STACK_BYTES
+that builds the Hamiltonians of its new keys as one stack, and each call
+computes one unitary per distinct (key, duration); spans of
 whole periods between samples are applied as an integer power of the
 single-period propagator; the walk replays step programs built in array
 passes (see ``_evolve``).
@@ -69,7 +71,12 @@ STACK_BYTES = 1 << 19
 
 
 class PropagationError(ArithmeticError):
-    """Propagation aborted: unitarity or state-health drift beyond tolerance."""
+    """Propagation aborted: unitarity or state-health drift beyond tolerance.
+    ``point`` is the failing point's index in its stack, where one failed."""
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 @dataclass(frozen=True)
@@ -130,46 +137,81 @@ def _check_bounds(name: str, series: np.ndarray) -> np.ndarray:
     return series
 
 
-@dataclass(frozen=True)
 class CompiledSchedule:
-    """Constant-Hamiltonian slices for one period, or a single aperiodic key."""
+    """Constant-Hamiltonian slices of a stack of points of one slice count:
+    row b of ``keys`` and ``durations`` is one period ``periods[b]``, or,
+    with period None, one aperiodic key of duration 0.  ``period``, ``steps``
+    ((key, duration) tuples) and ``constant_key`` read the first point."""
 
-    period: float | None
-    steps: tuple[tuple[Hashable, float], ...] = ()
-    constant_key: Hashable | None = None
+    def __init__(self, period, keys=None, durations=None, constant_key: Hashable = None):
+        self.periods = None if period is None else np.asarray(period, dtype=float).reshape(-1)
+        self.keys = np.reshape([constant_key] if keys is None else keys,
+                               (-1, 1) if period is None else (self.periods.size, -1))
+        self.durations = np.zeros(self.keys.shape) if durations is None else \
+            np.reshape(durations, self.keys.shape)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def period(self) -> float | None:
+        return None if self.periods is None else float(self.periods[0])
+
+    @property
+    def steps(self) -> tuple[tuple[Hashable, float], ...]:
+        if self.periods is None:
+            return ()
+        return tuple(zip(self.keys[0].tolist(), self.durations[0].tolist()))
+
+    @property
+    def constant_key(self) -> Hashable | None:
+        return self.keys[0, 0].item() if self.periods is None else None
 
 
 class SliceCountError(ValueError):
     """A period or span would split into more than MAX_SLICES slices."""
 
 
-def _split_durations(spans: Sequence[tuple[float, int]], max_step: float | None) -> list[int]:
-    """Slice counts of (duration, at least) spans: at least that many slices
-    each, none longer than max_step.  More than MAX_SLICES in all raise
-    before any slice list is built."""
-    counts = [n if max_step is None else max(n, math.ceil(d / max_step)) for d, n in spans]
-    if sum(counts) > MAX_SLICES:
-        raise SliceCountError(f"the drive would split into {sum(counts)} slices, "
-                              f"more than {MAX_SLICES}")
-    return counts
+def _slice_counts(durations: np.ndarray, at_least: np.ndarray, max_step: float | None,
+                  ) -> np.ndarray:
+    """Slice counts of the spans in each row of ``durations``: at least
+    ``at_least`` each, none longer than max_step.  A row of more than
+    MAX_SLICES in all raises before any slice list is built."""
+    counts = np.asarray(at_least, dtype=float)
+    if max_step is not None:
+        counts = np.maximum(counts, np.ceil(durations / max_step))
+    if (total := counts.sum(-1)).max(initial=0) > MAX_SLICES:
+        raise SliceCountError(f"the drive would split into {total[total > MAX_SLICES][0]:.0f} "
+                              f"slices, more than {MAX_SLICES}")
+    return counts.astype(int)
+
+
+def _compile_rows(durations: np.ndarray, v0: np.ndarray, v1: np.ndarray, pieces: np.ndarray,
+                  policy: IntegrationPolicy) -> tuple[np.ndarray, ...]:
+    """The keys and durations of one period of constant slices per row of
+    drive pieces (the first ``pieces[r]`` of row r, going v0 -> v1), one row
+    after another, and each row's slice count.  A constant piece's slices
+    take its value, a ramp's (ramp_substeps or, under max_step, more) their
+    midpoint values, with the per-piece scalar operations of compile_waveform."""
+    valid = np.arange(durations.shape[1]) < pieces[:, None]
+    ramp = valid & (v0 != v1)
+    counts = _slice_counts(np.where(valid, durations, 0.0),
+                           np.where(ramp, policy.ramp_substeps, valid), policy.max_step).ravel()
+    piece = np.repeat(np.arange(counts.size), counts)
+    i, n = np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts), counts[piece]
+    a, b = v0.ravel()[piece], v1.ravel()[piece]
+    keys = np.where(ramp.ravel()[piece], a + (b - a) * (i + 0.5) / n, a)
+    return keys, durations.ravel()[piece] / n, counts.reshape(durations.shape).sum(1)
 
 
 def compile_waveform(w: Waveform, policy: IntegrationPolicy) -> CompiledSchedule:
-    """Turn a scalar drive into keyed constant slices (keys are drive values)."""
+    """Turn a scalar drive into keyed constant slices (keys are drive values):
+    one row of _compile_rows."""
     if isinstance(w, ConstantWaveform):
         return CompiledSchedule(period=None, constant_key=w.omega_e)
-    pieces = w.pieces()
-    counts = _split_durations([(p.duration, 1 if p.v0 == p.v1 else policy.ramp_substeps)
-                               for p in pieces], policy.max_step)
-    steps: list[tuple[float, float]] = []
-    for p, n in zip(pieces, counts):
-        if p.v0 == p.v1:
-            steps.extend([(p.v0, p.duration / n)] * n)
-        else:
-            dt = p.duration / n
-            for i in range(n):
-                steps.append((p.v0 + (p.v1 - p.v0) * (i + 0.5) / n, dt))
-    return CompiledSchedule(period=w.period, steps=tuple(steps))
+    start, end, v0, v1 = np.array(w.pieces()).T[:, None]
+    keys, durations, _ = _compile_rows(end - start, v0, v1, np.array([v0.size]), policy)
+    return CompiledSchedule(w.period, keys, durations)
 
 
 def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) -> np.ndarray:
@@ -183,10 +225,13 @@ def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) 
 
 class _UnitaryCache:
     """The key table of a keyed Hamiltonian: one eigendecomposition per key,
-    held while the held eigenpairs fit STACK_BYTES (past it, one per lookup)."""
+    held while the held eigenpairs fit STACK_BYTES (past it, one per lookup).
+    A lookup's new keys are built by one ``hamiltonians_of`` call (stacked)
+    or one ``hamiltonian_of`` call each."""
 
-    def __init__(self, hamiltonian_of: Callable[[Hashable], np.ndarray]):
-        self._hamiltonian_of = hamiltonian_of
+    def __init__(self, hamiltonian_of: Callable[[Hashable], np.ndarray] | None = None, *,
+                 hamiltonians_of: Callable[[list], np.ndarray] | None = None):
+        self._hamiltonian_of, self._hamiltonians_of = hamiltonian_of, hamiltonians_of
         self._eigs: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
         self._room = STACK_BYTES
 
@@ -194,7 +239,9 @@ class _UnitaryCache:
         """The stacked eigenpairs of the distinct ``keys``: one eigh over those not held."""
         new = [k for k in keys if k not in self._eigs]
         if new:
-            vals, vecs = np.linalg.eigh(np.asarray([self._hamiltonian_of(k) for k in new], complex))
+            vals, vecs = np.linalg.eigh(np.asarray(
+                self._hamiltonians_of(new) if self._hamiltonians_of else
+                [self._hamiltonian_of(k) for k in new], complex))
             held = min(len(new), self._room // (vals[0].nbytes + vecs[0].nbytes))
             self._room -= held * (vals[0].nbytes + vecs[0].nbytes)
             self._eigs.update(zip(new[:held], zip(vals[:held].copy(), vecs[:held].copy())))
@@ -292,7 +339,7 @@ class _Rows(NamedTuple):
 
 
 def _evolve(table: _UnitaryCache,
-            schedules: Sequence[CompiledSchedule], times: Sequence[float] | np.ndarray,
+            schedules: CompiledSchedule, times: Sequence[float] | np.ndarray,
             states: QuantumState | Sequence[QuantumState], policy: IntegrationPolicy,
             observables: Sequence[Observable],
             chain: Sequence[Callable[[QuantumState], QuantumState]] | None = None,
@@ -300,7 +347,7 @@ def _evolve(table: _UnitaryCache,
     """Evolve a stack of points and sample each at its ascending ``times``:
     shared, shaped (times,), or one column per point.
 
-    Point b steps through the slices of ``schedules[b]``; the schedules of a
+    Point b steps through row b of the ``schedules`` arrays: the points of a
     stack are all periodic with one slice count, or each holds one constant
     key, split into equal slices per sample span.  Point l * n + i is point
     i of lane l: the n points of a lane evolve side by side, and the lanes
@@ -333,11 +380,12 @@ def _evolve(table: _UnitaryCache,
     of each lane; a failure names when in the run it happened (a sample time
     or, for an interval check, the span of samples it fell in).
     """
-    slices = [s.steps or ((s.constant_key, 0.0),) for s in schedules]
-    index = {k: i for i, k in enumerate(dict.fromkeys(k for row in slices for k, _ in row))}
-    vals, vecs = table.eigenpairs(list(index))
-    keys = np.array([[index[k] for k, _ in row] for row in slices]).T  # (slices, points)
-    durations = np.array([[d for _, d in row] for row in slices]).T
+    # the distinct keys in the order they first appear, point by point
+    distinct, first, index = np.unique(schedules.keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    vals, vecs = table.eigenpairs(distinct[order].tolist())
+    keys = np.argsort(order)[index].reshape(schedules.keys.shape).T  # (slices, points)
+    durations = schedules.durations.T
     n_times, n_slices, n_points = len(times), len(keys), len(schedules)
     n_lanes = 1 if chain is None else len(chain) + 1
     n = n_points // n_lanes
@@ -370,9 +418,10 @@ def _evolve(table: _UnitaryCache,
         defect[~np.isfinite(stacks).all(axis=(-2, -1))] = np.nan
         i = int(np.argmax(~(defect.max(axis=1) < policy.tolerance)))
         if not defect[i].max() < policy.tolerance:
+            point = int(defect[i].argmax())  # the first NaN, if any
             raise PropagationError("state became non-finite" if np.isnan(defect[i]).any() else
                                    f"state drift {defect[i].max():.3e} >= {policy.tolerance} "
-                                   + where(i, defect[i].argmax()))
+                                   + where(i, point), point)
 
     def flush() -> None:
         """Check and read the queued samples of lane l: one BLAS product per
@@ -442,9 +491,8 @@ def _evolve(table: _UnitaryCache,
 
     events = np.where(np.arange(1, n_lanes * n_times + 1) % n_times, 1, 2)
 
-    periodic_drive = schedules[0].period is not None
-    if periodic_drive:
-        tau = np.array([s.period for s in schedules])
+    if schedules.periods is not None:
+        tau = schedules.periods
         k0, r0 = np.divmod(np.concatenate([np.zeros((1, elapsed.shape[1])), elapsed[:-1]]), tau)
         k1, r1 = np.divmod(elapsed, tau)
         same = k1 == k0
@@ -530,8 +578,7 @@ def _evolve(table: _UnitaryCache,
     else:
         # a constant drive: each span is equal slices of the lane's keys
         span = lanes(np.diff(elapsed, axis=0, prepend=0.0) + np.zeros(n_points))[..., 0].ravel()
-        count = np.array([_split_durations([(x, 1)], policy.max_step)[0] if x > 0 else 0
-                          for x in span.tolist()], dtype=int)
+        count = _slice_counts(span[:, None], span[:, None] > 0, policy.max_step)[:, 0]
         size, k = count[:, None], np.ones((len(count), 1), dtype=int)
         cost = 128 * count + 16 * vecs.shape[1] ** 2 * n
 
@@ -581,7 +628,7 @@ def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
     """Evolve one point and sample it (a one-point stack of _evolve); t = 0
     is always sampled."""
     times = _times_from_zero(sample_times)
-    values, weights, psi = _evolve(_UnitaryCache(hamiltonian_of), [schedule], times, state0,
+    values, weights, psi = _evolve(_UnitaryCache(hamiltonian_of), schedule, times, state0,
                                    policy, observables)
     return Trajectory(
         times=times,
@@ -606,6 +653,10 @@ def standard_observables(system: SpinSystem) -> list[Observable]:
 
 def _drive_hamiltonian(system: SpinSystem, omega_e: float) -> np.ndarray:
     return build_hamiltonian(system, omega_e).matrix
+
+
+def _drive_hamiltonians(system: SpinSystem, keys: list) -> np.ndarray:
+    return build_hamiltonian(system, np.asarray(keys, dtype=float))
 
 
 def waveform_drive(system: SpinSystem, w: Waveform, policy: IntegrationPolicy):

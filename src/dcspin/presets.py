@@ -26,6 +26,7 @@ from .constants import angular_from_khz, angular_from_mhz, mhz_from_angular
 from .dynamics import effective_flipflop_signal
 from .protocols import (
     ProtocolSpec,
+    key_table,
     run_dcs_dnp,
     run_dcs_sensing,
     run_sweep,
@@ -290,8 +291,9 @@ def _fig3_spectra(rabi_dcs: float, name: str, workers=None) -> list[SweepResult]
     dcs = run_dcs_sensing(system, rabi_dcs, nu_grid, TOTAL_TIME_FIG3, workers=workers)
     det_star = solve_topdnp_detuning(RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3, omega_n)
     det_grid = det_star + np.linspace(-halfspan, halfspan, N_GRID)
+    table = key_table(system, "topdnp")  # both preparations read the same keys
     par, perp = [run_sweep(system, spec, "detuning", det_grid, T=TOTAL_TIME_FIG3,
-                           workers=workers)
+                           workers=workers, table=table)
                  for spec in (TOPDNP_FIG3, TOPDNP_FIG3_PERPENDICULAR)]
     meta = _meta(name, rabi_dcs_mhz=mhz_from_angular(rabi_dcs),
                  rabi_pulse_mhz=mhz_from_angular(RABI_FIG3),

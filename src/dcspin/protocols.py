@@ -1,17 +1,22 @@
 """The four experiment families: DCS sensing, DCS DNP, PM, and TOP-DNP.
 
-A ProtocolSpec and its operating point turn into keyed Hamiltonians and a
-compiled schedule in ``_drive``.  ``OPERATING_POINT`` names the sweep axis
-that holds each kind's point: nu for dcs and pm, the pulse detuning for
-topdnp, none for constant.  Every run evolves as stacks of such points
-(``_stacks``, ``_evolve_stack``): a trajectory (``_trajectory``) is a
-one-point stack, and ``run_sweep`` is the one runner over every sweep axis:
-total time, the operating point, or the amplitude error.  Two front ends
-build a dcs spec and call it, ``run_dcs_sensing`` (a nu sweep) and
-``run_dcs_dnp`` (a total-time sweep); the benchmark and its tracer call
-them by name.  The stacks of a sweep share one key table (a pool task its
-own copy) and can execute on a process pool; results merge in sweep order,
-so output is deterministic for any worker count.
+ProtocolSpecs and their operating points turn into compiled schedules in
+one array pass over a grid (``_schedule_rows``): its keys and durations
+arrays hold every point's slices, in every reset segment, with the bits the
+drive objects give; ``_drive`` is its one-point case.  ``OPERATING_POINT``
+names the sweep axis that holds each kind's point: nu for dcs and pm, the
+pulse detuning for topdnp, none for constant.  Every run evolves as stacks
+of such points (``_stacks``, ``_evolve_stack``), each stack one
+CompiledSchedule of rows: a trajectory (``_trajectory``) is a one-point
+stack, and ``run_sweep`` is the one runner over every sweep axis: total
+time, the operating point, or the amplitude error.  Two front ends build a
+dcs spec and call it, ``run_dcs_sensing`` (a nu sweep) and ``run_dcs_dnp``
+(a total-time sweep); the benchmark and its tracer call them by name.  The
+stacks of a sweep share one key table (a pool task its own copy), which
+builds the Hamiltonians of its new keys as one stack; ``run_sweep(...,
+table=key_table(system, kind))`` shares one between the sweeps of a run.
+Stacks can execute on a process pool; results merge in sweep order, so
+output is deterministic for any worker count.
 
 Amplitude errors model miscalibrated drive power: every drive amplitude is
 scaled by (1 + delta) while timing parameters stay at their nominal values,
@@ -32,17 +37,18 @@ from .constants import TWO_PI
 from .dynamics import (
     CompiledSchedule,
     IntegrationPolicy,
+    PropagationError,
     Trajectory,
+    _compile_rows,
+    _drive_hamiltonians,
     _evolve,
     _normalized,
-    _split_durations,
     _stack_groups,
     _times_from_zero,
     _UnitaryCache,
     propagate,  # noqa: F401  perfbench/tracing.py wraps this name here
     propagate_compiled,  # noqa: F401  perfbench/tracing.py wraps this name here
     standard_observables,
-    waveform_drive,
 )
 from .spincore import (
     _ELECTRON_VECTORS,
@@ -59,7 +65,8 @@ from .spincore import (
     initial_state,
 )
 from .sweep import SweepResult, parallel_map
-from .waveform import ConstantWaveform, DcsWaveform, PmWaveform, Waveform, optimal_dwell_times
+from .waveform import (ConstantWaveform, DcsWaveform, PmWaveform, Waveform, _check_dcs,
+                       _check_pm, _dcs_piece_rows, _require, optimal_dwell_times)
 
 #: the sweep axis that holds each protocol kind's operating point, if it has one
 OPERATING_POINT = {"dcs": "nu", "pm": "nu", "topdnp": "detuning", "constant": None}
@@ -92,14 +99,10 @@ class PulseTrain:
         return TWO_PI / self.period
 
     def compiled_schedule(self, policy: IntegrationPolicy) -> CompiledSchedule:
-        """Slices keyed (segment, rabi, detuning), as _pulse_train_hamiltonian reads them."""
-        spans = ((("pulse", self.rabi, self.detuning), self.pulse_len),
-                 (("delay", 0.0, self.detuning), self.delay))
-        steps: list[tuple[tuple, float]] = []
-        for (key, dur), n in zip(spans, _split_durations([(d, 1) for _, d in spans],
-                                                         policy.max_step)):
-            steps.extend([(key, dur / n)] * n)
-        return CompiledSchedule(period=self.period, steps=tuple(steps))
+        """Slices keyed rabi + i detuning (rabi 0 in the delay), as
+        _pulse_train_hamiltonians reads them: one row of _schedule_rows."""
+        spec = ProtocolSpec("topdnp", rabi=self.rabi, pulse_len=self.pulse_len, delay=self.delay)
+        return CompiledSchedule(*_schedule_rows([(spec, self.detuning)], policy)[:3])
 
 
 @dataclass(frozen=True)
@@ -199,14 +202,15 @@ def build_dcs_waveform(omega_max: float, nu: float, *, switch_fraction: float = 
     )
 
 
-def pm_resonant_period(omega0: float, omega_n: float, harmonic: int = 1) -> float:
-    """Period placing the PM drive's harmonic-k resonance at omega_n.
+def pm_resonant_period(omega0: float, omega_n, harmonic: int = 1):
+    """Period placing the PM drive's harmonic-k resonance at omega_n (one
+    frequency, or an array of them).
 
     The two-level waveform {omega0+omega1, omega0-omega1} with equal dwell
     times has mean drive omega0, so resonance requires
     omega_n = 2 pi k / tau + omega0.
     """
-    if omega_n <= omega0:
+    if np.any(np.asarray(omega_n) <= omega0):
         raise ValueError("requires omega_n > omega0")
     return TWO_PI * harmonic / (omega_n - omega0)
 
@@ -284,13 +288,19 @@ def _undriven_hamiltonian(system: SpinSystem) -> np.ndarray:
     return _read_only(build_hamiltonian(system, 0.0).matrix)
 
 
-def _pulse_train_hamiltonian(system: SpinSystem, key: tuple) -> np.ndarray:
-    segment, rabi, detuning = key
-    ops = _operators(system)
-    h = 0.5 * detuning * ops.sigma_x
-    if segment == "pulse":
-        h = h + rabi * ops.z_half
-    return h + _undriven_hamiltonian(system)
+def _pulse_train_hamiltonians(system: SpinSystem, keys: list) -> np.ndarray:
+    """The Hamiltonians of pulse-train keys rabi + i detuning, stacked:
+    detuning sigma_x / 2 + rabi sigma_z / 2 + the undriven part (a delay's
+    rabi 0 moves no bit once the undriven part is added)."""
+    keys, ops = np.asarray(keys, dtype=complex)[:, None, None], _operators(system)
+    return 0.5 * keys.imag * ops.sigma_x + keys.real * ops.z_half + _undriven_hamiltonian(system)
+
+
+def key_table(system: SpinSystem, kind: str) -> _UnitaryCache:
+    """An empty key table for the drives of protocol ``kind`` on ``system``;
+    it builds the Hamiltonians of a lookup's new keys as one stack."""
+    return _UnitaryCache(hamiltonians_of=functools.partial(
+        _pulse_train_hamiltonians if kind == "topdnp" else _drive_hamiltonians, system))
 
 
 def _waveform(spec: ProtocolSpec, point: float | None) -> Waveform:
@@ -303,21 +313,56 @@ def _waveform(spec: ProtocolSpec, point: float | None) -> Waveform:
     return ConstantWaveform(spec.omega_e * (1 + spec.amplitude_error))
 
 
+def _schedule_rows(points: list[tuple[ProtocolSpec, float | None]], policy: IntegrationPolicy,
+                   shifts: Sequence[float] = (0.0,)) -> tuple[np.ndarray | None, ...]:
+    """The schedules of ``points`` (of one kind) in one array pass, one row
+    per (segment start in ``shifts``, point), segment by segment (a dcs
+    drive shifted back by its segment start keeps its phase): the rows'
+    periods (None for a constant drive), their slices' keys and durations
+    one row after another, and their slice counts.  Keys are drive values,
+    or rabi + i detuning in a pulse train (rabi 0 in its delay).  Each
+    scalar operation, and each input check, is the one of build_dcs_waveform
+    or build_pm_waveform, the waveform and PulseTrain, then compile_waveform,
+    so every key and duration keeps its bits."""
+    spec, x = points[0][0], np.array([p for _, p in points], dtype=float)
+    scale, pieces = np.array([1 + s.amplitude_error for s, _ in points]), np.full(len(x), 2)
+    if spec.kind == "constant":
+        _require(np.isfinite(spec.omega_e * scale), "omega_e must be finite")
+        return None, spec.omega_e * scale, np.zeros(len(x)), np.ones(len(x), dtype=int)
+    if spec.kind == "topdnp":
+        period, v0 = np.full(len(x), spec.pulse_len + spec.delay), np.zeros((len(x), 2), complex)
+        v0.real[:, 0], v0.imag[:] = spec.rabi * scale, x[:, None]
+        durations, v1 = np.tile([spec.pulse_len, spec.delay], (len(x), 1)), v0
+    elif spec.kind == "pm":
+        period, omega0, omega1 = pm_resonant_period(spec.omega0, x), spec.omega0 * scale, \
+            spec.omega1 * scale
+        _check_pm(omega0, omega1, period)
+        half = 0.5 * period  # PmWaveform.pieces: omega0 + omega1, then omega0 - omega1
+        durations = np.stack([half, period - half], 1)
+        v0 = v1 = np.stack([omega0 + omega1, omega0 - omega1], 1)
+    else:
+        tau_plus, tau_minus = optimal_dwell_times(spec.omega_max, x)
+        period, tau_switch = tau_plus + tau_minus, spec.switch_fraction * tau_minus
+        t0 = (-0.5 * tau_plus if spec.t_initial == "symmetric" else np.zeros(len(x))
+              if spec.t_initial == "zero" else float(spec.t_initial) * period)
+        _check_dcs(spec.omega_max * scale, tau_plus, tau_minus, tau_switch, t0)
+        tile = functools.partial(np.tile, reps=len(shifts))
+        start, end, v0, v1, pieces = _dcs_piece_rows(
+            tile(spec.omega_max * scale), tile(tau_plus), tile(tau_minus), tile(tau_switch),
+            (t0 - np.asarray(shifts)[:, None]).ravel())
+        period, durations = tile(period), end - start
+    return period, *_compile_rows(durations, v0, v1, pieces, policy)
+
+
 def _drive(system: SpinSystem, spec: ProtocolSpec, point: float | None,
            policy: IntegrationPolicy):
-    """The keyed Hamiltonians and the compiled schedule of ``spec`` at ``point``.
-
-    The point is nu for dcs and pm and the pulse detuning for topdnp;
-    constant has none.  A key names the same Hamiltonian of ``system`` at
-    every point (a drive value, or a pulse-train segment with its rabi and
-    detuning), so the points of a sweep share the keys they have in common.
-    """
-    if spec.kind == "topdnp":
-        train = PulseTrain(spec.rabi * (1 + spec.amplitude_error), spec.pulse_len,
-                           spec.delay, point)
-        return (functools.partial(_pulse_train_hamiltonian, system),
-                train.compiled_schedule(policy))
-    return waveform_drive(system, _waveform(spec, point), policy)
+    """The keyed Hamiltonians (key -> matrix) and the compiled schedule of
+    ``spec`` at ``point`` (nu for dcs and pm, the pulse detuning for topdnp,
+    none for constant): one row of _schedule_rows.  A key names the same
+    Hamiltonian of ``system`` at every point."""
+    build = _pulse_train_hamiltonians if spec.kind == "topdnp" else _drive_hamiltonians
+    return (lambda key: build(system, [key])[0],
+            CompiledSchedule(*_schedule_rows([(spec, point)], policy)[:3]))
 
 
 def _segments(reset_every: float, sample_times: np.ndarray):
@@ -335,8 +380,22 @@ def _segments(reset_every: float, sample_times: np.ndarray):
     return np.stack([np.concatenate([[0.0], at[:-1]]), at]), at_reset
 
 
+@dataclass(frozen=True)
+class _Chain:
+    """The schedules of a stack of points in each segment of a reset run
+    (one CompiledSchedule of the stack's points per segment) and the run's
+    segment plan (_segments): (start, end) times and whether a reset follows."""
+
+    segments: list[CompiledSchedule]
+    bounds: np.ndarray
+    at_reset: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.segments[0])
+
+
 def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, table: _UnitaryCache,
-                  schedules: Sequence[Sequence[CompiledSchedule]], T: float | np.ndarray,
+                  schedules: CompiledSchedule | _Chain, T: float | np.ndarray,
                   policy: IntegrationPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The observables (times, points, observables) at T (one time, or
     ascending times ending above 0) of a stack of _stacks, and its points'
@@ -347,19 +406,19 @@ def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, table: _UnitaryCache,
     times, obs = np.asarray(T, dtype=float).reshape(-1), standard_observables(system)
     state = initial_state(spec.initial_state_kind, system)
     if spec.reset_every is None:
-        return _evolve(table, [row[0] for row in schedules], times, state, policy, obs)
-    bounds, at_reset = _segments(spec.reset_every, times)
+        return _evolve(table, schedules, times, state, policy, obs)
+    bounds, segments = schedules.bounds, schedules.segments
     electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
     links = [(lambda state: _reset_electron(state, electron)) if reset else (lambda state: state)
-             for reset in at_reset]
-    counts = [(len(schedule.steps) or 1,) for schedule in schedules[0]]
+             for reset in schedules.at_reset]
     n, ends = len(schedules), []
-    for g in _stack_groups(counts, system.dimension, n):
+    for g in _stack_groups([(s.keys.shape[1],) for s in segments], system.dimension, n):
         if g[0]:
             state = [links[g[0] - 1](_normalized(w, v)) for w, v in zip(weights, psi)]
-        values, weights, psi = _evolve(table, [row[s] for s in g for row in schedules],
-                                       np.repeat(bounds[:, g], n, axis=1), state, policy, obs,
-                                       chain=links[g[0]:g[-1]])
+        lanes = CompiledSchedule(*(np.concatenate([getattr(segments[s], a) for s in g])
+                                   for a in ("periods", "keys", "durations")))
+        values, weights, psi = _evolve(table, lanes, np.repeat(bounds[:, g], n, axis=1), state,
+                                       policy, obs, chain=links[g[0]:g[-1]])
         if not ends:
             ends.append(values[:1, :n])  # the t = 0 row
         ends.append(values[1].reshape(len(g), n, -1))
@@ -367,7 +426,8 @@ def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, table: _UnitaryCache,
 
 
 def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
-                sample_times: Sequence[float], policy: IntegrationPolicy) -> Trajectory:
+                sample_times: Sequence[float], policy: IntegrationPolicy,
+                table: _UnitaryCache | None = None) -> Trajectory:
     """Evolve ``spec`` at its operating point from its initial state as a
     one-point stack of _stacks (with resets, a stack of chains).  The run is
     read at t = 0 whether or not that is asked for, and the trajectory holds
@@ -375,7 +435,8 @@ def _trajectory(system: SpinSystem, spec: ProtocolSpec, point: float | None,
     times = _times_from_zero(sample_times)
     if not times[-1] > 0:  # with only t = 0 to sample there is no segment to reset
         spec = replace(spec, reset_every=None)
-    values, weights, psi = _evolve_stack(*_stacks(system, [(spec, point)], times, policy)[0])
+    values, weights, psi = _evolve_stack(*_stacks(system, [(spec, point)], times, policy,
+                                                  table)[0])
     skip = len(times) - len(sample_times)
     return Trajectory(times=times[skip:], final_state=_normalized(weights[0], psi[0]),
                       observables={o.name: values[skip:, 0, i]
@@ -396,36 +457,53 @@ def _reset_electron(state: QuantumState, electron: np.ndarray) -> QuantumState:
                                 (electron[:, None, None] * u).reshape(-1, len(s)))
 
 
-def _stack_rows(args) -> np.ndarray:
-    """Observables at T of one stack of sweep points (module level, so it pickles)."""
-    return _evolve_stack(*args)[0][-1]
+def _stack_rows(item) -> np.ndarray:
+    """Observables at T of one stack of sweep points (module level, so it
+    pickles).  ``item`` is the stack's _evolve_stack arguments, its first
+    grid index and the sweep axis and values; a state failure at a point
+    names its grid index and sweep value, not its index in the stack."""
+    args, first, axis, values = item
+    try:
+        return _evolve_stack(*args)[0][-1]
+    except PropagationError as exc:
+        if exc.point is None:
+            raise
+        message, here = str(exc), f"at point {exc.point}"
+        where = f"at grid point {first + exc.point} ({axis} = {values[exc.point]:.9g})"
+        raise PropagationError(message.replace(here, where) if here in message else
+                               f"{message} {where}") from None
 
 
 def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]],
-            T: float | np.ndarray, policy: IntegrationPolicy) -> list[tuple]:
+            T: float | np.ndarray, policy: IntegrationPolicy,
+            table: _UnitaryCache | None = None) -> list[tuple]:
     """_evolve_stack arguments, one per stack (a run of consecutive points
     with equal slice counts in every segment, one without resets, within
-    STACK_BYTES: dynamics._stack_groups), all holding one key table."""
-    spec = points[0][0]
-    if spec.reset_every is None:
-        drives = [[_drive(system, s, point, policy) for s, point in points]]
-    else:  # dcs: each point's drive, built once, keeps its phase in every segment
-        starts = _segments(spec.reset_every, np.asarray(T, dtype=float).reshape(-1))[0][0]
-        waves = [_waveform(s, point) for s, point in points]
-        drives = [[waveform_drive(system, replace(w, t_initial=w.t_initial - t) if t else w, policy)
-                   for w in waves] for t in starts.tolist()]
-    # per point, its schedule and its slice count in every segment
-    schedules = list(zip(*[[x for _, x in segment] for segment in drives]))
-    counts = list(zip(*[[len(x.steps) or 1 for _, x in segment] for segment in drives]))
-    table = _UnitaryCache(drives[0][0][0])
-    return [(system, spec, table, [schedules[b] for b in g], T, policy)
-            for g in _stack_groups(counts, system.dimension)]
+    STACK_BYTES: dynamics._stack_groups), all holding one key table (a new
+    one unless ``table`` is given).  The schedules of every point in every
+    segment come from one _schedule_rows pass."""
+    spec, n = points[0][0], len(points)
+    plan = None if spec.reset_every is None else \
+        _segments(spec.reset_every, np.asarray(T, dtype=float).reshape(-1))
+    periods, keys, durations, counts = _schedule_rows(points, policy,
+                                                      (0.0,) if plan is None else plan[0][0])
+    offsets = np.append(0, np.cumsum(counts))
+    table = key_table(system, spec.kind) if table is None else table
+    stacks = []
+    for g in _stack_groups(list(map(tuple, counts.reshape(-1, n).T.tolist())), system.dimension):
+        rows = [(a + g[0], a + g[-1] + 1) for a in range(0, len(counts), n)]  # per segment
+        segments = [CompiledSchedule(None if periods is None else periods[a:b],
+                                     keys[offsets[a]:offsets[b]], durations[offsets[a]:offsets[b]])
+                    for a, b in rows]
+        stacks.append((system, spec, table, segments[0] if plan is None else _Chain(segments, *plan),
+                       T, policy))
+    return stacks
 
 
 def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
               grid: Sequence[float], *, T: float | None = None,
               point: float | None = None, policy: IntegrationPolicy | None = None,
-              workers: int | None = 1) -> SweepResult:
+              workers: int | None = 1, table: _UnitaryCache | None = None) -> SweepResult:
     """Run ``spec`` over ``grid`` along one axis.
 
     Axis "T" is one evolution at ``point``, sampled at the grid times.  The
@@ -436,7 +514,9 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     ``point``.  Their grid points
     evolve as stacks (dynamics._evolve), which the pool spreads when a grid
     needs more than one; with resets, a stack is a stack of chains, one
-    lane per segment (_evolve_stack).
+    lane per segment (_evolve_stack).  The points read one key table:
+    ``table`` (from key_table, for this system and kind) when given, so
+    sweeps of one run can share it, else a new one.
     """
     if (spec.kind, axis) not in TABLE_NAMES:
         raise ValueError(f"axis {axis!r} does not apply to protocol {spec.kind!r}")
@@ -447,14 +527,16 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
     policy = policy or IntegrationPolicy()
     grid = np.asarray(grid, dtype=float)
     if axis == "T":
-        columns = _trajectory(system, spec, point, grid, policy).observables
+        columns = _trajectory(system, spec, point, grid, policy, table).observables
     else:
         if axis == "amplitude_error":
             points = [(apply_amplitude_error(spec, d), point) for d in grid]
         else:
             points = [(spec, value) for value in grid]
-        rows = np.concatenate(parallel_map(_stack_rows, _stacks(system, points, T, policy),
-                                           workers))
+        stacks = _stacks(system, points, T, policy, table)
+        ends = np.cumsum([len(stack[3]) for stack in stacks]).tolist()
+        rows = np.concatenate(parallel_map(_stack_rows, [
+            (stack, a, axis, grid[a:b]) for stack, a, b in zip(stacks, [0, *ends], ends)], workers))
         columns = {o.name: rows[:, i] for i, o in enumerate(standard_observables(system))}
     if "I_z[1]" in columns:
         columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]

@@ -290,7 +290,7 @@ def _operators(system: SpinSystem) -> _Operators:
     return _Operators(z_half=z_half, sigma_x=sx, nuclear_terms=tuple(terms))
 
 
-def build_hamiltonian(system: SpinSystem, omega_e: float) -> Observable:
+def build_hamiltonian(system: SpinSystem, omega_e):
     """Rotating-frame Hamiltonian at drive splitting ``omega_e``.
 
     H = omega_e * sigma_z/2
@@ -298,18 +298,24 @@ def build_hamiltonian(system: SpinSystem, omega_e: float) -> Observable:
         + (sigma_x/2) * sum_j (A_xj * I_x[j] + A_zj * I_z[j])
 
     The terms are summed in this order, nucleus by nucleus, from operators
-    built once per system.
+    built once per system.  One splitting gives the Observable H; a 1-D
+    array of them gives their matrices stacked (splittings, d, d), one
+    broadcast sum with the finite and Hermitian checks over the stack.
     """
-    if not math.isfinite(omega_e):
+    omega = np.asarray(omega_e, dtype=float)
+    if not np.isfinite(omega).all():
         raise ValueError("omega_e must be finite")
     ops = _operators(system)
-    dim = system.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    h += omega_e * ops.z_half
+    h = np.zeros((*omega.shape, system.dimension, system.dimension), dtype=complex)
+    h += omega[..., None, None] * ops.z_half
     for zeeman, hyperfine in ops.nuclear_terms:
         h += zeeman
         h += hyperfine
-    return Observable(h, name="H")
+    if omega.ndim == 0:
+        return Observable(h, name="H")
+    if np.max(np.abs(h - h.conj().swapaxes(1, 2)), initial=0.0) >= HERMITICITY_TOL:
+        raise ValueError(f"observable 'H' is not Hermitian within {HERMITICITY_TOL}")
+    return h
 
 
 def expectation(state: QuantumState, obs: Observable) -> float:

@@ -58,11 +58,15 @@ _pool: ProcessPoolExecutor | None = None  # the process's one pool, keyed by its
 _pool_workers = 0
 
 
-def _available_workers() -> int:
-    """The CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
+def resolve_workers(workers: int | None) -> int:
+    """The worker count a sweep runs with: ``workers`` (at least 1), or for
+    None the CPUs this process may run on (its affinity mask where the OS
+    has one)."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers is None and hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return workers or os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None = 1) -> list:
@@ -79,10 +83,7 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None = 1) -> list
     blocked on the pool's call queue.
     """
     global _pool, _pool_workers
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    workers = workers or _available_workers()
-    items = list(items)
+    workers, items = resolve_workers(workers), list(items)
     if workers == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     if _pool is not None and _pool_workers != workers:

@@ -91,16 +91,27 @@ class Piece(NamedTuple):
         return self.v0 + (self.v1 - self.v0) * (u - self.start) / (self.end - self.start)
 
 
-def _normalize_pieces(raw: list[Piece], period: float) -> tuple[Piece, ...]:
-    """Sort, drop zero-length pieces, and snap the pieces to tile [0, period)."""
-    raw = sorted(p for p in raw if p.duration > 1e-15 * period)
-    snapped = []
-    start = 0.0
-    for i, p in enumerate(raw):
-        end = raw[i + 1].start if i + 1 < len(raw) else period
-        snapped.append(Piece(start, end, p.v0, p.v1))
-        start = end
-    return tuple(snapped)
+def _require(ok, message: str) -> None:
+    """Raise ValueError(message) unless ``ok`` holds (everywhere, in an array)."""
+    if not np.all(ok):
+        raise ValueError(message)
+
+
+def _check_dcs(omega_max, tau_plus, tau_minus, tau_switch, t_initial) -> None:
+    """DcsWaveform's input checks, of one drive or of arrays of drives."""
+    _require(np.isfinite(omega_max) & (omega_max >= 0), "omega_max must be finite and nonnegative")
+    _require((0 < tau_plus) & (tau_plus < math.inf) & (0 < tau_minus) & (tau_minus < math.inf),
+             "dwell times must be finite and positive")
+    _require((0 <= tau_switch) & (tau_switch < np.minimum(tau_plus, tau_minus)),
+             "tau_switch must satisfy 0 <= tau_switch < min(tau_plus, tau_minus)")
+    _require(np.isfinite(t_initial), "t_initial must be finite")
+
+
+def _check_pm(omega0, omega1, period) -> None:
+    """PmWaveform's input checks, of one drive or of arrays of drives."""
+    _require((0 < period) & (period < math.inf), "period must be finite and positive")
+    _require((0 <= omega0) & (omega0 < math.inf) & (0 <= omega1) & (omega1 < math.inf),
+             "omega0 and omega1 must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -112,8 +123,7 @@ class ConstantWaveform:
     period = None
 
     def __post_init__(self):
-        if not math.isfinite(self.omega_e):
-            raise ValueError("omega_e must be finite")
+        _require(np.isfinite(self.omega_e), "omega_e must be finite")
 
     def value(self, t: float) -> float:
         return self.omega_e
@@ -137,14 +147,7 @@ class DcsWaveform:
     t_initial: float = 0.0
 
     def __post_init__(self):
-        if self.omega_max < 0 or not math.isfinite(self.omega_max):
-            raise ValueError("omega_max must be finite and nonnegative")
-        if not (0 < self.tau_plus < math.inf and 0 < self.tau_minus < math.inf):
-            raise ValueError("dwell times must be finite and positive")
-        if not 0 <= self.tau_switch < min(self.tau_plus, self.tau_minus):
-            raise ValueError("tau_switch must satisfy 0 <= tau_switch < min(tau_plus, tau_minus)")
-        if not math.isfinite(self.t_initial):
-            raise ValueError("t_initial must be finite")
+        _check_dcs(self.omega_max, self.tau_plus, self.tau_minus, self.tau_switch, self.t_initial)
 
     @property
     def period(self) -> float:
@@ -164,32 +167,56 @@ class DcsWaveform:
 
 @functools.lru_cache(maxsize=PIECES_CACHE_SIZE)
 def _dcs_pieces(w: DcsWaveform) -> tuple[Piece, ...]:
-    """DcsWaveform.pieces, computed once per waveform."""
-    o, tp, tau, ts = w.omega_max, w.tau_plus, w.period, w.tau_switch
-    if ts == 0.0:
-        local = [Piece(0.0, tp, o, o), Piece(tp, tau, -o, -o)]
-    else:
-        h = 0.5 * ts
-        local = [
-            Piece(0.0, h, 0.0, o),
-            Piece(h, tp - h, o, o),
-            Piece(tp - h, tp + h, o, -o),
-            Piece(tp + h, tau - h, -o, -o),
-            Piece(tau - h, tau, -o, 0.0),
-        ]
-    # shift the t_initial-anchored pieces into absolute phase [0, tau)
-    wrapped: list[Piece] = []
-    for p in local:
-        a = (w.t_initial + p.start) % tau
-        b = a + p.duration
-        if b <= tau:
-            wrapped.append(Piece(a, b, p.v0, p.v1))
-        else:
-            f = (tau - a) / p.duration
-            vm = p.v0 + f * (p.v1 - p.v0)
-            wrapped.append(Piece(a, tau, p.v0, vm))
-            wrapped.append(Piece(0.0, b - tau, vm, p.v1))
-    return _normalize_pieces(wrapped, tau)
+    """DcsWaveform.pieces, computed once per waveform: one row of _dcs_piece_rows."""
+    *pieces, count = _dcs_piece_rows([w.omega_max], [w.tau_plus], [w.tau_minus],
+                                     [w.tau_switch], [w.t_initial])
+    return tuple(Piece(*p) for p in zip(*(a[0, :count[0]].tolist() for a in pieces)))
+
+
+def _dcs_piece_rows(o, tau_plus, tau_minus, tau_switch, t_initial) -> tuple[np.ndarray, ...]:
+    """The pieces of many DcsWaveforms, one row per drive: (start, end, v0,
+    v1) arrays (rows, pieces), each row's pieces in order and then empty
+    pieces at tau, and the count of each row's pieces.
+
+    The pieces anchored at t_initial are shifted into absolute phase [0,
+    tau) (a piece across tau splits in two), those of at most 1e-15 tau are
+    dropped, and the rest, sorted, are snapped to tile [0, tau).  Each
+    scalar operation is the one per-waveform arithmetic takes (np.mod is
+    Python's float %), so every piece keeps its bits.
+    """
+    o, tp, ts, t0 = (np.asarray(a, dtype=float)[:, None] for a in (o, tau_plus, tau_switch,
+                                                                  t_initial))
+    tau, h = tp + np.asarray(tau_minus, dtype=float)[:, None], 0.5 * ts
+    # a ramp, o, a ramp, -o, a ramp, summed exactly from 0 and +-1 terms;
+    # without ramps (h = 0) they are empty and dropped, and o and -o are the
+    # square drive's two pieces to the bit
+    start = tp * _TP[0] + h * _H[0] + tau * _TAU[0]
+    end = tp * _TP[1] + h * _H[1] + tau * _TAU[1]
+    v0, v1 = o * _LEVELS[0], o * _LEVELS[1]
+    dur = end - start
+    a = np.mod(t0 + start, tau)
+    b = a + dur
+    wrap = b > tau
+    vm = v0 + np.divide(tau - a, dur, out=np.zeros_like(a), where=wrap) * (v1 - v0)
+    # each piece, then the part past tau of a piece that wraps (else empty)
+    raw = np.array([np.hstack(c) for c in (
+        (a, np.where(wrap, 0.0, tau)), (np.where(wrap, tau, b), np.where(wrap, b - tau, tau)),
+        (v0, vm), (np.where(wrap, vm, v1), v1))])
+    keep = raw[1] - raw[0] > 1e-15 * tau
+    start, _, v0, v1 = np.take_along_axis(raw, np.lexsort((*raw[::-1], ~keep))[None], 2)
+    count = keep.sum(1)
+    start = np.where(np.arange(start.shape[1]) < count[:, None], start, tau)
+    start[:, 0] = 0.0
+    w = count.max()
+    return start[:, :w], np.hstack([start[:, 1:], tau])[:, :w], v0[:, :w], v1[:, :w], count
+
+
+# the five local pieces' (start, end) as 0/1/-1 combinations of tau_plus, h
+# and tau, and their (v0, v1) as multiples of omega_max
+_TP = np.array([[0, 0, 1, 1, 0], [0, 1, 1, 0, 0]], dtype=float)
+_H = np.array([[0, 1, -1, 1, -1], [1, -1, 1, -1, 0]], dtype=float)
+_TAU = np.array([[0, 0, 0, 0, 1], [0, 0, 0, 1, 1]], dtype=float)
+_LEVELS = np.array([[0, 1, 1, -1, -1], [1, 1, -1, -1, 0]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -202,10 +229,7 @@ class PmWaveform:
     period: float
 
     def __post_init__(self):
-        if not 0 < self.period < math.inf:
-            raise ValueError("period must be finite and positive")
-        if not (0 <= self.omega0 < math.inf and 0 <= self.omega1 < math.inf):
-            raise ValueError("omega0 and omega1 must be finite and nonnegative")
+        _check_pm(self.omega0, self.omega1, self.period)
 
     def pieces(self) -> tuple[Piece, ...]:
         half = 0.5 * self.period
@@ -503,13 +527,14 @@ def resonance_frequency(omega_max: float, tau_plus: float, tau_minus: float,
 
 
 def optimal_dwell_times(omega_max: float, nu: float) -> tuple[float, float]:
-    """Dwell times maximizing the resonant coupling at the first harmonic.
+    """Dwell times maximizing the resonant coupling at the first harmonic
+    (of one nu, or arrays of them for an array of nu).
 
     tau_plus = pi/(nu - omega_max), tau_minus = pi/(nu + omega_max), which
     sets the duty asymmetry to omega_max/nu and places the first-harmonic
     resonance exactly at nu.
     """
-    if not nu > omega_max > 0:
+    if not (omega_max > 0 and np.all(np.asarray(nu) > omega_max)):
         raise ValueError(
             "requires nu > omega_max > 0; for nu <= omega_max the constant "
             "drive already reaches the Hartmann-Hahn condition"

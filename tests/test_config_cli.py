@@ -197,6 +197,17 @@ def test_run_experiment_explicit_writes_csv_and_manifest(tmp_path):
     assert manifest["outputs"] == ["dcs_sensing.csv"]
 
 
+def test_the_manifest_records_the_resolved_worker_count(tmp_path):
+    """With neither --workers nor output.workers, the sweep runs on the CPUs
+    this process may use, and the manifest says how many."""
+    config = load_config(write_config(tmp_path, EXPLICIT))
+    assert config.output.workers is None
+    run_experiment(config, out_dir=tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["workers"] == len(os.sched_getaffinity(0))
+    assert isinstance(manifest["workers"], int)
+
+
 def test_run_experiment_deterministic_output(tmp_path):
     config = load_config(write_config(tmp_path, EXPLICIT))
     run_experiment(config, out_dir=tmp_path / "a", workers=1)

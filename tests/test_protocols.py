@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -38,7 +39,7 @@ from dcspin import (
     solve_topdnp_detuning,
     topdnp_average_power,
 )
-from dcspin import dynamics, protocols, spincore
+from dcspin import dynamics, presets, protocols, spincore
 from dcspin.dynamics import PropagationError, Trajectory, standard_observables
 from dcspin.protocols import _reset_electron, pm_resonant_period, run_sweep
 from dcspin.spincore import _ELECTRON_VECTORS, SIGMA_Z, InitialStateKind
@@ -406,6 +407,69 @@ def test_a_failure_in_a_reset_run_names_the_time_of_the_run(monkeypatch, carbon_
         run_dcs_dnp(carbon_system, carbon_rabi, omega_n, [0.0, 10e-6, 20e-6, 40e-6],
                     IntegrationPolicy(tolerance=1e-13), reset_every=25e-6)
     assert str(info.value).endswith("at sample t = 2.500000e-05")
+
+
+def test_a_drift_error_names_the_grid_point_of_a_later_stack(monkeypatch, proton_cluster):
+    """At d = 64 a symmetric square drive has three slices a period, so a
+    9-point amplitude-error sweep runs as stacks of 2 points.  Only grid
+    point 7, point 1 of the fourth stack, leaks norm (its +omega_max slice
+    unitaries are scaled by 1 + 1e-6), so the error names grid point 7 and
+    its sweep value, not point 1."""
+    spec = ProtocolSpec("dcs", omega_max=angular_from_mhz(2.0))
+    omega_n = nuclear_frequency(proton_cluster.nuclei[0], proton_cluster.field_z)
+    grid, T, policy = np.linspace(-0.02, 0.02, 9), 1e-6, IntegrationPolicy()
+    stacks = protocols._stacks(proton_cluster, [(apply_amplitude_error(spec, d), omega_n)
+                                                for d in grid], T, policy)
+    assert [len(stack[3]) for stack in stacks] == [2, 2, 2, 2, 1]
+    leaky = spec.omega_max * (1 + apply_amplitude_error(spec, grid[7]).amplitude_error)
+    target = np.linalg.eigh(build_hamiltonian(proton_cluster, leaky).matrix)[0]
+    unitaries = dynamics._slice_unitaries
+
+    def leaking(vals, vecs, durations):
+        u = unitaries(vals, vecs, durations)
+        return np.where((vals == target).all(-1)[:, None, None], u * (1 + 1e-6), u)
+
+    monkeypatch.setattr(dynamics, "_slice_unitaries", leaking)
+    with pytest.raises(PropagationError, match="^state drift ") as info:
+        run_sweep(proton_cluster, spec, "amplitude_error", grid, T=T, point=omega_n,
+                  policy=policy, workers=1)
+    assert str(info.value).endswith("at grid point 7 (amplitude_error = 0.015) "
+                                    "at sample t = 1.000000e-06")
+
+
+def _load_tracing(monkeypatch):
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fig3a_decomposes_each_pulse_train_key_once(monkeypatch):
+    """A serial fig3a run shares one key table between its parallel and
+    perpendicular pulse-train sweeps: 604 4x4 decompositions (2 switching
+    keys and 602 pulse-train keys, built as one stack for their eigh call)
+    and the 18 2x2 ones of solve_topdnp_detuning, 622 in all."""
+    tracing = _load_tracing(monkeypatch)
+    eigh, sizes, builds = np.linalg.eigh, [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        sizes.append((np.shape(a)[-1], np.size(a) // np.shape(a)[-1] ** 2))
+        return eigh(a, *args, **kwargs)
+
+    build = protocols._pulse_train_hamiltonians
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(protocols, "_pulse_train_hamiltonians",
+                        lambda system, keys: builds.append(len(keys)) or build(system, keys))
+    with tracing.Tracer() as tracer:
+        presets.run_preset("fig3a", 1)
+    assert tracer.totals()["dynamics.eigh"]["calls"] == len(sizes)
+    assert sorted(n for d, n in sizes if d == 4) == [2, 602]
+    assert sum(n for d, n in sizes if d == 2) == 18
+    assert sum(n for _, n in sizes) == 622
+    assert builds == [602]
+    assert tracing.leftover_wrappers() == []
 
 
 def test_run_sweep_rejects_what_a_kind_cannot_sweep(carbon_system, carbon_rabi):
