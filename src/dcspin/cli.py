@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import SWEEP_AXES, ConfigError, ExperimentConfig, load_config, point_field
 from .constants import angular_from_mhz
-from .dynamics import MAX_SLICES, PropagationError, SliceCountError
+from .dynamics import MAX_SLICES, HorizonError, PropagationError, SliceCountError
 from .presets import PRESETS, run_preset, verify_preset
 from .protocols import run_sweep, solve_topdnp_detuning
 from .spincore import nuclear_frequency
@@ -76,12 +76,10 @@ def _execute_explicit(config: ExperimentConfig, workers: int | None) -> list[Swe
         field = "ramp_substeps" if policy.max_step is None or policy.ramp_substeps > MAX_SLICES \
             else "max_step_ns"
         raise ConfigError(f"integration.{field}: {exc}") from None
-    columns = res.columns
+    except HorizonError as exc:
+        raise ConfigError(f"sweep.{plan.horizon_field}: {exc}") from None
+    columns = res.columns  # config checked that measured names recorded columns
     if spec.measured:
-        unknown = [m for m in spec.measured if m not in columns]
-        if unknown:
-            raise ConfigError(f"protocol.measured: unknown columns {unknown}; "
-                              f"available: {sorted(columns)}")
         columns = {m: columns[m] for m in spec.measured}
     metadata = {"config": config.raw, "version": __version__}
     return [SweepResult(res.name, plan.axis, plan.grid_display, columns, metadata)]

@@ -18,7 +18,8 @@ import numpy as np
 
 from .constants import angular_from_khz, angular_from_mhz
 from .dynamics import IntegrationPolicy
-from .protocols import OPERATING_POINT, TABLE_NAMES, ProtocolSpec
+from .protocols import (OPERATING_POINT, TABLE_NAMES, ProtocolSpec, check_reset_count,
+                        recorded_columns)
 from .spincore import Nucleus, SpinSystem, nucleus_from_isotope
 
 #: config sweep axis -> run_sweep axis and the conversion from config units
@@ -48,6 +49,12 @@ class SweepPlan:
     @property
     def grid_display(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.points)
+
+    @property
+    def horizon_field(self) -> str:
+        """The field that sets the time a run ends at: stop of a total_time_ms
+        sweep, else total_time_ms."""
+        return "stop" if self.axis == "total_time_ms" else "total_time_ms"
 
 
 @dataclass(frozen=True)
@@ -167,8 +174,9 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         ("t_initial", "t_initial", (str, int, float))) if key in block.data}
     if "measured" in block.data:
         measured = block.get("measured", list)
-        if not all(isinstance(m, str) for m in measured):
-            raise ConfigError(f"{block.path}.measured: expected a list of column names")
+        if not measured or not all(isinstance(m, str) for m in measured):
+            raise ConfigError(f"{block.path}.measured: expected a list of at least one "
+                              "column name")
         kwargs["measured"] = tuple(measured)
     if "reset_every_ms" in block.data:
         kwargs["reset_every"] = block.get("reset_every_ms", _NUMBER) * 1e-3
@@ -314,6 +322,16 @@ def parse_config(data: dict, source: str = "config") -> ExperimentConfig:
     if sweep.detuning_mhz == "auto" and not system.nuclei:
         raise ConfigError(f"{source}.sweep.detuning_mhz: 'auto' solves for the "
                           f"resonance of nucleus 1, but {source}.system.nuclei is empty")
+    if protocol.measured:
+        recorded = recorded_columns(system)
+        if unknown := [m for m in protocol.measured if m not in recorded]:
+            raise ConfigError(f"{source}.protocol.measured: unknown columns {unknown}; "
+                              f"available: {sorted(recorded)}")
+    if protocol.reset_every is not None:
+        try:  # the run ends at the horizon field, in seconds as cli passes it
+            check_reset_count(protocol.reset_every, getattr(sweep, sweep.horizon_field) * 1e-3)
+        except ValueError as exc:
+            raise ConfigError(f"{source}.protocol.reset_every_ms: {exc}") from None
     return ExperimentConfig(
         raw=raw,
         system=system,

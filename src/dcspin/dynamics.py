@@ -172,6 +172,11 @@ class SliceCountError(ValueError):
     """A period or span would split into more than MAX_SLICES slices."""
 
 
+class HorizonError(ValueError):
+    """A sample time lies more than 2**53 whole periods after its run's
+    start, past which float64 times cannot place a period boundary."""
+
+
 def _slice_counts(durations: np.ndarray, at_least: np.ndarray, max_step: float | None,
                   ) -> np.ndarray:
     """Slice counts of the spans in each row of ``durations``: at least
@@ -493,6 +498,12 @@ def _evolve(table: _UnitaryCache,
 
     if schedules.periods is not None:
         tau = schedules.periods
+        last = np.broadcast_to(elapsed[-1], tau.shape)
+        if (beyond := last > 2.0 ** 53 * tau).any():
+            b = int(np.argmax(beyond))
+            raise HorizonError(f"t = {last[b]:.6e} s lies more than "
+                               f"2**53 periods of {tau[b]:.6e} s after its run's start, where "
+                               "float64 times cannot place a period boundary")
         k0, r0 = np.divmod(np.concatenate([np.zeros((1, elapsed.shape[1])), elapsed[:-1]]), tau)
         k1, r1 = np.divmod(elapsed, tau)
         same = k1 == k0

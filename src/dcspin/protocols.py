@@ -31,12 +31,12 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import TWO_PI
 from .dynamics import (
     CompiledSchedule,
     IntegrationPolicy,
+    MAX_SLICES,
     PropagationError,
     Trajectory,
     _compile_rows,
@@ -247,7 +247,11 @@ def effective_field_topdnp(rabi: float, detuning: float, pulse_len: float,
 
 def solve_topdnp_detuning(rabi: float, pulse_len: float, delay: float,
                           omega_n: float) -> float:
-    """Detuning satisfying omega_m + omega_eff = omega_n, found by bisection."""
+    """Detuning satisfying omega_m + omega_eff = omega_n: scipy's brentq
+    between 0 and the first of hi, 1.5 hi, ... above the resonance."""
+    # imported here: scipy.optimize takes most of a cold ``import dcspin``
+    from scipy.optimize import brentq
+
     omega_m = TWO_PI / (pulse_len + delay)
 
     def mismatch(det: float) -> float:
@@ -365,18 +369,39 @@ def _drive(system: SpinSystem, spec: ProtocolSpec, point: float | None,
             CompiledSchedule(*_schedule_rows([(spec, point)], policy)[:3]))
 
 
+def check_reset_count(reset_every: float, t_end: float) -> None:
+    """Raise unless a run to ``t_end`` resets the electron at most MAX_SLICES
+    times (np.arange(reset_every, t_end, reset_every) lists the resets)."""
+    if (t_end - reset_every) / reset_every > MAX_SLICES:
+        raise ValueError(f"a reset every {reset_every:.6g} s makes more than {MAX_SLICES} "
+                         f"resets by t = {t_end:.6g} s")
+
+
+def _nearest(grid: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The element of the ascending ``grid`` nearest each x (the lower on a
+    tie, as argmin over |x - grid| picks it) and its distance: inf for an
+    empty grid."""
+    grid = np.concatenate([[-np.inf], grid, [np.inf]])
+    i = np.searchsorted(grid, x)  # grid[i - 1] < x <= grid[i]
+    i -= np.abs(x - grid[i - 1]) <= np.abs(grid[i] - x)
+    return grid[i], np.abs(x - grid[i])
+
+
 def _segments(reset_every: float, sample_times: np.ndarray):
     """The (start, end) times, shaped (2, segments), of the segments that
     the sample times and an electron reset every ``reset_every`` cut a run
     into, and whether a reset follows each."""
     t_end = float(sample_times[-1])
-    resets = np.arange(reset_every, t_end, reset_every)
+    check_reset_count(reset_every, t_end)
+    resets, tol = np.arange(reset_every, t_end, reset_every), 1e-15 * t_end
     # a reset within rounding of a sample happens at that sample, which then
     # reads the state before the reset whatever the last bit of either time
-    gap = np.abs(resets[:, None] - sample_times)
-    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, sample_times[gap.argmin(axis=1)], resets)
-    at = np.array(sorted({float(t) for t in np.concatenate([sample_times, resets]) if t > 0}))
-    at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
+    # (a reset moves by at most tol, far less than reset_every, so they stay ascending)
+    sample, gap = _nearest(sample_times, resets)
+    resets = np.where(gap <= tol, sample, resets)
+    at = np.unique(np.concatenate([sample_times, resets]))
+    at = at[at > 0]
+    at_reset = (_nearest(resets, at)[1] <= tol) & (at < t_end)
     return np.stack([np.concatenate([[0.0], at[:-1]]), at]), at_reset
 
 
@@ -500,6 +525,19 @@ def _stacks(system: SpinSystem, points: list[tuple[ProtocolSpec, float | None]],
     return stacks
 
 
+def _recorded(columns: dict) -> dict:
+    """The columns a sweep records from its standard observables' (by
+    name): those, then nuclear_polarization = 2 I_z[1] with a nucleus."""
+    if "I_z[1]" in columns:
+        columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]
+    return columns
+
+
+def recorded_columns(system: SpinSystem) -> list[str]:
+    """The names of the columns run_sweep records for ``system``, in order."""
+    return list(_recorded({o.name: 0.0 for o in standard_observables(system)}))
+
+
 def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
               grid: Sequence[float], *, T: float | None = None,
               point: float | None = None, policy: IntegrationPolicy | None = None,
@@ -538,10 +576,8 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
         rows = np.concatenate(parallel_map(_stack_rows, [
             (stack, a, axis, grid[a:b]) for stack, a, b in zip(stacks, [0, *ends], ends)], workers))
         columns = {o.name: rows[:, i] for i, o in enumerate(standard_observables(system))}
-    if "I_z[1]" in columns:
-        columns["nuclear_polarization"] = 2.0 * columns["I_z[1]"]
     metadata = {} if spec.reset_every is None else {"reset_every_s": spec.reset_every}
-    return SweepResult(TABLE_NAMES[spec.kind, axis], axis, grid, columns, metadata)
+    return SweepResult(TABLE_NAMES[spec.kind, axis], axis, grid, _recorded(columns), metadata)
 
 
 # ---------------------------------------------------------------------------

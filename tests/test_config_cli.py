@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from dcspin.presets import (
     carbon13_system,
     proton_system,
 )
-from dcspin.protocols import TABLE_NAMES, ProtocolSpec
+from dcspin.protocols import TABLE_NAMES, ProtocolSpec, recorded_columns
 from dcspin.sweep import parallel_map
 
 EXPLICIT = {
@@ -567,6 +568,69 @@ def test_cli_rejects_slice_counts_that_would_fill_memory(tmp_path, capsys, chang
     data["integration"].update(change)
     record = _cli_config_error(tmp_path, capsys, data)
     assert path in record["message"] and "10000" in record["message"]
+
+
+BUILDUP = Path(__file__).resolve().parents[1] / "configs" / "explicit_dnp_buildup.json"
+
+
+def test_cli_rejects_more_resets_than_max_slices_before_the_run(tmp_path, capsys):
+    """A reset every 1e-9 ms over 1 ms would be 10^9 resets; the config is
+    rejected at parse time, before any reset time is listed."""
+    data = json.loads(BUILDUP.read_text())
+    data["protocol"]["reset_every_ms"] = 1e-9
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert "protocol.reset_every_ms:" in record["message"] and "10000" in record["message"]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("example, sweep, field", [
+    (BUILDUP, {"stop": 1e300}, "sweep.stop:"),
+    (SENSING_SPECTRUM, {"points": 3, "total_time_ms": 1e300}, "sweep.total_time_ms:"),
+], ids=["time-sweep-stop", "spectrum-total-time"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_rejects_a_horizon_float64_cannot_place(tmp_path, capsys, example, sweep, field,
+                                                    workers):
+    """10^297 s is about 10^304 periods of a switching drive, past 2**53,
+    where float64 times no longer resolve a period: exit 2 naming the field
+    that sets the horizon, with no warning and no CSV."""
+    data = json.loads(example.read_text())
+    data["sweep"].update(sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", str(write_config(tmp_path, data)), "--out", str(tmp_path / "out"),
+                     "--workers", workers])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and field in record["message"], record
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("measured, listed", [([], None), (["sigma_z", "I_z[2]"], "['I_z[2]']")],
+                         ids=["empty", "unknown"])
+def test_cli_checks_measured_before_any_propagation(tmp_path, capsys, monkeypatch, measured,
+                                                    listed):
+    """An empty or unknown measured list exits 2 at parse time: run_sweep is never called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr("dcspin.cli.run_sweep", forbidden)
+    data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], measured=measured))
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert "protocol.measured:" in record["message"]
+    if listed:
+        assert f"unknown columns {listed}" in record["message"]
+
+
+def test_measured_names_the_columns_run_sweep_records(tmp_path):
+    """Every recorded column is accepted, and the CSV keeps the named ones in order."""
+    system = load_config(write_config(tmp_path, EXPLICIT)).system
+    recorded = recorded_columns(system)
+    assert recorded == ["sigma_z", "I_z[1]", "nuclear_polarization"]
+    data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], measured=recorded[::-1]))
+    run_experiment(load_config(write_config(tmp_path, data)), out_dir=tmp_path / "m", workers=1)
+    header = [line for line in (tmp_path / "m" / "dcs_sensing.csv").read_text().splitlines()
+              if not line.startswith("#")][0]
+    assert header.split(",") == ["nu_mhz", *recorded[::-1]]
 
 
 def test_cli_verification_failure_exit_code(monkeypatch, capsys):

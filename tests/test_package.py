@@ -1,8 +1,17 @@
 """Properties that hold across every module of dcspin."""
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import dcspin
+from dcspin.presets import DELAY_FIG3, PULSE_LEN_FIG3, RABI_FIG3, proton_system
+from dcspin.protocols import solve_topdnp_detuning
+from dcspin.spincore import nuclear_frequency
 
 
 def _lru_caches():
@@ -25,3 +34,48 @@ def test_every_lru_cache_is_bounded():
     assert "dcspin.waveform._span_plan" in caches
     unbounded = [name for name, f in caches.items() if f.cache_parameters()["maxsize"] is None]
     assert unbounded == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: import dcspin in a fresh interpreter and run ``python -m dcspin`` with
+#: the given arguments, if any; then report whether scipy.optimize was imported
+_PROBE = """
+import runpy, sys
+import dcspin
+if sys.argv[1:]:
+    sys.argv = ["dcspin", *sys.argv[1:]]
+    try:
+        runpy.run_module("dcspin", run_name="__main__", alter_sys=True)
+    except SystemExit as exit:
+        if exit.code:
+            raise
+print("scipy.optimize imported:", "scipy.optimize" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--version"], ["list-presets"],
+    ["run", str(ROOT / "configs" / "explicit_sensing_spectrum.json"), "--workers", "1"],
+], ids=["import", "version", "list-presets", "run-sensing-spectrum"])
+def test_a_cold_start_does_not_import_scipy_optimize(tmp_path, argv):
+    """Only solving a pulse-train resonance needs brentq; a fresh process
+    that imports dcspin, or runs a command that solves none, leaves
+    scipy.optimize unimported."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = ["--out", str(tmp_path)] if argv[:1] == ["run"] else []
+    done = subprocess.run([sys.executable, "-c", _PROBE, *argv, *out], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "scipy.optimize imported: False"
+
+
+def test_the_pulse_train_detuning_keeps_its_bits():
+    """At fig3's drive, the solved detuning is the float brentq returned
+    when scipy.optimize was imported with the protocols module."""
+    system = proton_system()
+    omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
+    assert repr(omega_n) == "93634383.6420804"
+    assert repr(solve_topdnp_detuning(RABI_FIG3, PULSE_LEN_FIG3, DELAY_FIG3, omega_n)) \
+        == "16909969.559369653"

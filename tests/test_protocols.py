@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -325,6 +326,61 @@ def _reference_dnp_with_resets(system, w, spec, state0, T_grid, policy):
     table = np.asarray(rows, dtype=float)
     return Trajectory(times=T_grid, final_state=state, observables={
         o.name: table[:, i] for i, o in enumerate(obs)}), len(events)
+
+
+def _quadratic_segments(reset_every, sample_times):
+    """The reset run's segment plan as protocols._segments formed it with a
+    (resets x samples) gap matrix and a (segments x resets) isclose."""
+    t_end = float(sample_times[-1])
+    resets = np.arange(reset_every, t_end, reset_every)
+    gap = np.abs(resets[:, None] - sample_times)
+    resets = np.where(gap.min(axis=1) <= 1e-15 * t_end, sample_times[gap.argmin(axis=1)], resets)
+    at = np.array(sorted({float(t) for t in np.concatenate([sample_times, resets]) if t > 0}))
+    at_reset = np.isclose(at[:, None], resets, rtol=0, atol=1e-15 * t_end).any(1) & (at < t_end)
+    return np.stack([np.concatenate([[0.0], at[:-1]]), at]), at_reset
+
+
+@st.composite
+def segment_plans(draw):
+    """(reset_every, sample times): increasing times up to 1e-9..1 s, some
+    within 8 ulps of a reset (on both sides of one, at times), and 0 to
+    about 400 resets."""
+    t_end = draw(st.floats(1e-9, 1.0))
+    reset_every = t_end / draw(st.floats(0.5, 400.0))
+    resets = np.arange(reset_every, t_end, reset_every)
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+    near = [resets[k % len(resets)] + ulps * np.spacing(resets[k % len(resets)])
+            for k, ulps in draw(st.lists(st.tuples(st.integers(0, 400), st.integers(-8, 8)),
+                                         max_size=12 if len(resets) else 0))]
+    times = np.unique(np.concatenate([np.asarray(fractions) * t_end, near, [t_end]]))
+    return reset_every, times[(times >= 0) & (times <= t_end)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(segment_plans())
+def test_the_segment_plan_equals_the_quadratic_formula_bit_for_bit(case):
+    reset_every, times = case
+    bounds, at_reset = protocols._segments(reset_every, times)
+    old_bounds, old_at_reset = _quadratic_segments(reset_every, times)
+    assert bounds.tobytes() == old_bounds.tobytes()
+    assert at_reset.tolist() == old_at_reset.tolist()
+
+
+def test_the_segment_plan_takes_linear_memory_and_bounds_the_resets():
+    """9,999 resets over 201 samples plan in well under 20 MB (the
+    quadratic plan peaked at 916 MB); past MAX_SLICES resets, it raises
+    before listing them."""
+    times = np.linspace(0.0, 1e-3, 201)
+    tracemalloc.start()
+    try:
+        bounds, at_reset = protocols._segments(1e-3 / 10_000, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert at_reset.sum() == 9_999 and bounds.shape == (2, 10_000)
+    assert peak < 20e6
+    with pytest.raises(ValueError, match="more than 10000 resets"):
+        protocols._segments(1e-12, times)
 
 
 #: a stack budget of 600 bytes holds at most 3 slices of dimension 2, so a
