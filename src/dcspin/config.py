@@ -18,8 +18,8 @@ import numpy as np
 
 from .constants import angular_from_khz, angular_from_mhz
 from .dynamics import IntegrationPolicy
-from .protocols import (OPERATING_POINT, TABLE_NAMES, ProtocolSpec, check_reset_count,
-                        recorded_columns)
+from .protocols import (OPERATING_POINT, TABLE_NAMES, ProtocolSpec, apply_amplitude_error,
+                        check_reset_count, recorded_columns)
 from .spincore import Nucleus, SpinSystem, nucleus_from_isotope
 
 #: config sweep axis -> run_sweep axis and the conversion from config units
@@ -133,14 +133,16 @@ def _parse_nucleus(block: _Block) -> Nucleus:
     gamma_mhz = block.get("gyromagnetic_mhz_per_tesla", _NUMBER)
     isotope = block.get("isotope", str)
     label = block.get("label", str, default=isotope or "")
-    if gamma_mhz is not None:
-        return Nucleus(angular_from_mhz(gamma_mhz), ax, az, label=label)
-    if isotope is None:
+    if gamma_mhz is None and isotope is None:
         raise ConfigError(f"{block.path}: needs isotope or gyromagnetic_mhz_per_tesla")
     try:
+        if gamma_mhz is not None:
+            return Nucleus(angular_from_mhz(gamma_mhz), ax, az, label=label)
         return nucleus_from_isotope(isotope, ax, az)
     except KeyError as exc:
         raise ConfigError(f"{block.path}.isotope: {exc.args[0]}") from None
+    except ValueError as exc:  # a value that overflows in rad/s
+        raise ConfigError(f"{block.path}: {exc}") from None
 
 
 def _parse_system(block: _Block) -> SpinSystem:
@@ -246,6 +248,12 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
     if fixed is not None and getattr(plan, fixed) is None:
         raise ConfigError(f"{block.path}.{fixed}: required for a {axis} sweep of {kind!r}"
                           + (" (a number, or 'auto')" if fixed == "detuning_mhz" else ""))
+    # the composed amplitude error grows with the grid value, so its ends bound the grid
+    for name in ("start", "stop") if axis == "amplitude_error" else ():
+        try:
+            apply_amplitude_error(protocol, getattr(plan, name))
+        except ValueError as exc:
+            raise ConfigError(f"{block.path}.{name}: {exc}") from None
     # the dcs drive needs nu > rabi_mhz, the pm drive nu > omega0_mhz
     floor = {"dcs": ("rabi_mhz", protocol.omega_max), "pm": ("omega0_mhz", protocol.omega0)}
     if kind in floor:

@@ -20,7 +20,7 @@ that builds the Hamiltonians of its new keys as one stack, and each call
 computes one unitary per distinct (key, duration); spans of
 whole periods between samples are applied as an integer power of the
 single-period propagator; the walk replays step programs built in array
-passes (see ``_evolve``).
+passes, planned one chunk of sample spans at a time (see ``_evolve``).
 """
 from __future__ import annotations
 
@@ -369,21 +369,21 @@ def _evolve(table: _UnitaryCache,
     in, whole periods, and a tail window (0, r] of the period it ends in.
     A slice a window clips applies its key for the clipped length, so
     constant slices stay exact; whole-period walks clip to (0, period] too.
-    The whole stack is planned at once: the eigenpairs of the distinct keys
-    from ``table`` (one eigh over those it does not hold), one unitary per
-    distinct (key, duration), one power of each point's polar-projected
-    period product per distinct exponent, and the blocks
-    (a, b, k, event) of the walk: a window, a jump or a period of slices
-    (repeated k times, without fast-forward), then a sample read (event 1)
-    or a read and the end of a lane (event 2).  The walk replays them over
-    flat lists of the steps' unitaries in walk order (2-D for a one-point
-    lane), built in array passes per chunk of (lane, span) items within
-    3/4 of STACK_BYTES, clipped unitaries included.  The state is checked
-    every unitarity_check_interval applied steps, at the end of the window,
-    jump or period that reaches the count, and at every sample; samples are
-    read in STACK_BYTES chunks, before every interval check and at the end
-    of each lane; a failure names when in the run it happened (a sample time
-    or, for an interval check, the span of samples it fell in).
+    The stack shares the eigenpairs of the distinct keys from ``table`` (one
+    eigh over those it does not hold), one unitary per distinct (key,
+    duration) and one power of each point's polar-projected period product
+    per distinct exponent.  The walk is planned and replayed one chunk of
+    (lane, span) items at a time, a chunk's plan within 3/4 of STACK_BYTES
+    or one item: its window masks and clipped unitaries, a flat list of its
+    steps' unitaries in walk order (2-D for a one-point lane), built in
+    array passes, and its blocks (a, b, k, event): a window, a jump or a
+    period of slices (repeated k times, without fast-forward), then a sample
+    read (event 1) or a read and the end of a lane (event 2).  The state is
+    checked every unitarity_check_interval applied steps, at the end of the
+    window, jump or period that reaches the count, and at every sample;
+    samples are read in STACK_BYTES chunks, before every interval check and
+    at the end of each lane; a failure names when in the run it happened (a
+    sample time or, for an interval check, the span of samples it fell in).
     """
     # the distinct keys in the order they first appear, point by point
     distinct, first, index = np.unique(schedules.keys, return_index=True, return_inverse=True)
@@ -494,8 +494,6 @@ def _evolve(table: _UnitaryCache,
         ends = np.cumsum(rows.sum(-1)).tolist()
         return [u[a:b] if r.all() else _Rows(u[a:b], r) for a, b, r in zip([0, *ends], ends, rows)]
 
-    events = np.where(np.arange(1, n_lanes * n_times + 1) % n_times, 1, 2)
-
     if schedules.periods is not None:
         tau = schedules.periods
         last = np.broadcast_to(elapsed[-1], tau.shape)
@@ -512,13 +510,9 @@ def _evolve(table: _UnitaryCache,
         lo, hi = np.zeros((2, n_times, 2, 1, n_points))
         lo[:, 0, 0], hi[:, 0, 0], hi[:, 1, 0] = r0, np.where(same, r1, tau), np.where(same, 0, r1)
         bounds = np.concatenate([np.zeros((1, n_points)), np.cumsum(durations, axis=0)])
-        take = np.minimum(bounds[1:], hi) - np.maximum(bounds[:-1], lo)
         # the length a whole-period walk gives each slice: a clipped slice
         # reuses its key, and every length is capped at the slice duration
         walk_tau = np.minimum(np.minimum(bounds[1:], tau) - bounds[:-1], durations)
-        active = take > 0
-        clipped = active & (take < walk_tau)
-        whole = active & ~clipped
         jumps = (n_whole > 0) & policy.fast_forward
         lengths = np.array([walk_tau, durations] if jumps.any() else [walk_tau])
         # one unitary per distinct (key, length), found as the distinct
@@ -542,85 +536,88 @@ def _evolve(table: _UnitaryCache,
             pairs, power_of = np.unique(n_whole[jumps] * n_points + row, return_inverse=True)
             powers = _matrix_powers((w @ vh)[pairs % n_points], pairs // n_points)
             which[jumps] = power_of
-        clips, hops, which = items(clipped), items(jumps), items(which)
-        # the clipped slices' keys and lengths in walk order, and each item's first
-        clip_l, _, _, clip_s, clip_i = np.nonzero(lanes(clipped))
-        clip_keys, clip_taus = keys[clip_s, clip_l * n + clip_i], lanes(take)[lanes(clipped)]
-        clip_from = np.concatenate([[0], np.cumsum(clips.sum((1, 2, 3)))])
-        del take, active  # the largest plan arrays, before the windows are built
+        lo, hi, count, hops, which = map(items, (lo, hi, n_whole, jumps, which))
+        base, top, walk_tau = lanes(bounds[:-1]), lanes(bounds[1:]), lanes(walk_tau)  # per slice
         # an item's windows: its head window, its jump (one more slice), one
         # period per group of points with as many whole periods left as the
-        # group's least (repeated reps times), and its tail window
-        count = items(n_whole)
-        upto = np.sort(count, -1)[:, :0 if policy.fast_forward else n]
-        reps = np.diff(upto, axis=-1, prepend=0)
-        groups = (lanes(walk_tau > 0)[np.arange(len(count)) // n_times][:, None]
-                  & (reps[..., None, None] > 0) & (count[:, None] >= upto[..., None])[:, :, None])
-        wh = items(whole)
-        wholes = np.concatenate([wh[:, :1], np.zeros_like(wh[:, :1]), groups, wh[:, 1:]], 1)
-        part = np.zeros((*wholes.shape[:2], n_slices + 1, 2), dtype=bool)
-        part[..., :-1, 0], part[:, ::wholes.shape[1] - 1, :-1, 1] = wholes.any(-1), clips.any(-1)
-        part[:, 1, -1, 0] = hops.any(-1)  # (items, windows, slices + jump, parts)
-        size, k = part.sum((2, 3)), np.ones(part.shape[:2], dtype=int)
-        k[:, 2:-1] = reps
-        cost = 128 * size.sum(1) + 16 * vecs.shape[1] ** 2 * np.diff(clip_from)
+        # group's least (repeated k times), and its tail window
+        windows = 3 if policy.fast_forward else 3 + n
+        upto = np.sort(count, -1)[:, :windows - 3]
+        k = np.ones((len(count), windows), dtype=int)  # the repeats of each window
+        k[:, 2:-1] = np.diff(upto, axis=-1, prepend=0)
+        grouped = (k[:, 2:-1, None] > 0) & (count[:, None] >= upto[..., None])  # points per group
+        # per item: 24 bytes per (window, slice or jump, point) of masks and steps, and a unitary
+        # per point for each span end inside a period (a clipped slice) and, in a lane of
+        # several points, for a jump (a copied power)
+        cost = 24 * windows * (n_slices + 1) * n + 16 * vecs.shape[1] ** 2 * (
+            items(np.count_nonzero([r0, r1], axis=0)) + (n > 1) * hops).sum(-1)
 
-        def program(i0: int, i1: int) -> list:
-            """The steps of items i0 to i1 - 1 in walk order."""
-            l0, l1 = i0 // n_times, (i1 - 1) // n_times + 1
-            e, w, s, kind = np.nonzero(part[i0:i1])  # (item, window, slice, whole or clipped)
-            e, t = e + i0, np.minimum(s, n_slices - 1)
-            rows = np.where(kind[:, None] == 1, clips[e, np.minimum(w, 1), t], wholes[e, w, t])
-            kind[s == n_slices], rows[s == n_slices] = 2, hops[e[s == n_slices]]  # jumps
+        def program(i0: int, i1: int) -> tuple[list, np.ndarray]:
+            """The steps of items i0 to i1 - 1 in walk order, and the step
+            count of each of their windows."""
+            lane, l0, l1 = np.arange(i0, i1) // n_times, i0 // n_times, (i1 - 1) // n_times + 1
+            take = np.minimum(top[lane, None], hi[i0:i1]) - np.maximum(base[lane, None], lo[i0:i1])
+            walk = walk_tau[lane, None]
+            # a window clips a slice it takes less of than a whole-period walk
+            clipped = (take > 0) & (take < walk)
+            whole = (take > 0) & ~clipped
+            wholes = np.concatenate([whole[:, :1], np.zeros_like(whole[:, :1]),
+                                     grouped[i0:i1, :, None] & (walk > 0), whole[:, 1:]], 1)
+            part = np.zeros((*wholes.shape[:2], n_slices + 1, 2), dtype=bool)
+            part[..., :-1, 0], part[:, ::windows - 1, :-1, 1] = wholes.any(-1), clipped.any(-1)
+            part[:, 1, -1, 0] = hops[i0:i1].any(-1)  # (items, windows, slices + jump, parts)
+            e, w, s, kind = np.nonzero(part)  # (item, window, slice, whole or clipped)
+            t = np.minimum(s, n_slices - 1)
+            rows = np.where(kind[:, None] == 1, clipped[e, np.minimum(w, 1), t], wholes[e, w, t])
+            kind[s == n_slices], rows[s == n_slices] = 2, hops[i0 + e[s == n_slices]]  # jumps
             # the whole steps of each lane's slices, then the other steps
             steps = [full[u] for u in lane_u[l0:l1, :, 0].ravel().tolist()]
             for i in np.flatnonzero(~shared[l0:l1]).tolist():  # points with their own
                 steps[i] = full[lane_u[l0 + i // n_slices, i % n_slices]]
-            lane, some = e // n_times, (kind == 0) & ~rows.all(-1)
+            lane, some = lane[e], (kind == 0) & ~rows.all(-1)
             ids = (lane - l0) * n_slices + t
-            for mask, u in ((kind == 1, unitaries(clip_keys[clip_from[i0]:clip_from[i1]],
-                                                  clip_taus[clip_from[i0]:clip_from[i1]])),
+            c_e, _, c_s, c_i = np.nonzero(clipped)  # clipped slices in walk order
+            for mask, u in ((kind == 1, unitaries(keys[c_s, (i0 + c_e) // n_times * n + c_i],
+                                                  take[clipped])),
                             (kind == 2, [powers[i] for i in which[i0:i1][hops[i0:i1]].tolist()]
                              if n == 1 else powers[which[i0:i1][hops[i0:i1]]]),
                             (some, full[lane_u[lane[some], t[some]][rows[some]]])):
                 ids[mask] = len(steps) + np.arange(mask.sum())
                 steps += lane_steps(u, rows[mask])
-            return list(map(steps.__getitem__, ids.tolist()))
+            return list(map(steps.__getitem__, ids.tolist())), part.sum((2, 3))
     else:
         # a constant drive: each span is equal slices of the lane's keys
         span = lanes(np.diff(elapsed, axis=0, prepend=0.0) + np.zeros(n_points))[..., 0].ravel()
         count = _slice_counts(span[:, None], span[:, None] > 0, policy.max_step)[:, 0]
-        size, k = count[:, None], np.ones((len(count), 1), dtype=int)
-        cost = 128 * count + 16 * vecs.shape[1] ** 2 * n
+        cost, k = 128 * count + 16 * vecs.shape[1] ** 2 * n, np.ones((len(count), 1), dtype=int)
 
-        def program(i0: int, i1: int) -> list:
+        def program(i0: int, i1: int) -> tuple[list, np.ndarray]:
             go = np.flatnonzero(count[i0:i1]) + i0
             u = unitaries(keys[0, (go[:, None] // n_times * n + np.arange(n)).ravel()],
                           np.repeat(span[go] / count[go], n))
-            return [v for v, c in zip(lane_steps(u, np.ones((len(go), n), dtype=bool)),
-                                      count[go].tolist()) for _ in range(c)]
+            return ([v for v, c in zip(lane_steps(u, np.ones((len(go), n), dtype=bool)),
+                                       count[go].tolist()) for _ in range(c)],
+                    count[i0:i1, None])
 
-    # blocks (a, b, k, event) of every item's windows in walk order, an item's
-    # last window followed by its event; consecutive single runs that no check
-    # or event separates are one block
-    windows, ends, event = k.shape[1], np.cumsum(size), np.zeros_like(k)
-    event[:, -1] = events
-    k, event, starts = k.ravel(), event.ravel(), ends - size.ravel()
-    reach = np.cumsum((ends - starts) * k) // interval  # checks due so far
-    join = ((k[:-1] == 1) & (k[1:] == 1) & (event[:-1] == 0)
-            & (reach[:-1] == np.append(0, reach[:-2])))
-    first = np.flatnonzero(np.concatenate([[True], ~join]))
-    last = np.append(first[1:], len(k)) - 1
-    block_of = np.searchsorted(first // windows, np.arange(len(cost) + 1))
-    psi = start(states)
-    # chunks of items costing at most 3/4 of STACK_BYTES, or one item: a program lives on
-    # until the next is built, so freed pages are reused, not returned and faulted in again
-    edges = (np.flatnonzero(np.diff(np.cumsum(cost) // (STACK_BYTES * 3 // 4))) + 1).tolist()
-    for i0, i1 in zip([0, *edges], [*edges, len(cost)]):
-        steps, off = program(i0, i1), starts[i0 * windows]
-        f, g = first[block_of[i0]:block_of[i1]], last[block_of[i0]:block_of[i1]]
-        psi = replay(psi, steps, zip((starts[f] - off).tolist(), (ends[g] - off).tolist(),
-                                     k[g].tolist(), event[g].tolist()))
+    psi, i1, total, event = start(states), 0, np.append(0, np.cumsum(cost)), np.zeros_like(k)
+    event[:, -1] = np.where(np.arange(1, len(k) + 1) % n_times, 1, 2)
+    # plan and walk chunks of items costing at most 3/4 of STACK_BYTES, or one item: a program
+    # lives on until the next is built, so freed pages are reused, not returned and faulted in
+    while i1 < len(cost):
+        i0, i1 = i1, max(i1 + 1, np.searchsorted(total, total[i1] + STACK_BYTES * 3 // 4,
+                                                 "right") - 1)
+        steps, size = program(i0, i1)
+        # blocks (a, b, k, event) of the items' windows in walk order, an item's last
+        # window followed by its event; consecutive single runs that no check or event
+        # separates are one block
+        ks, events, ends = k[i0:i1].ravel(), event[i0:i1].ravel(), np.cumsum(size)
+        # checks due so far, before and after each window
+        reach = np.concatenate([[applied], applied + np.cumsum(size.ravel() * ks)]) // interval
+        join = (ks[:-1] == 1) & (ks[1:] == 1) & (events[:-1] == 0) & (reach[1:-1] == reach[:-2])
+        first = np.flatnonzero(np.concatenate([[True], ~join]))
+        last = np.append(first[1:], len(ks)) - 1
+        psi = replay(psi, steps, zip((ends - size.ravel())[first].tolist(), ends[last].tolist(),
+                                     ks[last].tolist(), events[last].tolist()))
     imag = np.abs(values.imag).max()
     if imag >= 1e-10:
         raise PropagationError(f"observable developed imaginary part {imag:.3e}")

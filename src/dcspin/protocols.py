@@ -167,6 +167,10 @@ class ProtocolSpec:
             raise ValueError("omega0 and omega1 must be nonnegative")
         if self.kind == "topdnp" and min(self.pulse_len, self.delay) <= 0:
             raise ValueError("pulse_len and delay must be positive")
+        for name in ("omega_max", "omega0", "omega1", "rabi", "omega_e"):
+            if getattr(self, name) is not None \
+                    and not math.isfinite(getattr(self, name) * (1 + self.amplitude_error)):
+                raise ValueError(f"{name} * (1 + amplitude_error) must be finite")
 
 
 def apply_amplitude_error(spec: ProtocolSpec, delta: float) -> ProtocolSpec:

@@ -543,7 +543,11 @@ SENSING_SPECTRUM = Path(__file__).resolve().parents[1] / "configs" / \
     ("protocol", "t_initial", float("nan"), "protocol.t_initial:"),
     ("integration", "unitarity_check_interval", 0, "integration: unitarity_check_interval"),
     ("system", "field_tesla", float("nan"), "system.field_tesla:"),
-], ids=["nan-time", "zero-time", "nan-t-initial", "zero-check-interval", "nan-field"])
+    # 1e308 kHz is finite, but not in rad/s
+    ("system", "nuclei", [{"isotope": "13C", "hyperfine_x_khz": 1e308, "hyperfine_z_khz": 17.09}],
+     "system.nuclei[0]:"),
+], ids=["nan-time", "zero-time", "nan-t-initial", "zero-check-interval", "nan-field",
+        "overflowing-hyperfine"])
 def test_cli_rejects_values_the_propagator_cannot_take(tmp_path, capsys, block, key, value,
                                                        path):
     data = json.loads(SENSING_SPECTRUM.read_text())
@@ -775,6 +779,8 @@ def test_the_pair_runs_cover_every_sweep_run_sweep_accepts():
 
 DCS_TIME = {"axis": "total_time_ms", "start": 0.0, "stop": 0.05, "points": 3}
 PM = {"kind": "pm", "omega0_mhz": 11.0, "omega1_mhz": 1.0}
+TOPDNP = {"kind": "topdnp", "rabi_mhz": 2.0, "pulse_len_ns": 56, "delay_ns": 28}
+AMPLITUDE_ERRORS = {"axis": "amplitude_error", "start": -1.5, "stop": 0.0, "nu_mhz": 10.7}
 
 
 @pytest.mark.parametrize("protocol,sweep,field", [
@@ -789,12 +795,26 @@ PM = {"kind": "pm", "omega0_mhz": 11.0, "omega1_mhz": 1.0}
     ({"rabi_mhz": 0.0}, {}, "protocol"),
     ({"switch_fraction": 1.0}, {}, "protocol"),
     ({"kind": "pm", "omega0_mhz": 1.0, "omega1_mhz": -1.0}, {}, "protocol"),
+    # an amplitude-error grid must stay above -1, on every drive it applies to
+    ({}, AMPLITUDE_ERRORS, "sweep.start"),
+    (PM, dict(AMPLITUDE_ERRORS, nu_mhz=11.5), "sweep.start"),
+    (TOPDNP, {"axis": "amplitude_error", "start": -1.5, "stop": 0.0, "detuning_mhz": 2.69},
+     "sweep.start"),
+    # every drive amplitude, converted and scaled by 1 + amplitude_error, must be finite
+    ({}, dict(AMPLITUDE_ERRORS, start=0.0, stop=1e308), "sweep.stop"),
+    ({"amplitude_error": 1e308}, {}, "protocol"),
+    ({"kind": "pm", "omega0_mhz": 1.0, "omega1_mhz": 1e308}, {}, "protocol"),
+    ({"kind": "constant", "omega_e_mhz": 1e308}, DCS_TIME, "protocol"),
+    (dict(TOPDNP, rabi_mhz=1e308), dict(DCS_TIME, detuning_mhz=2.69), "protocol"),
 ], ids=["dcs-grid", "dcs-nu", "pm-grid-start", "pm-grid-stop", "pm-nu", "zero-reset",
-        "zero-rabi", "full-switch-fraction", "negative-omega1"])
+        "zero-rabi", "full-switch-fraction", "negative-omega1", "dcs-amplitude-error-grid",
+        "pm-amplitude-error-grid", "topdnp-amplitude-error-grid", "amplitude-error-grid-overflow",
+        "amplitude-error-overflow", "pm-omega1-overflow", "constant-omega-e-overflow",
+        "topdnp-rabi-overflow"])
 def test_cli_rejects_configs_the_drive_cannot_run(tmp_path, capsys, protocol, sweep, field):
     data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], **protocol),
                 sweep=dict(EXPLICIT["sweep"], **sweep))
-    if protocol.get("kind") == "pm":
+    if protocol.get("kind") in ("pm", "constant"):
         del data["protocol"]["rabi_mhz"]
     record = _cli_config_error(tmp_path, capsys, data)
     assert f"{field}:" in record["message"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from dcspin import (
     ProtocolSpec,
     propagate,
     propagate_spin_pair,
+    run_dcs_dnp,
 )
 from dcspin import dynamics, presets
 from dcspin.dynamics import (
@@ -490,33 +492,67 @@ def test_interval_checks_fire_where_the_count_is_reached(switch_fraction, fast_f
 
 
 def test_chunked_step_programs_equal_one_program_bit_for_bit(monkeypatch):
-    """A 301-sample trace on fig4a's ramped variant drive, walked as many
-    small step programs with their clipped unitaries in many small batches
-    (STACK_BYTES of 16 KiB), equals the default walk bit for bit."""
+    """A trace on fig4a's ramped variant drive (301 samples over 1 ms, or
+    the first 31 of them when stepped period by period), planned and walked
+    as many small chunks of step programs with their clipped unitaries in
+    many small batches (STACK_BYTES of 16 KiB), equals the default walk bit
+    for bit, and checks the same states: the check count carried across
+    chunk edges puts every interval check where the default walk does.  (A
+    span of this trace applies 196 steps, so an interval of 7 would put
+    every chunk edge on a check boundary; 11 does not.)"""
     system = presets.proton_system()
     drive = build_dcs_waveform(presets.RABI_FIG3_MATCHED,
                                nuclear_frequency(system.nuclei[0], system.field_z),
                                switch_fraction=presets.SWITCH_FRACTION_FIG4, t_initial="zero")
-    times = np.linspace(0.0, presets.TOTAL_TIME_FIG3, presets.N_GRID)
-    unitaries, batches = dynamics._slice_unitaries, []
+    unitaries, norm, budget = dynamics._slice_unitaries, np.linalg.norm, dynamics.STACK_BYTES
+    batches, checked = [], []
 
     def counted(vals, vecs, durations):
         batches.append(len(durations))
         return unitaries(vals, vecs, durations)
 
+    def seen(x, *args, **kwargs):
+        if np.ndim(x) == 4:  # the point stacks of a sample read or an interval check
+            checked.extend(state.tobytes() for state in x)
+        return norm(x, *args, **kwargs)
+
     monkeypatch.setattr(dynamics, "_slice_unitaries", counted)
-    runs = []
-    for stack_bytes in (dynamics.STACK_BYTES, 1 << 14):
-        monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
-        batches.clear()
-        runs.append((propagate(system, drive, initial_state("dnp_dcs", system), times[-1],
-                               sample_times=times), len(batches)))
-    (default, default_batches), (chunked, chunked_batches) = runs
-    assert chunked_batches > default_batches + 3
-    for name, series in default.observables.items():
-        assert np.array_equal(chunked.observables[name], series), name
-    assert np.array_equal(chunked.final_state.density_matrix(),
-                          default.final_state.density_matrix())
+    monkeypatch.setattr(np.linalg, "norm", seen)
+    for policy, samples in ((IntegrationPolicy(), presets.N_GRID),
+                            (IntegrationPolicy(unitarity_check_interval=11), presets.N_GRID),
+                            (IntegrationPolicy(fast_forward=False), 31)):
+        times = np.linspace(0.0, presets.TOTAL_TIME_FIG3, presets.N_GRID)[:samples]
+        runs = []
+        for stack_bytes in (budget, 1 << 14):
+            monkeypatch.setattr(dynamics, "STACK_BYTES", stack_bytes)
+            batches.clear()
+            checked.clear()
+            runs.append((propagate(system, drive, initial_state("dnp_dcs", system), times[-1],
+                                   policy, sample_times=times), len(batches), sorted(checked)))
+        (default, default_batches, default_checked), (chunked, chunked_batches,
+                                                       chunked_checked) = runs
+        assert chunked_batches > default_batches + 3
+        assert len(chunked_checked) > samples and chunked_checked == default_checked
+        for name, series in default.observables.items():
+            assert np.array_equal(chunked.observables[name], series), name
+        assert np.array_equal(chunked.final_state.density_matrix(),
+                              default.final_state.density_matrix())
+
+
+def test_a_finely_sampled_trace_plans_one_chunk_at_a_time():
+    """401 samples over 20 us at 2 MHz, in slices of at most 0.1 ns (about
+    670 a period): a plan of every span at once peaked near 9 MB, a plan
+    per chunk of spans within 3/4 of STACK_BYTES below 1 MB."""
+    system = presets.proton_system()
+    args = (system, angular_from_mhz(2.0), nuclear_frequency(system.nuclei[0], system.field_z),
+            np.linspace(0.0, 20e-6, 401), IntegrationPolicy(max_step=1e-10))
+    tracemalloc.start()
+    try:
+        run_dcs_dnp(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 def test_the_key_table_holds_eigenpairs_within_its_byte_budget():
