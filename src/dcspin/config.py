@@ -254,6 +254,12 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
             apply_amplitude_error(protocol, getattr(plan, name))
         except ValueError as exc:
             raise ConfigError(f"{block.path}.{name}: {exc}") from None
+    # nu and the detuning enter the drive in rad/s, where every grid end and fixed value is finite
+    grid_ends = ["start", "stop"] if axis in ("nu_mhz", "detuning_mhz") else []
+    for name in grid_ends + ([fixed] if fixed else []):
+        value = getattr(plan, name)
+        if value != "auto" and not math.isfinite(angular_from_mhz(value)):
+            raise ConfigError(f"{block.path}.{name}: {value} MHz is not finite in rad/s")
     # the dcs drive needs nu > rabi_mhz, the pm drive nu > omega0_mhz
     floor = {"dcs": ("rabi_mhz", protocol.omega_max), "pm": ("omega0_mhz", protocol.omega0)}
     if kind in floor:

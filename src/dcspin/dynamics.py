@@ -143,12 +143,10 @@ class CompiledSchedule:
     with period None, one aperiodic key of duration 0.  ``period``, ``steps``
     ((key, duration) tuples) and ``constant_key`` read the first point."""
 
-    def __init__(self, period, keys=None, durations=None, constant_key: Hashable = None):
+    def __init__(self, period, keys, durations):
         self.periods = None if period is None else np.asarray(period, dtype=float).reshape(-1)
-        self.keys = np.reshape([constant_key] if keys is None else keys,
-                               (-1, 1) if period is None else (self.periods.size, -1))
-        self.durations = np.zeros(self.keys.shape) if durations is None else \
-            np.reshape(durations, self.keys.shape)
+        self.keys = np.reshape(keys, (-1, 1) if period is None else (self.periods.size, -1))
+        self.durations = np.reshape(durations, self.keys.shape)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -213,7 +211,7 @@ def compile_waveform(w: Waveform, policy: IntegrationPolicy) -> CompiledSchedule
     """Turn a scalar drive into keyed constant slices (keys are drive values):
     one row of _compile_rows."""
     if isinstance(w, ConstantWaveform):
-        return CompiledSchedule(period=None, constant_key=w.omega_e)
+        return CompiledSchedule(None, [w.omega_e], [0.0])
     start, end, v0, v1 = np.array(w.pieces()).T[:, None]
     keys, durations, _ = _compile_rows(end - start, v0, v1, np.array([v0.size]), policy)
     return CompiledSchedule(w.period, keys, durations)
@@ -231,12 +229,11 @@ def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) 
 class _UnitaryCache:
     """The key table of a keyed Hamiltonian: one eigendecomposition per key,
     held while the held eigenpairs fit STACK_BYTES (past it, one per lookup).
-    A lookup's new keys are built by one ``hamiltonians_of`` call (stacked)
-    or one ``hamiltonian_of`` call each."""
+    A lookup's new keys are built by one ``hamiltonians_of`` call, a list of
+    keys to their Hamiltonians stacked (keys, d, d)."""
 
-    def __init__(self, hamiltonian_of: Callable[[Hashable], np.ndarray] | None = None, *,
-                 hamiltonians_of: Callable[[list], np.ndarray] | None = None):
-        self._hamiltonian_of, self._hamiltonians_of = hamiltonian_of, hamiltonians_of
+    def __init__(self, hamiltonians_of: Callable[[list], np.ndarray]):
+        self._hamiltonians_of = hamiltonians_of
         self._eigs: dict[Hashable, tuple[np.ndarray, np.ndarray]] = {}
         self._room = STACK_BYTES
 
@@ -244,9 +241,7 @@ class _UnitaryCache:
         """The stacked eigenpairs of the distinct ``keys``: one eigh over those not held."""
         new = [k for k in keys if k not in self._eigs]
         if new:
-            vals, vecs = np.linalg.eigh(np.asarray(
-                self._hamiltonians_of(new) if self._hamiltonians_of else
-                [self._hamiltonian_of(k) for k in new], complex))
+            vals, vecs = np.linalg.eigh(np.asarray(self._hamiltonians_of(new), complex))
             held = min(len(new), self._room // (vals[0].nbytes + vecs[0].nbytes))
             self._room -= held * (vals[0].nbytes + vecs[0].nbytes)
             self._eigs.update(zip(new[:held], zip(vals[:held].copy(), vecs[:held].copy())))
@@ -255,9 +250,6 @@ class _UnitaryCache:
             fresh = dict(zip(new, zip(vals, vecs)))
         pairs = [self._eigs.get(k) or fresh[k] for k in keys]
         return np.array([v for v, _ in pairs]), np.array([v for _, v in pairs])
-
-    def unitary(self, key: Hashable, duration: float) -> np.ndarray:
-        return _slice_unitaries(*self.eigenpairs([key]), np.array([duration]))[0]
 
 
 def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
@@ -279,8 +271,10 @@ def sample_grid(T: float, sample_every: float | None) -> np.ndarray:
 
 def _times_from_zero(sample_times: Sequence[float]) -> np.ndarray:
     """The sample times with t = 0 put first when absent; every run is read
-    there.  They must be finite and increasing."""
+    there.  They must be finite and increasing, and there must be one."""
     times = np.asarray(sample_times, dtype=float)
+    if not times.size:
+        raise ValueError("no sample times given")
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
     if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
@@ -627,22 +621,19 @@ def _evolve(table: _UnitaryCache,
     return values, weights, psi
 
 
-def propagate_compiled(hamiltonian_of: Callable[[Hashable], np.ndarray],
+def propagate_compiled(hamiltonians_of: Callable[[list], np.ndarray],
                        schedule: CompiledSchedule,
                        state0: QuantumState,
                        sample_times: Sequence[float],
                        policy: IntegrationPolicy,
                        observables: Sequence[Observable]) -> Trajectory:
-    """Evolve one point and sample it (a one-point stack of _evolve); t = 0
-    is always sampled."""
+    """Evolve one point and sample it (a one-point stack of _evolve, its key
+    table built by ``hamiltonians_of``); t = 0 is always sampled."""
     times = _times_from_zero(sample_times)
-    values, weights, psi = _evolve(_UnitaryCache(hamiltonian_of), schedule, times, state0,
+    values, weights, psi = _evolve(_UnitaryCache(hamiltonians_of), schedule, times, state0,
                                    policy, observables)
-    return Trajectory(
-        times=times,
-        observables={o.name: values[:, 0, i] for i, o in enumerate(observables)},
-        final_state=_normalized(weights[0], psi[0]),
-    )
+    return Trajectory(times=times, final_state=_normalized(weights[0], psi[0]),
+                      observables={o.name: values[:, 0, i] for i, o in enumerate(observables)})
 
 
 @functools.lru_cache(maxsize=SYSTEM_CACHE_SIZE)
@@ -659,18 +650,20 @@ def standard_observables(system: SpinSystem) -> list[Observable]:
     return list(_standard_observables(system))
 
 
-def _drive_hamiltonian(system: SpinSystem, omega_e: float) -> np.ndarray:
-    return build_hamiltonian(system, omega_e).matrix
-
-
 def _drive_hamiltonians(system: SpinSystem, keys: list) -> np.ndarray:
     return build_hamiltonian(system, np.asarray(keys, dtype=float))
 
 
-def waveform_drive(system: SpinSystem, w: Waveform, policy: IntegrationPolicy):
-    """The keyed Hamiltonians and the compiled schedule of drive ``w``; the
-    keys are drive values, so they name one Hamiltonian of ``system``."""
-    return functools.partial(_drive_hamiltonian, system), compile_waveform(w, policy)
+def _run_times(T: float, policy: IntegrationPolicy | None, sample_every: float | None,
+               sample_times: Sequence[float] | None) -> tuple[IntegrationPolicy, np.ndarray]:
+    """The policy (the default for None) and sample times of a run to a finite
+    T > 0: the grid of ``sample_every``, or the times given, none past T."""
+    if not 0 < T < math.inf:
+        raise ValueError("T must be finite and positive")
+    times = sample_grid(T, sample_every) if sample_times is None else np.asarray(sample_times)
+    if times.size and times[-1] > T:
+        raise ValueError(f"sample time {times[-1]:.6e} lies past T = {T:.6e}")
+    return policy or IntegrationPolicy(), times
 
 
 def propagate(system: SpinSystem, w: Waveform, state0: QuantumState, T: float,
@@ -680,19 +673,15 @@ def propagate(system: SpinSystem, w: Waveform, state0: QuantumState, T: float,
               extra_observables: Sequence[Observable] = ()) -> Trajectory:
     """Evolve ``state0`` under the system Hamiltonian with drive ``w``.
 
-    Records sigma_z and every nuclear I_z on the sample grid (given either
-    as a spacing or as explicit times; the final time T is always sampled).
+    Records sigma_z and every nuclear I_z on the sample grid: a spacing,
+    whose grid always ends at T, or explicit times, none past T.
     """
-    if not 0 < T < math.inf:
-        raise ValueError("T must be finite and positive")
+    policy, times = _run_times(T, policy, sample_every, sample_times)
     if state0.dimension != system.dimension:
         raise ValueError("initial state dimension does not match the system")
-    policy = policy or IntegrationPolicy()
-    if sample_times is None:
-        sample_times = sample_grid(T, sample_every)
     observables = standard_observables(system) + list(extra_observables)
-    return propagate_compiled(*waveform_drive(system, w, policy), state0, sample_times,
-                              policy, observables)
+    return propagate_compiled(functools.partial(_drive_hamiltonians, system),
+                              compile_waveform(w, policy), state0, times, policy, observables)
 
 
 def effective_flipflop_signal(omega_max: float, nu: float, a_x: float, T: float) -> float:
@@ -762,18 +751,17 @@ def propagate_spin_pair(w: Waveform, omega_n: float, coupling: float,
     Validates the switching-resonance theory independently of the composite
     electron-nuclear reduction.  Records sigma_z = 2<S1z> and I_z[1] = <S2z>.
     """
+    policy, times = _run_times(T, policy, sample_every, sample_times)
     if state0.dimension != 4:
         raise ValueError("spin-pair model requires a two-spin (dimension 4) state")
-    policy = policy or IntegrationPolicy()
-    if sample_times is None:
-        sample_times = sample_grid(T, sample_every)
-    schedule = compile_waveform(w, policy)
-    s1z = np.kron(SPIN_Z, np.eye(2))
-    s2z = np.kron(np.eye(2), SPIN_Z)
+    if not (math.isfinite(omega_n) and math.isfinite(coupling)):
+        raise ValueError("omega_n and coupling must be finite")
+    s1z, s2z = np.kron(SPIN_Z, np.eye(2)), np.kron(np.eye(2), SPIN_Z)
 
-    def hamiltonian_of(omega_e: float) -> np.ndarray:
+    def hamiltonians_of(keys: list) -> np.ndarray:
+        omega_e = np.asarray(keys, dtype=float)[:, None, None]
         return omega_e * s1z + omega_n * s2z + coupling * _SPIN_PAIR_FLIPFLOP
 
     observables = [Observable(2 * s1z, name="sigma_z"), Observable(s2z, name="I_z[1]")]
-    return propagate_compiled(hamiltonian_of, schedule, state0, sample_times, policy,
-                              observables)
+    return propagate_compiled(hamiltonians_of, compile_waveform(w, policy), state0, times,
+                              policy, observables)

@@ -3,10 +3,10 @@
 ProtocolSpecs and their operating points turn into compiled schedules in
 one array pass over a grid (``_schedule_rows``): its keys and durations
 arrays hold every point's slices, in every reset segment, with the bits the
-drive objects give; ``_drive`` is its one-point case.  ``OPERATING_POINT``
-names the sweep axis that holds each kind's point: nu for dcs and pm, the
-pulse detuning for topdnp, none for constant.  Every run evolves as stacks
-of such points (``_stacks``, ``_evolve_stack``), each stack one
+drive objects give.  ``OPERATING_POINT`` names the sweep axis that holds
+each kind's point: nu for dcs and pm, the pulse detuning for topdnp, none
+for constant.  Every run evolves as stacks of such points (``_stacks``,
+``_evolve_stack``), each stack one
 CompiledSchedule of rows: a trajectory (``_trajectory``) is a one-point
 stack, and ``run_sweep`` is the one runner over every sweep axis: total
 time, the operating point, or the amplitude error.  Two front ends build a
@@ -43,6 +43,7 @@ from .dynamics import (
     _drive_hamiltonians,
     _evolve,
     _normalized,
+    _slice_unitaries,
     _stack_groups,
     _times_from_zero,
     _UnitaryCache,
@@ -97,12 +98,6 @@ class PulseTrain:
     def modulation_frequency(self) -> float:
         """omega_m = 2 pi / (pulse_len + delay)."""
         return TWO_PI / self.period
-
-    def compiled_schedule(self, policy: IntegrationPolicy) -> CompiledSchedule:
-        """Slices keyed rabi + i detuning (rabi 0 in the delay), as
-        _pulse_train_hamiltonians reads them: one row of _schedule_rows."""
-        spec = ProtocolSpec("topdnp", rabi=self.rabi, pulse_len=self.pulse_len, delay=self.delay)
-        return CompiledSchedule(*_schedule_rows([(spec, self.detuning)], policy)[:3])
 
 
 @dataclass(frozen=True)
@@ -240,12 +235,11 @@ def effective_field_topdnp(rabi: float, detuning: float, pulse_len: float,
     sigma_x and the pulse drive along sigma_z.
     """
     train = PulseTrain(rabi, pulse_len, delay, detuning)  # checks the lengths
-    hams = {"pulse": 0.5 * detuning * SIGMA_X + 0.5 * rabi * SIGMA_Z,
-            "delay": 0.5 * detuning * SIGMA_X}
-    cache = _UnitaryCache(hams.__getitem__)
-    u = cache.unitary("delay", delay) @ cache.unitary("pulse", pulse_len)
-    half_trace = min(1.0, abs(np.trace(u)) / 2.0)
-    beta = 2.0 * math.acos(half_trace)
+    hams = [0.5 * detuning * SIGMA_X + 0.5 * rabi * SIGMA_Z, 0.5 * detuning * SIGMA_X]
+    # the pulse and the delay, keys 0 and 1 of one key table lookup: one eigh
+    table = _UnitaryCache(lambda keys: [hams[k] for k in keys])
+    pulse, rest = _slice_unitaries(*table.eigenpairs([0, 1]), np.array([pulse_len, delay]))
+    beta = 2.0 * math.acos(min(1.0, abs(np.trace(rest @ pulse)) / 2.0))
     return beta / train.period
 
 
@@ -307,7 +301,7 @@ def _pulse_train_hamiltonians(system: SpinSystem, keys: list) -> np.ndarray:
 def key_table(system: SpinSystem, kind: str) -> _UnitaryCache:
     """An empty key table for the drives of protocol ``kind`` on ``system``;
     it builds the Hamiltonians of a lookup's new keys as one stack."""
-    return _UnitaryCache(hamiltonians_of=functools.partial(
+    return _UnitaryCache(functools.partial(
         _pulse_train_hamiltonians if kind == "topdnp" else _drive_hamiltonians, system))
 
 
@@ -360,17 +354,6 @@ def _schedule_rows(points: list[tuple[ProtocolSpec, float | None]], policy: Inte
             (t0 - np.asarray(shifts)[:, None]).ravel())
         period, durations = tile(period), end - start
     return period, *_compile_rows(durations, v0, v1, pieces, policy)
-
-
-def _drive(system: SpinSystem, spec: ProtocolSpec, point: float | None,
-           policy: IntegrationPolicy):
-    """The keyed Hamiltonians (key -> matrix) and the compiled schedule of
-    ``spec`` at ``point`` (nu for dcs and pm, the pulse detuning for topdnp,
-    none for constant): one row of _schedule_rows.  A key names the same
-    Hamiltonian of ``system`` at every point."""
-    build = _pulse_train_hamiltonians if spec.kind == "topdnp" else _drive_hamiltonians
-    return (lambda key: build(system, [key])[0],
-            CompiledSchedule(*_schedule_rows([(spec, point)], policy)[:3]))
 
 
 def check_reset_count(reset_every: float, t_end: float) -> None:
@@ -568,6 +551,8 @@ def run_sweep(system: SpinSystem, spec: ProtocolSpec, axis: str,
         raise ValueError(f"a {axis} sweep needs T > 0")
     policy = policy or IntegrationPolicy()
     grid = np.asarray(grid, dtype=float)
+    if not grid.size:
+        raise ValueError(f"a {axis} sweep needs at least one grid value")
     if axis == "T":
         columns = _trajectory(system, spec, point, grid, policy, table).observables
     else:

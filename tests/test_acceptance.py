@@ -35,7 +35,8 @@ from dcspin import (
     resonance_frequency,
     run_dcs_sensing,
 )
-from dcspin.dynamics import _UnitaryCache, propagate_compiled, standard_observables
+from dcspin.dynamics import (_slice_unitaries, _UnitaryCache, propagate_compiled,
+                             standard_observables)
 from dcspin.presets import (
     RABI_FIG2,
     SENSING_TIME_FIG2,
@@ -251,11 +252,11 @@ def test_criterion_7_numerical_hygiene():
     w = build_dcs_waveform(RABI_FIG2, omega_n)
 
     # unitarity of every cached segment exponential
-    cache = _UnitaryCache(lambda omega: build_hamiltonian(system, omega).matrix)
+    cache = _UnitaryCache(lambda omegas: build_hamiltonian(system, np.asarray(omegas)))
     defects = []
     for key in (w.omega_max, -w.omega_max):
         for dur in (w.tau_plus, w.tau_minus, 1e-12, 1e-3):
-            u = cache.unitary(key, dur)
+            u = _slice_unitaries(*cache.eigenpairs([key]), np.array([dur]))[0]
             defects.append(np.max(np.abs(u.conj().T @ u - np.eye(4))))
     unitarity = max(defects)
 
@@ -266,11 +267,11 @@ def test_criterion_7_numerical_hygiene():
     rho0 = QuantumState.from_density(initial_state("sensing", system).density_matrix())
     schedule_steps = 2 * n_periods
 
-    def hamiltonian_of(omega):
-        return build_hamiltonian(system, omega).matrix
+    def hamiltonians_of(omegas):
+        return build_hamiltonian(system, np.asarray(omegas))
 
     from dcspin.dynamics import compile_waveform
-    traj = propagate_compiled(hamiltonian_of, compile_waveform(w, policy), rho0,
+    traj = propagate_compiled(hamiltonians_of, compile_waveform(w, policy), rho0,
                               [T], policy, standard_observables(system))
     rho = traj.final_state.density_matrix()
     trace_drift = abs(np.trace(rho).real - 1.0)

@@ -806,11 +806,18 @@ AMPLITUDE_ERRORS = {"axis": "amplitude_error", "start": -1.5, "stop": 0.0, "nu_m
     ({"kind": "pm", "omega0_mhz": 1.0, "omega1_mhz": 1e308}, {}, "protocol"),
     ({"kind": "constant", "omega_e_mhz": 1e308}, DCS_TIME, "protocol"),
     (dict(TOPDNP, rabi_mhz=1e308), dict(DCS_TIME, detuning_mhz=2.69), "protocol"),
+    # nu and the detuning, converted to rad/s, must be finite
+    ({}, dict(DCS_TIME, nu_mhz=1e308), "sweep.nu_mhz"),
+    ({}, {"stop": 1e308}, "sweep.stop"),
+    (TOPDNP, {"axis": "detuning_mhz", "start": 2.64, "stop": 1e308}, "sweep.stop"),
+    (TOPDNP, {"axis": "detuning_mhz", "start": -1e308, "stop": 2.74}, "sweep.start"),
+    (TOPDNP, dict(DCS_TIME, detuning_mhz=-1e308), "sweep.detuning_mhz"),
 ], ids=["dcs-grid", "dcs-nu", "pm-grid-start", "pm-grid-stop", "pm-nu", "zero-reset",
         "zero-rabi", "full-switch-fraction", "negative-omega1", "dcs-amplitude-error-grid",
         "pm-amplitude-error-grid", "topdnp-amplitude-error-grid", "amplitude-error-grid-overflow",
         "amplitude-error-overflow", "pm-omega1-overflow", "constant-omega-e-overflow",
-        "topdnp-rabi-overflow"])
+        "topdnp-rabi-overflow", "dcs-nu-overflow", "dcs-grid-stop-overflow",
+        "topdnp-grid-stop-overflow", "topdnp-grid-start-overflow", "topdnp-detuning-overflow"])
 def test_cli_rejects_configs_the_drive_cannot_run(tmp_path, capsys, protocol, sweep, field):
     data = dict(EXPLICIT, protocol=dict(EXPLICIT["protocol"], **protocol),
                 sweep=dict(EXPLICIT["sweep"], **sweep))

@@ -13,8 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dcspin import (IntegrationPolicy, ProtocolSpec, PulseTrain, angular_from_mhz,
-                    apply_amplitude_error)
+from dcspin import IntegrationPolicy, ProtocolSpec, angular_from_mhz, apply_amplitude_error
 from dcspin.dynamics import compile_waveform
 from dcspin.protocols import _schedule_rows, _waveform
 from dcspin.waveform import Piece
@@ -75,8 +74,8 @@ def _compile(pieces, policy):
 
 
 def _pulse_train_steps(rabi, pulse_len, delay, detuning, policy):
-    """PulseTrain.compiled_schedule's slices, its (segment, rabi, detuning)
-    keys written as the array pass's rabi + i detuning."""
+    """A pulse train's slices, its (segment, rabi, detuning) keys written as
+    the array pass's rabi + i detuning."""
     spans = ((complex(rabi, detuning), pulse_len), (complex(0.0, detuning), delay))
     steps = []
     for (key, dur), n in zip(spans, _split_durations([(d, 1) for _, d in spans],
@@ -154,21 +153,18 @@ def test_the_array_pass_equals_the_drive_objects_bit_for_bit(case):
 @settings(max_examples=100, deadline=None)
 @given(grids())
 def test_the_one_point_objects_are_rows_of_the_array_pass(case):
-    """DcsWaveform.pieces, compile_waveform and PulseTrain.compiled_schedule
-    give the copies' pieces and slices too."""
+    """DcsWaveform.pieces and compile_waveform give the copies' pieces and
+    slices too.  A pulse train has no one-point object: its rows are checked
+    by test_the_array_pass_equals_the_drive_objects_bit_for_bit."""
     points, policy, _ = case
     spec, point = points[0]
     if spec.kind == "topdnp":
-        train = PulseTrain(spec.rabi * (1 + spec.amplitude_error), spec.pulse_len, spec.delay,
-                           point)
-        schedule = train.compiled_schedule(policy)
-        steps = _pulse_train_steps(train.rabi, train.pulse_len, train.delay, point, policy)
-    else:
-        w = _waveform(spec, point)
-        schedule = compile_waveform(w, policy)
-        pieces = _dcs_pieces(w) if spec.kind == "dcs" else w.pieces()
-        assert np.array_equal(w.pieces(), pieces)
-        steps = _compile(pieces, policy)
+        return
+    w = _waveform(spec, point)
+    schedule = compile_waveform(w, policy)
+    pieces = _dcs_pieces(w) if spec.kind == "dcs" else w.pieces()
+    assert np.array_equal(w.pieces(), pieces)
+    steps = _compile(pieces, policy)
     assert schedule.period == _reference_rows(points[:1], policy, [0.0])[0][0]
     assert np.array_equal(schedule.keys[0], [k for k, _ in steps])
     assert np.array_equal(schedule.durations[0], [d for _, d in steps])

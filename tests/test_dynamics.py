@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -39,12 +40,14 @@ from dcspin.dynamics import (
     CompiledSchedule,
     PropagationError,
     Trajectory,
+    _drive_hamiltonians,
+    compile_waveform,
     propagate_compiled,
     sample_grid,
     standard_observables,
-    waveform_drive,
 )
-from dcspin.protocols import _drive, _trajectory, pm_resonant_period
+from dcspin.protocols import (_pulse_train_hamiltonians, _schedule_rows, _trajectory,
+                              pm_resonant_period)
 from dcspin.spincore import (
     nuclear_x_observable,
     nuclear_z_observable,
@@ -221,10 +224,18 @@ def drives(draw, max_periods: float = 40.0):
     return system, spec, point, times, policy
 
 
+def _one_point(system, spec, point, policy):
+    """The stacked Hamiltonian builder of ``spec`` on ``system`` and its
+    compiled schedule at ``point``: one row of _schedule_rows."""
+    build = _pulse_train_hamiltonians if spec.kind == "topdnp" else _drive_hamiltonians
+    return (functools.partial(build, system),
+            CompiledSchedule(*_schedule_rows([(spec, point)], policy)[:3]))
+
+
 def _propagate_case(case, propagator=propagate_compiled, **policy_changes) -> Trajectory:
     system, spec, point, times, policy = case
-    hamiltonian_of, schedule = _drive(system, spec, point, replace(policy, **policy_changes))
-    return propagator(hamiltonian_of, schedule, initial_state(spec.initial_state_kind, system),
+    hamiltonians_of, schedule = _one_point(system, spec, point, replace(policy, **policy_changes))
+    return propagator(hamiltonians_of, schedule, initial_state(spec.initial_state_kind, system),
                       times, replace(policy, **policy_changes), standard_observables(system))
 
 
@@ -250,8 +261,9 @@ def test_fast_forward_matches_sequential(case):
 @given(drives())
 def test_a_trajectory_equals_the_one_point_propagation_bit_for_bit(case):
     """protocols._trajectory, a one-point stack of _stacks, gives the bits of
-    _drive + propagate_compiled at every requested time and the same final
-    branches, and holds exactly the requested times, with or without t = 0."""
+    propagate_compiled on the point's row at every requested time and the
+    same final branches, and holds exactly the requested times, with or
+    without t = 0."""
     system, spec, point, times, policy = case
     trajectory, reference = _trajectory(system, spec, point, times, policy), _propagate_case(case)
     skip = len(reference.times) - len(times)  # the t = 0 row, when not asked for
@@ -347,12 +359,12 @@ class _ReferenceEngine:
         self.walk(0.0, u1)
 
 
-def _reference_propagate(hamiltonian_of, schedule, state0, sample_times, policy,
+def _reference_propagate(hamiltonians_of, schedule, state0, sample_times, policy,
                          observables) -> Trajectory:
     times = np.asarray(sample_times, dtype=float)
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
-    engine = _ReferenceEngine(hamiltonian_of, schedule, policy, state0)
+    engine = _ReferenceEngine(lambda key: hamiltonians_of([key])[0], schedule, policy, state0)
     series = []
     for i, t in enumerate(times):
         if i > 0:
@@ -396,7 +408,7 @@ def test_sample_chunks_equal_the_reference_loop_bit_for_bit(monkeypatch, chunk, 
     one einsum."""
     spec = ProtocolSpec("dcs", omega_max=angular_from_mhz(1.0), switch_fraction=0.1)
     point = nuclear_frequency(_CARBON.nuclei[0], _CARBON.field_z)
-    period = _drive(_CARBON, spec, point, policy)[1].period
+    period = _one_point(_CARBON, spec, point, policy)[1].period
     case = (_CARBON, spec, point, _CHUNK_TIMES * period, policy)
     state0 = initial_state(spec.initial_state_kind, _CARBON)
     per_sample = 16 * state0.branches[1].size * (1 + len(standard_observables(_CARBON)))
@@ -431,7 +443,7 @@ def test_a_non_finite_state_is_reported_after_an_earlier_drift(tolerance, messag
     system = SpinSystem(field_z=0.35, nuclei=(Nucleus(1.0, 1.0, 1.0),))
     h = np.kron([[0.0, 1e308], [1e308, 0.0]], np.eye(2))
     with pytest.raises(PropagationError) as info:
-        propagate_compiled(lambda _: h, CompiledSchedule(None, constant_key=0),
+        propagate_compiled(lambda keys: [h] * len(keys), CompiledSchedule(None, [0], [0.0]),
                            initial_state("sensing", system), [1e-9, 10.0],
                            IntegrationPolicy(tolerance=tolerance), standard_observables(system))
     assert str(info.value) == message
@@ -555,6 +567,23 @@ def test_a_finely_sampled_trace_plans_one_chunk_at_a_time():
     assert peak < 3e6
 
 
+def test_propagate_builds_every_key_of_a_ramped_drive_in_one_stacked_call(monkeypatch):
+    """The key table of a propagation builds its distinct keys, here the
+    switching levels and the ramps' midpoint values, as one stack."""
+    build, calls = dynamics.build_hamiltonian, []
+
+    def counted(system, omega_e):
+        calls.append(np.shape(omega_e))
+        return build(system, omega_e)
+
+    monkeypatch.setattr(dynamics, "build_hamiltonian", counted)
+    system, drive = _one_proton_drive(0.2)
+    propagate(system, drive, initial_state("dnp_dcs", system), 20e-6, sample_every=2e-6)
+    keys = np.unique(compile_waveform(drive, IntegrationPolicy()).keys)
+    assert len(keys) > 100
+    assert calls == [keys.shape]
+
+
 def test_the_key_table_holds_eigenpairs_within_its_byte_budget():
     """Ten 64-dimensional keys: the table holds the first seven (462 KB of
     the 512 KB budget), decomposes a key past it again for each lookup, never
@@ -562,7 +591,7 @@ def test_the_key_table_holds_eigenpairs_within_its_byte_budget():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(10, 64, 64)) + 1j * rng.normal(size=(10, 64, 64))
     h, asked = a + a.conj().swapaxes(1, 2), []
-    table = dynamics._UnitaryCache(lambda k: asked.append(k) or h[k])
+    table = dynamics._UnitaryCache(lambda keys: asked.extend(keys) or h[keys])
     first = table.eigenpairs(list(range(10)))
     held = table.eigenpairs([9, 0, 6])
     assert asked == [*range(10), 9]
@@ -570,6 +599,9 @@ def test_the_key_table_holds_eigenpairs_within_its_byte_budget():
     for k, got in [*enumerate(zip(*first)), *zip([9, 0, 6], zip(*held))]:
         for ours, theirs in zip(got, np.linalg.eigh(h[k][None])):
             assert np.array_equal(ours, theirs[0]), k
+
+
+_PAIR_STATE = QuantumState.pure(np.eye(4)[1])  # |up, down> of the spin pair
 
 
 @pytest.mark.parametrize("make", [
@@ -583,9 +615,19 @@ def test_the_key_table_holds_eigenpairs_within_its_byte_budget():
     lambda *_: IntegrationPolicy(tolerance=math.inf),
     lambda *_: IntegrationPolicy(ramp_substeps=2.5),
     lambda *_: IntegrationPolicy(unitarity_check_interval=2.5),
+    lambda system, drive, state: propagate(system, drive, state, 1e-6, sample_times=[5e-6]),
+    lambda system, drive, state: propagate(system, drive, state, 2e-6, sample_times=[]),
+    lambda *_: propagate_spin_pair(ConstantWaveform(1.0), 1.0, 0.1, _PAIR_STATE, math.nan,
+                                   sample_times=[1e-6]),
+    lambda *_: propagate_spin_pair(ConstantWaveform(1.0), 1.0, 0.1, _PAIR_STATE, 1e-6,
+                                   sample_times=[5e-6]),
+    lambda *_: propagate_spin_pair(ConstantWaveform(1.0), math.nan, 0.1, _PAIR_STATE, 1e-6),
+    lambda *_: propagate_spin_pair(ConstantWaveform(1.0), 1.0, math.inf, _PAIR_STATE, 1e-6),
 ], ids=["T-nan", "sample-time-nan", "sample-every-0", "sample-every-negative",
         "sample-every-nan", "max-step-nan", "tolerance-nan", "tolerance-inf",
-        "ramp-substeps-2.5", "check-interval-2.5"])
+        "ramp-substeps-2.5", "check-interval-2.5", "sample-time-past-T", "no-sample-times",
+        "spin-pair-T-nan", "spin-pair-sample-time-past-T", "spin-pair-omega-n-nan",
+        "spin-pair-coupling-inf"])
 def test_bad_propagation_inputs_raise_before_any_slice_is_stepped(monkeypatch, make):
     def stepped(*args, **kwargs):
         raise AssertionError("a slice was stepped")
@@ -612,7 +654,8 @@ def test_sampling_a_64_dimensional_cluster_matches_a_four_operand_einsum(proton_
     times = np.linspace(0.0, T, 11)
     traj = propagate(system, w, state0, T, sample_times=times, extra_observables=extra)
     assert state0.branches[1].shape == (64, 32)
-    engine = _ReferenceEngine(*waveform_drive(system, w, IntegrationPolicy()),
+    engine = _ReferenceEngine(lambda omega: build_hamiltonian(system, omega).matrix,
+                              compile_waveform(w, IntegrationPolicy()),
                               IntegrationPolicy(), state0)
     for row, t in enumerate(times):
         engine.advance(times[row - 1] if row else 0.0, t)

@@ -540,6 +540,17 @@ def test_run_sweep_rejects_what_a_kind_cannot_sweep(carbon_system, carbon_rabi):
         ProtocolSpec("pm", omega0=1.0, omega1=1.0, reset_every=1e-4)
 
 
+def test_run_sweep_rejects_an_empty_grid(carbon_system, carbon_rabi):
+    dcs = ProtocolSpec("dcs", omega_max=carbon_rabi)
+    nu = angular_from_mhz(10.7)
+    with pytest.raises(ValueError, match="at least one grid value"):
+        run_sweep(carbon_system, dcs, "nu", [], T=1e-3)
+    with pytest.raises(ValueError, match="at least one grid value"):
+        run_sweep(carbon_system, dcs, "T", [], point=nu)
+    with pytest.raises(ValueError, match="at least one grid value"):
+        run_sweep(carbon_system, dcs, "amplitude_error", [], T=1e-3, point=nu)
+
+
 def test_spec_resolves_the_initial_state_default():
     assert ProtocolSpec("dcs", omega_max=1.0).initial_state_kind == "sensing"
     assert ProtocolSpec("topdnp", rabi=1.0, pulse_len=1e-8,
@@ -609,6 +620,20 @@ def test_effective_field_limits():
     assert effective_field_topdnp(0.0, 0.0, 56e-9, 28e-9) == 0.0
     small = TWO_PI * 1e5
     assert effective_field_topdnp(0.0, small, 56e-9, 28e-9) == pytest.approx(small, rel=1e-12)
+
+
+def test_the_effective_field_decomposes_pulse_and_delay_in_one_eigh(monkeypatch):
+    """Both 2x2 Hamiltonians of one period go through one key table lookup
+    of dynamics, so one eigh call decomposes the pair."""
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    effective_field_topdnp(angular_from_mhz(2.0), angular_from_mhz(2.69), 56e-9, 28e-9)
+    assert shapes == [(2, 2, 2)]
 
 
 def test_effective_field_against_axis_angle_composition(rng):
