@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,8 +108,11 @@ class _Block:
             names = "/".join(t.__name__ for t in names)
             raise ConfigError(f"{self.path}.{key}: expected {names}, "
                               f"got {type(value).__name__}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{self.path}.{key}: must be a finite number, got {value}")
+        # a JSON integer has no bound on its digits: it must fit a float, as a float must be finite
+        if isinstance(value, _NUMBER) and not isinstance(value, bool) \
+                and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{self.path}.{key}: must be a finite number, got " + (
+                str(value) if isinstance(value, float) else "an integer too large for a float"))
         return value
 
     def require(self, key: str, expected=None):

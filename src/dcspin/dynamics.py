@@ -171,8 +171,9 @@ class SliceCountError(ValueError):
 
 
 class HorizonError(ValueError):
-    """A sample time lies more than 2**53 whole periods after its run's
-    start, past which float64 times cannot place a period boundary."""
+    """A sample time lies more than 2**53 whole periods (of the drive, or for
+    a constant drive of its fastest eigenphase) after its run's start, past
+    which float64 times cannot place a period boundary or resolve a phase."""
 
 
 def _slice_counts(durations: np.ndarray, at_least: np.ndarray, max_step: float | None,
@@ -580,7 +581,12 @@ def _evolve(table: _UnitaryCache,
                 steps += lane_steps(u, rows[mask])
             return list(map(steps.__getitem__, ids.tolist())), part.sum((2, 3))
     else:
-        # a constant drive: each span is equal slices of the lane's keys
+        # a constant drive: each span is equal slices of the lane's keys, and the horizon
+        # is 2**53 periods of the fastest eigenphase
+        rate, last = float(np.abs(vals).max()), float(elapsed[-1].max())
+        if rate * last > TWO_PI * 2.0 ** 53:
+            raise HorizonError(f"t = {last:.6e} s lies more than 2**53 periods of the fastest "
+                               f"eigenphase ({rate:.6e} rad/s), where float64 cannot resolve it")
         span = lanes(np.diff(elapsed, axis=0, prepend=0.0) + np.zeros(n_points))[..., 0].ravel()
         count = _slice_counts(span[:, None], span[:, None] > 0, policy.max_step)[:, 0]
         cost, k = 128 * count + 16 * vecs.shape[1] ** 2 * n, np.ones((len(count), 1), dtype=int)

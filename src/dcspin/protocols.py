@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -243,13 +243,56 @@ def effective_field_topdnp(rabi: float, detuning: float, pulse_len: float,
     return beta / train.period
 
 
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A root of ``f`` between a and b by Brent's method, with the evaluation
+    points and the result of scipy.optimize.brentq: a line-for-line port of
+    scipy's Zeros/brentq.c by Charles Harris (BSD-3-Clause, Copyright (c)
+    2001-2002 Enthought, Inc. 2003, SciPy Developers).  Raises ValueError for
+    a NaN value or no sign change between a and b, RuntimeError after
+    ``maxiter`` iterations."""
+    def call(x: float) -> float:
+        if math.isnan(fx := f(x)):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    xpre, xcur, xblk, fblk, spre, scur = float(a), float(b), 0.0, 0.0, 0.0, 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk, spre = xpre, fpre, xcur - xpre
+            scur = spre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # where C divides by zero, its step is inf or NaN
+                pass
+        spre, scur = ((scur, stry) if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+                      else (sbis, sbis))
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def solve_topdnp_detuning(rabi: float, pulse_len: float, delay: float,
                           omega_n: float) -> float:
-    """Detuning satisfying omega_m + omega_eff = omega_n: scipy's brentq
-    between 0 and the first of hi, 1.5 hi, ... above the resonance."""
-    # imported here: scipy.optimize takes most of a cold ``import dcspin``
-    from scipy.optimize import brentq
-
+    """Detuning satisfying omega_m + omega_eff = omega_n: Brent's method (scipy's
+    brentq, to the bit) between 0 and the first of hi, 1.5 hi, ... above the resonance."""
     omega_m = TWO_PI / (pulse_len + delay)
 
     def mismatch(det: float) -> float:
@@ -264,7 +307,7 @@ def solve_topdnp_detuning(rabi: float, pulse_len: float, delay: float,
         hi *= 1.5
     else:
         raise ValueError("pulse-train resonance not reachable: omega_eff saturates")
-    return float(brentq(mismatch, 0.0, hi, xtol=1e-6, rtol=1e-14))
+    return _brentq(mismatch, 0.0, hi, xtol=1e-6, rtol=1e-14)
 
 
 def topdnp_average_power(rabi: float, pulse_len: float, delay: float) -> float:

@@ -546,8 +546,12 @@ SENSING_SPECTRUM = Path(__file__).resolve().parents[1] / "configs" / \
     # 1e308 kHz is finite, but not in rad/s
     ("system", "nuclei", [{"isotope": "13C", "hyperfine_x_khz": 1e308, "hyperfine_z_khz": 17.09}],
      "system.nuclei[0]:"),
+    # JSON integers too large for a float
+    ("sweep", "stop", 10 ** 400, "sweep.stop:"),
+    ("system", "nuclei", [{"isotope": "13C", "hyperfine_x_khz": 13.42,
+                           "hyperfine_z_khz": -10 ** 400}], "system.nuclei[0].hyperfine_z_khz:"),
 ], ids=["nan-time", "zero-time", "nan-t-initial", "zero-check-interval", "nan-field",
-        "overflowing-hyperfine"])
+        "overflowing-hyperfine", "huge-int-stop", "huge-int-hyperfine"])
 def test_cli_rejects_values_the_propagator_cannot_take(tmp_path, capsys, block, key, value,
                                                        path):
     data = json.loads(SENSING_SPECTRUM.read_text())
@@ -590,14 +594,18 @@ def test_cli_rejects_more_resets_than_max_slices_before_the_run(tmp_path, capsys
 @pytest.mark.parametrize("example, sweep, field", [
     (BUILDUP, {"stop": 1e300}, "sweep.stop:"),
     (SENSING_SPECTRUM, {"points": 3, "total_time_ms": 1e300}, "sweep.total_time_ms:"),
-], ids=["time-sweep-stop", "spectrum-total-time"])
+    (dict(EXPLICIT, protocol={"kind": "constant", "omega_e_mhz": 1.0},
+          sweep={"axis": "total_time_ms", "start": 0.0, "stop": 1.0, "points": 3}),
+     {"stop": 1e300}, "sweep.stop:"),
+], ids=["time-sweep-stop", "spectrum-total-time", "constant-time-sweep-stop"])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_rejects_a_horizon_float64_cannot_place(tmp_path, capsys, example, sweep, field,
                                                     workers):
-    """10^297 s is about 10^304 periods of a switching drive, past 2**53,
-    where float64 times no longer resolve a period: exit 2 naming the field
-    that sets the horizon, with no warning and no CSV."""
-    data = json.loads(example.read_text())
+    """10^297 s is about 10^304 periods of a switching drive, or of the
+    fastest eigenphase of a constant one, past 2**53, where float64 times no
+    longer resolve a period: exit 2 naming the field that sets the horizon,
+    with no warning and no CSV."""
+    data = json.loads(example.read_text() if isinstance(example, Path) else json.dumps(example))
     data["sweep"].update(sweep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

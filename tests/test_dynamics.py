@@ -38,6 +38,7 @@ from dcspin import dynamics, presets
 from dcspin.dynamics import (
     SEGMENT_UNITARITY_TOL,
     CompiledSchedule,
+    HorizonError,
     PropagationError,
     Trajectory,
     _drive_hamiltonians,
@@ -437,16 +438,27 @@ def test_sample_chunks_equal_the_reference_loop_bit_for_bit(monkeypatch, chunk, 
     (1e-300, "state drift 2.220e-16 >= 1e-300 at point 0 at sample t = 1.000000e-09"),
 ])
 def test_a_non_finite_state_is_reported_after_an_earlier_drift(tolerance, message):
-    """Phases of 1e308 rad/s overflow over 10 s, so the last of three
-    samples in one chunk is NaN; a drift at the sample before it is reported
-    first."""
+    """Phases of 1e308 rad/s overflow over a one-slice period of 10 s, so
+    the last of three samples in one chunk is NaN; a drift at the sample
+    before it is reported first."""
     system = SpinSystem(field_z=0.35, nuclei=(Nucleus(1.0, 1.0, 1.0),))
     h = np.kron([[0.0, 1e308], [1e308, 0.0]], np.eye(2))
     with pytest.raises(PropagationError) as info:
-        propagate_compiled(lambda keys: [h] * len(keys), CompiledSchedule(None, [0], [0.0]),
+        propagate_compiled(lambda keys: [h] * len(keys), CompiledSchedule(10.0, [0], [10.0]),
                            initial_state("sensing", system), [1e-9, 10.0],
                            IntegrationPolicy(tolerance=tolerance), standard_observables(system))
     assert str(info.value) == message
+
+
+def test_a_constant_drive_past_its_eigenphase_horizon_raises():
+    """As a constant drive, the same Hamiltonian over 10 s runs more than
+    2**53 periods of its fastest eigenphase: HorizonError, before any step."""
+    system = SpinSystem(field_z=0.35, nuclei=(Nucleus(1.0, 1.0, 1.0),))
+    h = np.kron([[0.0, 1e308], [1e308, 0.0]], np.eye(2))
+    with pytest.raises(HorizonError, match="2\\*\\*53 periods of the fastest eigenphase"):
+        propagate_compiled(lambda keys: [h] * len(keys), CompiledSchedule(None, [0], [0.0]),
+                           initial_state("sensing", system), [1e-9, 10.0],
+                           IntegrationPolicy(), standard_observables(system))
 
 
 @pytest.mark.parametrize("interval, where", [

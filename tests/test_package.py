@@ -1,5 +1,6 @@
 """Properties that hold across every module of dcspin."""
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -39,7 +40,7 @@ def test_every_lru_cache_is_bounded():
 ROOT = Path(__file__).resolve().parents[1]
 
 #: import dcspin in a fresh interpreter and run ``python -m dcspin`` with
-#: the given arguments, if any; then report whether scipy.optimize was imported
+#: the given arguments, if any; then list the scipy modules it imported
 _PROBE = """
 import runpy, sys
 import dcspin
@@ -50,25 +51,37 @@ if sys.argv[1:]:
     except SystemExit as exit:
         if exit.code:
             raise
-print("scipy.optimize imported:", "scipy.optimize" in sys.modules)
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
+
+#: a pulse-train buildup at the solved resonance detuning
+TOPDNP_AUTO = {
+    "system": {"field_tesla": 0.35,
+               "nuclei": [{"isotope": "1H", "hyperfine_x_khz": 0.5, "hyperfine_z_khz": 0.5}]},
+    "protocol": {"kind": "topdnp", "rabi_mhz": 2.0, "pulse_len_ns": 56, "delay_ns": 28},
+    "sweep": {"axis": "total_time_ms", "start": 0.0, "stop": 0.01, "points": 3,
+              "detuning_mhz": "auto"},
+}
 
 
 @pytest.mark.parametrize("argv", [
     [], ["--version"], ["list-presets"],
     ["run", str(ROOT / "configs" / "explicit_sensing_spectrum.json"), "--workers", "1"],
-], ids=["import", "version", "list-presets", "run-sensing-spectrum"])
-def test_a_cold_start_does_not_import_scipy_optimize(tmp_path, argv):
-    """Only solving a pulse-train resonance needs brentq; a fresh process
-    that imports dcspin, or runs a command that solves none, leaves
-    scipy.optimize unimported."""
+    ["preset", "fig3a", "--workers", "1"],
+    ["run", "topdnp_auto.json", "--workers", "1"],
+], ids=["import", "version", "list-presets", "run-sensing-spectrum", "preset-fig3a",
+        "run-topdnp-auto"])
+def test_a_cold_start_imports_no_scipy_module(tmp_path, argv):
+    """A fresh process that imports dcspin, or runs any command, imports no
+    scipy module, also when it solves a pulse-train resonance."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    out = ["--out", str(tmp_path)] if argv[:1] == ["run"] else []
+    (tmp_path / "topdnp_auto.json").write_text(json.dumps(TOPDNP_AUTO))  # read from cwd
+    out = ["--out", str(tmp_path / "out")] if argv[:1] in (["run"], ["preset"]) else []
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv, *out], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().splitlines()[-1] == "scipy.optimize imported: False"
+    assert done.stdout.strip().splitlines()[-1] == "scipy modules: []"
 
 
 def test_the_pulse_train_detuning_keeps_its_bits():

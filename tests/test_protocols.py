@@ -1,5 +1,7 @@
+import functools
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,13 +10,15 @@ import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from dcspin import (
     IntegrationPolicy,
@@ -42,7 +46,7 @@ from dcspin import (
 )
 from dcspin import dynamics, presets, protocols, spincore
 from dcspin.dynamics import PropagationError, Trajectory, standard_observables
-from dcspin.protocols import _reset_electron, pm_resonant_period, run_sweep
+from dcspin.protocols import _brentq, _reset_electron, pm_resonant_period, run_sweep
 from dcspin.spincore import _ELECTRON_VECTORS, SIGMA_Z, InitialStateKind
 from dcspin.sweep import SweepResult, parallel_map
 
@@ -663,6 +667,79 @@ def test_solve_detuning_satisfies_resonance(proton):
     assert omega_m + effective_field_topdnp(rabi, det, 56e-9, 28e-9) == pytest.approx(
         omega_n, rel=1e-12)
     assert det == pytest.approx(angular_from_mhz(2.6913), rel=1e-4)
+
+
+def _outcome(solver, g, a, b, **kwargs) -> tuple:
+    """What ``solver`` returns (its repr) or the type of error it raises,
+    and every point at which it evaluates ``g``, in order."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return g(x)
+
+    try:
+        result = repr(solver(f, a, b, **kwargs))
+    except (ValueError, RuntimeError) as exc:
+        result = type(exc).__name__
+    return result, calls
+
+
+#: smooth functions with coefficients c, one of them NaN past c[2]
+ROOT_FUNCTIONS = {
+    "cubic": lambda c, x: c[0] + c[1] * x + c[2] * x ** 3,
+    "tanh": lambda c, x: math.tanh(c[1] * (x - c[0])) + 0.1 * c[2],
+    "sin": lambda c, x: math.sin(c[1] * x) + 0.2 * c[0],
+    "nan-past": lambda c, x: c[1] * (x - c[0]) if x < c[2] else math.nan,
+}
+
+
+@st.composite
+def root_problems(draw):
+    """A function of ROOT_FUNCTIONS, a bracket, xtol, rtol >= 4 eps and maxiter."""
+    ends = st.floats(-10, 10)
+    return (draw(st.sampled_from(sorted(ROOT_FUNCTIONS))), draw(st.tuples(ends, ends, ends)),
+            draw(ends), draw(ends), draw(st.floats(1e-20, 1.0)),
+            4 * sys.float_info.epsilon * 10 ** draw(st.floats(0, 10)),
+            draw(st.one_of(st.just(100), st.integers(0, 4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(root_problems())
+@example(("cubic", (1.0, 0.0, 1.0), 0.5, 2.0, 1e-6, 1e-14, 100))  # no sign change
+@example(("nan-past", (0.0, 1.0, 0.5), -1.0, 1.0, 1e-6, 1e-14, 100))  # f(b) is NaN
+@example(("sin", (0.0, 3.0, 0.0), 0.1, 2.0, 1e-12, 1e-14, 2))  # out of iterations
+@example(("cubic", (0.0, 1.0, 1.0), 0.0, 1.0, 1e-6, 1e-14, 100))  # a zero at a
+def test_brentq_port_calls_and_returns_what_scipy_does(problem):
+    """protocols._brentq evaluates f at the points scipy.optimize.brentq
+    does, in its order, and returns its float or raises its error type."""
+    name, c, a, b, xtol, rtol, maxiter = problem
+    g = functools.partial(ROOT_FUNCTIONS[name], c)
+    kwargs = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
+    assert _outcome(_brentq, g, a, b, **kwargs) == _outcome(brentq, g, a, b, **kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.5, 4.0), st.floats(20.0, 80.0), st.floats(10.0, 60.0), st.floats(1.1, 1.45))
+def test_the_pulse_train_solve_steps_as_scipy_brentq(rabi_mhz, pulse_ns, delay_ns, ratio):
+    """At a random pulse train and nuclear frequency omega_m * ratio, the
+    mismatch that solve_topdnp_detuning hands _brentq is evaluated at the
+    same detunings, and solved to the same float, as by scipy's brentq."""
+    pulse_len, delay = pulse_ns * 1e-9, delay_ns * 1e-9
+    seen = []
+
+    def both(f, a, b, **kwargs):
+        seen.append((_outcome(_brentq, f, a, b, **kwargs), _outcome(brentq, f, a, b, **kwargs)))
+        return _brentq(f, a, b, **kwargs)
+
+    with mock.patch.object(protocols, "_brentq", both):
+        try:
+            solve_topdnp_detuning(angular_from_mhz(rabi_mhz), pulse_len, delay,
+                                  ratio * TWO_PI / (pulse_len + delay))
+        except ValueError:  # no bracket: brentq is never called
+            pass
+    assume(seen)
+    assert seen[0][0] == seen[0][1] and seen[0][0][0] not in ("ValueError", "RuntimeError")
 
 
 def test_topdnp_transfer_orders_of_state_preparations(proton):
