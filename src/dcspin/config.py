@@ -31,6 +31,8 @@ SWEEP_AXES = {
     "amplitude_error": ("amplitude_error", float),
 }
 POLARIZATION_CONVENTIONS = ("doubled", "bare")
+#: deepest nesting of JSON arrays and objects a config file may hold
+MAX_NESTING = 100
 
 
 class ConfigError(ValueError):
@@ -368,8 +370,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     offending field path on schema violations.
     """
     path = Path(path)
+    twice = {}  # id of a decoded object -> (its first key given twice, the object)
+
+    def pairs_hook(pairs):
+        obj, seen = dict(pairs), set()
+        if len(obj) < len(pairs):
+            twice[id(obj)] = next(k for k, _ in pairs if k in seen or seen.add(k)), obj
+        return obj
+
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=pairs_hook)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:  # e.g. a directory, or not UTF-8
@@ -378,6 +388,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, deep nesting
+        raise ConfigError(f"{path}: JSON parse error: {exc}") from None
+    stack = [(str(path), data, 0)]
+    while stack:  # in document order, so the first offending field is named
+        where, value, depth = stack.pop()
+        if id(value) in twice:
+            raise ConfigError(f"{where}.{twice[id(value)][0]}: key given more than once")
+        if depth > MAX_NESTING:
+            raise ConfigError(f"{where}: values nested more than {MAX_NESTING} deep")
+        items = ([(f"{where}.{k}", v) for k, v in value.items()] if isinstance(value, dict) else
+                 [(f"{where}[{i}]", v) for i, v in enumerate(value)]
+                 if isinstance(value, list) else [])
+        stack += [(k, v, depth + 1) for k, v in reversed(items)]
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return parse_config(data, source=str(path))

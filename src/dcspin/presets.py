@@ -177,7 +177,7 @@ def _run_fig1f(workers=None) -> list[SweepResult]:
     w = _fig1f_waveform()
     T = FIG1F_PERIODS * w.period
     ratios = np.linspace(0.9, 1.1, N_GRID)
-    g = np.array([coupling_factor(w, r * FIG1F_NU, T) for r in ratios])
+    g = coupling_factor(w, ratios * FIG1F_NU, T)
     meta = _meta("fig1f", omega_max_over_nu=FIG1F_RATIO, nu_mhz=mhz_from_angular(FIG1F_NU),
                  periods=FIG1F_PERIODS, t_initial="symmetric", points=N_GRID)
     return [SweepResult("coupling_factor", "omega_n_over_nu", ratios,
@@ -198,9 +198,8 @@ def _verify_fig1f(results: list[SweepResult]) -> list[Check]:
         _check_close("|g| at resonance vs 2*Omega/(pi*nu)",
                      float(table.column("abs_g")[at_resonance]), float(target), 0.01),
     ]
-    for sign in (+1, -1):
-        omega_n = FIG1F_NU + sign * TWO_PI / T
-        value = abs(coupling_factor(w, omega_n, T))
+    first_zeros = FIG1F_NU + np.array([+1, -1]) * TWO_PI / T
+    for sign, value in zip((+1, -1), np.abs(coupling_factor(w, first_zeros, T)).tolist()):
         checks.append(_check_below(f"|g| at first zero ({sign:+d})", value, 0.02))
     return checks
 

@@ -16,7 +16,9 @@ is evaluated in closed form segment by segment, and the coupling factor
 needs quadrature only across switching ramps (where phi is quadratic).
 Every span of [0, T] is one of a few shapes (the whole spans of a piece
 share one), so g sums each span's start-phase rotor times its shape's
-integral from phase 0, and the quadrature runs once per ramp shape.
+integral from phase 0, and the quadrature runs once per ramp shape.  A
+sweep over omega_n is one array pass, a row per omega_n, whose rows keep
+the bits of one-point calls.
 
 For a periodic drive and T = N tau the coupling factor factorizes as
 g = eta * J, where J is the single-period average of exp(i phi) and eta
@@ -384,131 +386,192 @@ def _integral_quadratic_phase(c1: np.ndarray, c2: np.ndarray, dt: np.ndarray,
     interval whole and in halves with 15-point Gauss-Legendre in one np.exp,
     accepts the intervals whose halves agree with the whole (or that reached
     _QUAD_MAX_DEPTH) and splits the rest.  |exp(i phi)| = 1, so tolerances
-    are measured relative to the span dt.
+    are measured relative to the span dt.  Spans never mix, so a span's
+    integral has the same bits whatever other spans share the call.
     """
     total = np.zeros(len(dt), dtype=complex)
     span = np.arange(len(dt))
-    a, b = np.zeros_like(dt), dt
+    a, b = np.zeros(len(dt)), dt
     depth = 0
     worst = 0.0
     while span.size:
         mid = 0.5 * (a + b)
-        lo, hi = np.stack([a, a, mid]), np.stack([b, mid, b])
+        lo, hi = np.array((a, a, mid)), np.array((b, mid, b))
         half_width = 0.5 * (hi - lo)
         s = half_width[..., None] * _GL_NODES + (0.5 * (lo + hi))[..., None]
         phase = c1[span, None] * s + c2[span, None] * s * s
-        whole, left, right = half_width * np.sum(_GL_WEIGHTS * np.exp(1j * phase), axis=-1)
+        whole, left, right = half_width * (_GL_WEIGHTS * np.exp(1j * phase)).sum(-1)
         halves = left + right
         err = np.abs(whole - halves)
-        done = (err <= rel_tol * dt[span]) | (depth >= _QUAD_MAX_DEPTH)
+        done = err <= rel_tol * dt[span]
         if depth >= _QUAD_MAX_DEPTH:
             worst = float(np.max(err / dt[span]))
+            done[:] = True
         np.add.at(total, span[done], halves[done])
         split = ~done
-        span = np.tile(span[split], 2)
-        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        span = span[split]
+        if span.size:
+            span = np.concatenate((span, span))
+            a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
         depth += 1
     if worst > rel_tol:
         raise QuadratureError(requested=rel_tol, achieved=worst)
     return total
 
 
+#: bytes of one complex (points x spans) array of _exp_phase_integral: a
+#: sweep over omega_n goes through in blocks of rows this size, so its
+#: memory does not grow with the grid
+_BLOCK_BYTES = 1 << 16
+
+
 @functools.lru_cache(maxsize=4)
 def _span_plan(w, t0: float, t1: float) -> tuple[np.ndarray, ...]:
-    """(dur, va, ramp, c2, c2 dur^2, shape, rep) of the spans of [t0, t1].
+    """The parts of a pass over the spans of [t0, t1] that do not depend on omega_n.
 
-    shape numbers each span's shape: the whole spans of one drive piece
-    share one, a span clipped by t0 or t1 has its own.  rep holds the first
-    span of each shape, its representative.  The arrays are read-only
-    because every caller shares them.  A sweep over omega_n at a fixed
-    drive and T uses two entries, [0, T] and [0, tau].
+    Per span: (dur, va, c2 dur^2, shape).  shape numbers each span's shape:
+    the whole spans of one drive piece share one, a span clipped by t0 or
+    t1 has its own.  Per shape, read from its first span, its
+    representative: (va, dur), then the indices of the ramped shapes and
+    their (c2, dur).  The arrays are read-only because every caller shares
+    them.  A sweep over omega_n at a fixed drive and T uses two entries,
+    [0, T] and [0, tau], whether it is one array call or a call per point.
     """
     dur, va, vb, key = _linear_spans(w, t0, t1)
     c2 = -0.5 * (vb - va) / dur
     _, rep, shape = np.unique(key, return_index=True, return_inverse=True)
-    plan = (dur, va, va != vb, c2, c2 * dur * dur, shape, rep)
+    bent = np.flatnonzero(va[rep] != vb[rep])
+    plan = (dur, va, c2 * dur * dur, shape, va[rep], dur[rep], bent, c2[rep][bent],
+            dur[rep][bent])
     for a in plan:
         a.flags.writeable = False
     return plan
 
 
-def _exp_phase_integral(w, omega_n: float, t1: float, rel_tol: float,
-                        head: int = 0) -> tuple[complex, complex]:
-    """Integrals of exp(i phi(t)) over the spans of [0, t1] and over the first `head` of them.
+def _exp_phase_integral(w, omega_n, t1: float, rel_tol: float,
+                        head: int = 0) -> tuple[np.ndarray, np.ndarray | None]:
+    """Integrals of exp(i phi(t)) over the spans of [0, t1] and over the first
+    `head` of them (None if head is 0), one entry per omega_n of a scalar or
+    1-D array.
 
-    Each span is its shape's integral from phase 0 (constant shapes in
-    closed form, ramps by adaptive Gauss quadrature, each once over its
-    representative span) times the rotor of its own start phase.  So a
-    whole-piece span is integrated over its representative's interval, while
-    the start phases still chain through every span's own duration as a
-    running sum.  The plan comes from _span_plan, cached per (drive, window);
-    the head's shapes and start phases are those of a pass over the head's
-    window, so the head integral is bit for bit that pass.
+    Each omega_n is a row of a (points x spans) pass.  Each span is its
+    shape's integral from phase 0 (constant shapes in closed form, ramps by
+    adaptive Gauss quadrature, each once over its representative span) times
+    the rotor of its own start phase.  So a whole-piece span is integrated
+    over its representative's interval, while the start phases still chain
+    through every span's own duration as a running sum along the row.  The
+    rows go in blocks of at most _BLOCK_BYTES per (points x spans) array,
+    with one quadrature call for the ramp shapes of every row of a block;
+    every operation is elementwise or along a row, so a row's bits do not
+    depend on its block.  The plan comes from _span_plan, cached per (drive,
+    window); the head's shapes and start phases are those of a pass over the
+    head's window, so the head integral is bit for bit that pass.
     """
-    dur, va, ramp, c2, quad, shape, rep = _span_plan(w, 0.0, t1)
-    c1 = omega_n - va
-    step = c1 * dur
-    start = np.add.accumulate(np.concatenate([[0.0], step + quad]))[:-1]
-    x, c, d, bent = step[rep], c1[rep], dur[rep], ramp[rep]
-    small = np.abs(x) < 1e-6
-    base = np.where(small, d * (1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0),
-                    (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c)))
-    base[bent] = _integral_quadratic_phase(c[bent], c2[rep][bent], d[bent], rel_tol)
-    terms = np.exp(1j * start) * base[shape]
-    return complex(np.sum(terms)), complex(np.sum(terms[:head]))
+    dur, va, quad, shape, va_rep, dur_rep, bent, c2_bent, dur_bent = _span_plan(w, 0.0, t1)
+    omega = np.asarray(omega_n, dtype=float).reshape(-1, 1)
+    rows = max(1, _BLOCK_BYTES // (16 * max(1, len(dur))))
+    total = np.empty(len(omega), dtype=complex)
+    first = np.empty(len(omega), dtype=complex) if head else None
+    for lo in range(0, len(omega), rows):
+        om = omega[lo:lo + rows]
+        n = len(om)
+        inc = np.zeros((n, len(dur) + 1))
+        np.add((om - va) * dur, quad, out=inc[:, 1:])
+        start = np.add.accumulate(inc, axis=1)[:, :-1]
+        c = om - va_rep
+        x = c * dur_rep
+        small = np.abs(x) < 1e-6
+        base = (np.exp(1j * x) - 1.0) / (1j * np.where(small, 1.0, c))
+        if small.any():
+            x = x[small]
+            base[small] = np.broadcast_to(dur_rep, small.shape)[small] * (
+                1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0)
+        base[:, bent] = _integral_quadratic_phase(
+            c.take(bent, 1).ravel(), c2_bent[None].repeat(n, 0).ravel(),
+            dur_bent[None].repeat(n, 0).ravel(), rel_tol).reshape(n, -1)
+        terms = np.exp(1j * start) * base.take(shape, 1)
+        terms.sum(1, out=total[lo:lo + n])
+        if head:
+            terms[:, :head].sum(1, out=first[lo:lo + n])
+    return total, first
 
 
-def _check_quadrature_args(omega_n: float, rel_tol: float) -> None:
+def _check_quadrature_args(omega_n, rel_tol: float) -> np.ndarray:
+    """omega_n as a float array (0-d for a scalar), after the checks a pass needs."""
     # a NaN phase or a tolerance <= 0 never converges: every ramp interval
     # would split each round up to _QUAD_MAX_DEPTH and exhaust memory
-    if not math.isfinite(omega_n):
+    omega = np.asarray(omega_n, dtype=float)
+    if omega.ndim > 1 or not omega.size:
+        raise ValueError("omega_n must be a scalar or a non-empty 1-D array")
+    if not np.isfinite(omega.reshape(-1)).all():
         raise ValueError("omega_n must be finite")
     if not 0 < rel_tol < math.inf:
         raise ValueError("rel_tol must be finite and positive")
+    return omega
 
 
-def _period_average(value: complex, tau: float) -> complex:
-    j = value / tau
-    if abs(j) > 1.0 + 1e-9:
-        raise ArithmeticError(f"|J| = {abs(j)} exceeds 1")
+def _average(value: np.ndarray, t: float) -> np.ndarray:
+    """value / t in place, each part divided by t as Python's complex / float
+    does (numpy's complex division would multiply by 1/t)."""
+    parts = value.view(float)
+    parts /= t
+    return value
+
+
+def _period_average(value: np.ndarray, tau: float) -> np.ndarray:
+    j = _average(value, tau)
+    for jj in j.tolist():
+        if abs(jj) > 1.0 + 1e-9:
+            raise ArithmeticError(f"|J| = {abs(jj)} exceeds 1")
     return j
 
 
-def period_coupling_factor(w: Waveform, omega_n: float,
-                           rel_tol: float = DEFAULT_QUAD_TOL) -> complex:
-    """Single-period average J = (1/tau) integral_0^tau exp(i phi(t)) dt."""
+def period_coupling_factor(w: Waveform, omega_n, rel_tol: float = DEFAULT_QUAD_TOL):
+    """Single-period average J = (1/tau) integral_0^tau exp(i phi(t)) dt.
+
+    omega_n is a scalar (J is a complex) or a 1-D array (J is a complex
+    array, each entry the scalar call's bits).
+    """
     tau = _require_periodic(w)
-    _check_quadrature_args(omega_n, rel_tol)
-    return _period_average(_exp_phase_integral(w, omega_n, tau, rel_tol)[0], tau)
+    omega = _check_quadrature_args(omega_n, rel_tol)
+    j = _period_average(_exp_phase_integral(w, omega, tau, rel_tol)[0], tau)
+    return j if omega.ndim else complex(j[0])
 
 
-def coupling_factor(w: Waveform, omega_n: float, T: float,
-                    rel_tol: float = DEFAULT_QUAD_TOL) -> complex:
+def coupling_factor(w: Waveform, omega_n, T: float, rel_tol: float = DEFAULT_QUAD_TOL):
     """g = (1/T) integral_0^T exp(i phi(t)) dt.
 
+    omega_n is a scalar (g is a complex) or a 1-D array (g is a complex
+    array, each entry the scalar call's bits, from one _exp_phase_integral
+    pass over the whole array).  Every omega_n is checked finite before any
+    span work.
+
     When the waveform is periodic and T is a whole number N of periods, g
-    must agree within FACTORIZATION_TOL with eta * J: eta is the closed-form
-    N-period sum, and J is read from the first period's spans of the direct
-    pass (from a one-period pass if T falls short of tau by rounding).
+    must agree within FACTORIZATION_TOL with eta * J at every omega_n: eta
+    is the closed-form N-period sum, and J is read from the first period's
+    spans of the direct pass (from a one-period pass if T falls short of tau
+    by rounding).  A FactorizationError names the first omega_n that fails.
     """
     if not 0 < T < math.inf:
         raise ValueError("T must be finite and positive")
-    _check_quadrature_args(omega_n, rel_tol)
+    omega = _check_quadrature_args(omega_n, rel_tol)
     tau = getattr(w, "period", None)
     n_int = 0 if tau is None else round(T / tau)
     whole = n_int >= 1 and abs(T / tau - n_int) < 1e-9
     head = len(_span_plan(w, 0.0, tau)[0]) if whole and T >= tau else 0
-    value, first = _exp_phase_integral(w, omega_n, T, rel_tol, head)
-    g = value / T
+    value, first = _exp_phase_integral(w, omega, T, rel_tol, head)
+    g = _average(value, T)
     if whole:
-        eta = coherence_factor(phase_per_period(w, omega_n), n_int)
-        j = _period_average(first, tau) if head else period_coupling_factor(w, omega_n, rel_tol)
-        if abs(g - eta * j) >= FACTORIZATION_TOL:
-            raise FactorizationError(
-                f"direct g = {g} disagrees with eta*J = {eta * j} "
-                f"(|diff| = {abs(g - eta * j):.3e}) for N = {n_int}"
-            )
-    return g
+        j = _period_average(first if head else _exp_phase_integral(w, omega, tau, rel_tol)[0],
+                            tau)
+        for o, gg, jj in zip(omega.reshape(-1).tolist(), g.tolist(), j.tolist()):
+            eta = coherence_factor(phase_per_period(w, o), n_int)
+            if abs(gg - eta * jj) >= FACTORIZATION_TOL:
+                raise FactorizationError(
+                    f"direct g = {gg} disagrees with eta*J = {eta * jj} "
+                    f"(|diff| = {abs(gg - eta * jj):.3e}) for N = {n_int} at omega_n = {o!r}"
+                )
+    return g if omega.ndim else complex(g[0])
 
 
 def resonance_frequency(omega_max: float, tau_plus: float, tau_minus: float,

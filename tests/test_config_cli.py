@@ -379,6 +379,47 @@ def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     assert record["message"].startswith(f"{path}: cannot read: 'utf-8' codec")
 
 
+_SHIPPED = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace('"stop": 10.83', '"stop": 1' + "0" * 5000),
+     ": JSON parse error: Exceeds the limit (4300 digits)"),
+    (lambda text: text[:-1] + ', "_note": ' + "[" * 100_000 + "]" * 100_000 + "}",
+     ": JSON parse error: maximum recursion depth exceeded"),
+    (lambda text: text.replace('"points": 3', '"points": 3, "x": ' + "[" * 200 + "]" * 200),
+     # the root object, sweep, x and 98 arrays in x hold this value
+     ".sweep.x" + "[0]" * 99 + ": values nested more than 100 deep"),
+    (lambda text: text[:-1] + ', "sweep": ' + json.dumps(json.loads(text)["sweep"]) + "}",
+     ".sweep: key given more than once"),
+    (lambda text: text.replace('"points": 3', '"points": 3, "points": 5'),
+     ".sweep.points: key given more than once"),
+    (lambda text: text.replace('"isotope": "13C"', '"isotope": "13C", "isotope": "1H"'),
+     ".system.nuclei[0].isotope: key given more than once"),
+], ids=["integer-past-the-digit-limit", "nested-100000-deep", "nested-200-deep-in-a-field",
+        "top-level-sweep-twice", "sweep-points-twice", "nucleus-isotope-twice"])
+def test_cli_rejects_json_text_no_config_can_hold(tmp_path, capsys, edit, message):
+    """Decoding errors and keys given twice (json.loads would keep the last
+    value) exit 2 with one record, naming the field where there is one."""
+    data = json.loads(SENSING_SPECTRUM.read_text())
+    data["sweep"]["points"] = 3
+    text = edit(json.dumps(data))
+    assert text != json.dumps(data)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    record = _one_record(capsys)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{path}{message}")
+
+
+@pytest.mark.parametrize("path", sorted(_SHIPPED.glob("configs/*.json"))
+                         + sorted(_SHIPPED.glob("perfbench/inputs/*.json")),
+                         ids=lambda path: path.name)
+def test_every_shipped_config_parses(path):
+    load_config(path)
+
+
 @pytest.mark.parametrize("argv, error", [
     (["run", "{config}", "--out", "{file}"], "FileExistsError"),
     (["preset", "fig1f", "--out", "{file}/x"], "NotADirectoryError"),

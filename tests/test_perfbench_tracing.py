@@ -56,7 +56,8 @@ def test_tracer_spans_coupling_factor_and_pieces(monkeypatch):
             waveform.coupling_factor(w, ratio * nu, 50 * w.period)
         presets.run_preset("fig1f")
     totals = tracer.totals()
-    assert totals["waveform.coupling_factor"]["calls"] == 3 + presets.N_GRID
+    # three scalar calls, and fig1f sweeps its whole grid in one array call
+    assert totals["waveform.coupling_factor"]["calls"] == 3 + 1
     assert totals["waveform.pieces"]["calls"] > 0
     assert tracing.leftover_wrappers() == []
 

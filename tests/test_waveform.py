@@ -436,6 +436,8 @@ def _ramped_drive():
 
 @pytest.mark.parametrize("bad", [
     {"omega_n": math.nan}, {"omega_n": math.inf}, {"omega_n": -math.inf},
+    {"omega_n": np.array([1.0, 2.0, math.nan])}, {"omega_n": np.array([math.inf, 1.0])},
+    {"omega_n": np.array([1.0, -math.inf, 2.0])},
     {"T": math.nan}, {"T": math.inf},
     {"rel_tol": 0.0}, {"rel_tol": -1e-10}, {"rel_tol": math.nan}, {"rel_tol": math.inf},
 ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
@@ -455,6 +457,65 @@ def test_non_finite_inputs_are_rejected_before_any_span_work(monkeypatch, bad):
     if name != "T":
         with pytest.raises(ValueError, match=f"^{name} must"):
             period_coupling_factor(w, args["omega_n"], rel_tol=args["rel_tol"])
+
+
+@pytest.mark.parametrize("omega_n", [np.array([]), np.full((2, 3), _NU), [[_NU]]],
+                         ids=["empty", "2-d", "nested-list"])
+def test_an_empty_or_multidimensional_omega_n_is_rejected(monkeypatch, omega_n):
+    def no_work(*args):
+        raise AssertionError("span or quadrature work started")
+
+    monkeypatch.setattr(waveform, "_span_plan", no_work)
+    w = _ramped_drive()
+    with pytest.raises(ValueError, match="^omega_n must be a scalar or a non-empty 1-D array"):
+        coupling_factor(w, omega_n, 50 * w.period)
+    with pytest.raises(ValueError, match="^omega_n must be a scalar or a non-empty 1-D array"):
+        period_coupling_factor(w, omega_n)
+
+
+def test_a_factorization_error_names_the_failing_omega_n(monkeypatch):
+    """The eta * J check runs per point of an array call."""
+    w = _ramped_drive()
+    omegas = np.array([0.97, 1.0, 1.02]) * _NU
+    bad = float(omegas[1])
+    eta = waveform.coherence_factor
+    monkeypatch.setattr(waveform, "coherence_factor", lambda phase, n: eta(phase, n) * (
+        2.0 if phase == phase_per_period(w, bad) else 1.0))
+    coupling_factor(w, omegas[::2], 50 * w.period)
+    with pytest.raises(waveform.FactorizationError, match=f"N = 50 at omega_n = {bad!r}$"):
+        coupling_factor(w, omegas, 50 * w.period)
+
+
+@st.composite
+def square_dcs(draw):
+    tau_plus, tau_minus = draw(st.floats(0.3, 2.0)), draw(st.floats(0.3, 2.0))
+    return DcsWaveform(draw(st.floats(0.2, 3.0)), tau_plus, tau_minus, 0.0,
+                       draw(st.floats(-3.0, 3.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=st.one_of(square_dcs(), ramped_dcs(), pm_drives()),
+       omegas=st.lists(st.floats(0.5, 12.0), min_size=1, max_size=12),
+       window=st.sampled_from(["whole", "fractional", "just-short-of-one"]),
+       n_periods=st.integers(1, 40), rows=st.integers(1, 5))
+def test_an_array_call_equals_the_scalar_calls_bit_for_bit(w, omegas, window, n_periods, rows):
+    """Each row of an array call is the scalar call's bits, whichever
+    block holds it: the block budget is cut to a few rows, so blocks split
+    the grid in the middle."""
+    T = {"whole": n_periods, "fractional": n_periods + 0.37,
+         "just-short-of-one": 1 - 1e-12}[window] * w.period
+    budget = rows * 16 * len(waveform._span_plan(w, 0.0, T)[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waveform, "_BLOCK_BYTES", budget)
+        g = coupling_factor(w, np.array(omegas), T)
+        j = period_coupling_factor(w, omegas)
+    assert g.shape == j.shape == (len(omegas),)
+    for omega_n, g_row, j_row in zip(omegas, g, j):
+        assert np.array([coupling_factor(w, omega_n, T)]).tobytes() == g_row.tobytes()
+        assert np.array([period_coupling_factor(w, omega_n)]).tobytes() == j_row.tobytes()
+        # g divides as Python's complex / float, not as numpy's (times 1/T)
+        direct = waveform._exp_phase_integral(w, omega_n, T, waveform.DEFAULT_QUAD_TOL)[0]
+        assert np.array([complex(direct[0]) / T]).tobytes() == g_row.tobytes()
 
 
 @pytest.mark.parametrize("periods", [50, 12.37])
@@ -507,8 +568,20 @@ def test_a_coupling_factor_makes_one_ramp_quadrature_pass(monkeypatch, periods, 
 
     monkeypatch.setattr(waveform, "_integral_quadratic_phase", counted)
     w = _ramped_drive()
-    coupling_factor(w, _NU, periods * w.period)
+    T = periods * w.period
+    coupling_factor(w, _NU, T)
     assert len(calls) == passes
+    # a 43-point array call: one quadrature per block of each pass
+    calls.clear()
+    coupling_factor(w, np.linspace(0.9, 1.1, 43) * _NU, T)
+    blocks = ramps = 0
+    for t1 in (T, w.period)[:passes]:
+        plan = waveform._span_plan(w, 0.0, t1)
+        blocks += -(-43 // (waveform._BLOCK_BYTES // (16 * len(plan[0]))))
+        ramps += len(plan[6])
+    assert len(calls) == blocks
+    # and every row's ramp shapes once
+    assert sum(len(c1) for c1, *_ in calls) == 43 * ramps
 
 
 def test_ramp_quadrature_work_does_not_grow_with_the_period_count(monkeypatch):
