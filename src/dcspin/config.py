@@ -33,6 +33,8 @@ SWEEP_AXES = {
 POLARIZATION_CONVENTIONS = ("doubled", "bare")
 #: deepest nesting of JSON arrays and objects a config file may hold
 MAX_NESTING = 100
+#: the most points a sweep may hold: a grid of 10**15 cannot be allocated
+MAX_POINTS = 10 ** 6
 
 
 class ConfigError(ValueError):
@@ -180,6 +182,8 @@ def _parse_protocol(block: _Block) -> ProtocolSpec:
         ("amplitude_error", "amplitude_error", _NUMBER),
         ("switch_fraction", "switch_fraction", _NUMBER),
         ("t_initial", "t_initial", (str, int, float))) if key in block.data}
+    # as floats: a JSON integer past int64 would make numpy arrays of Python objects
+    kwargs = {k: float(v) if isinstance(v, int) else v for k, v in kwargs.items()}
     if "measured" in block.data:
         measured = block.get("measured", list)
         if not measured or not all(isinstance(m, str) for m in measured):
@@ -226,6 +230,8 @@ def _parse_sweep(block: _Block, protocol: ProtocolSpec) -> SweepPlan:
     points = block.require("points", int)
     if points < 2:
         raise ConfigError(f"{block.path}.points: need at least 2 sweep points")
+    if points > MAX_POINTS:
+        raise ConfigError(f"{block.path}.points: at most {MAX_POINTS} sweep points")
     detuning = block.get("detuning_mhz", (int, float, str))
     if isinstance(detuning, str) and detuning != "auto":
         raise ConfigError(f"{block.path}.detuning_mhz: a number or the string 'auto'")

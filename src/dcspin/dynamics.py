@@ -16,11 +16,12 @@ amplitude-error sweep one lane of many, a run with electron resets a chain
 of one lane per segment, each from a map of the state the lane before
 ended in, and a reset sweep a stack of chains, weights kept per point.
 Each key is decomposed once per sweep, in one key table within STACK_BYTES
-that builds the Hamiltonians of its new keys as one stack, and each call
-computes one unitary per distinct (key, duration); spans of
-whole periods between samples are applied as an integer power of the
-single-period propagator; the walk replays step programs built in array
-passes, planned one chunk of sample spans at a time (see ``_evolve``).
+that builds the Hamiltonians of its new keys as one stack.  ``_evolve``
+runs its stages: a plan (``_PeriodicPlan`` or ``_ConstantPlan``) computes
+one unitary per distinct (key, duration), jumps whole periods between
+samples by integer powers of the period propagator (``_period_powers``)
+and builds step programs in array passes, a chunk of sample spans at a
+time, which a ``_Walk`` replays, reading samples and checking the state.
 """
 from __future__ import annotations
 
@@ -338,6 +339,284 @@ class _Rows(NamedTuple):
         return psi
 
 
+def _check_health(stacks: np.ndarray, tolerance: float, where: Callable[[int, int], str]) -> None:
+    """Raise for the first of the point ``stacks`` (in time order) that is not
+    finite or whose largest branch-norm defect fails, at ``where(stack, point)``."""
+    defect = np.abs(np.linalg.norm(stacks, axis=-2) - 1.0).max(axis=-1)
+    defect[~np.isfinite(stacks).all(axis=(-2, -1))] = np.nan
+    i = int(np.argmax(~(defect.max(axis=1) < tolerance)))
+    if not defect[i].max() < tolerance:
+        point = int(defect[i].argmax())  # the first NaN, if any
+        raise PropagationError(("state became non-finite " if np.isnan(defect[i]).any() else
+                                f"state drift {defect[i].max():.3e} >= {tolerance} ")
+                               + where(i, point), point)
+
+
+def _period_powers(full: np.ndarray, product_u: np.ndarray, n_whole: np.ndarray,
+                   jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The powers that jump the ``jumps`` (spans (times, points) of n_whole > 0
+    periods), and each jump's index into them: one power per distinct exponent
+    of each point's polar-projected product of ``full[product_u]`` (slices, points)."""
+    which = np.zeros(jumps.shape, dtype=int)
+    if not jumps.any():
+        return full[:0], which
+    need, n_points = jumps.any(0), jumps.shape[1]
+    product = np.repeat(np.eye(full.shape[1], dtype=complex)[None], need.sum(), axis=0)
+    for s in range(len(product_u)):
+        product = full[product_u[s, need]] @ product
+    # the polar projection removes the rounding accumulated over the
+    # composition, so large powers stay unitary
+    w, _, vh = np.linalg.svd(product)
+    # one power per distinct (point, exponent), coded as exponent * B + row
+    row = (np.cumsum(need) - 1)[np.nonzero(jumps)[1]]
+    pairs, power_of = np.unique(n_whole[jumps] * n_points + row, return_inverse=True)
+    which[jumps] = power_of
+    return _matrix_powers((w @ vh)[pairs % n_points], pairs // n_points), which
+
+
+class _Plan:
+    """The tables of one _evolve call: the eigenpairs of the distinct keys
+    from the key ``table`` (one eigh over those it does not hold), each
+    point's key indices (slices, points) and its sample times, from its
+    segment's start in a chain.  A subclass gives each (lane, span) item's
+    ``cost`` in bytes and ``k`` repeats per window, and ``plan(i0, i1)`` the
+    steps of items i0 to i1 - 1 in walk order and each window's step count."""
+
+    def __init__(self, table: _UnitaryCache, schedules: CompiledSchedule, times, chain):
+        # the distinct keys in the order they first appear, point by point
+        distinct, first, index = np.unique(schedules.keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        self.vals, self.vecs = table.eigenpairs(distinct[order].tolist())
+        self.keys = np.argsort(order)[index].reshape(schedules.keys.shape).T  # (slices, points)
+        self.n_times, self.n_slices, self.n_points = len(times), len(self.keys), len(schedules)
+        self.chain, self.n_lanes = chain, 1 if chain is None else len(chain) + 1
+        self.n = self.n_points // self.n_lanes
+        self.times = np.asarray(times, dtype=float).reshape(self.n_times, -1)
+        self.elapsed = self.times if chain is None else self.times - self.times[0]
+
+    def lanes(self, a: np.ndarray) -> np.ndarray:
+        """(..., points) -> (lanes, ..., points of a lane)."""
+        a = a.reshape(*a.shape[:-1], self.n_lanes, self.n)
+        return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+
+    def items(self, a: np.ndarray) -> np.ndarray:
+        """(times, ..., points) -> (items l * n_times + j, ..., points of lane l)."""
+        return self.lanes(a).reshape(self.n_lanes * self.n_times, *a.shape[1:-1], self.n)
+
+    def unitaries(self, k: np.ndarray, taus: np.ndarray) -> np.ndarray:
+        return _slice_unitaries(self.vals[k], self.vecs[k], taus)
+
+    def lane_steps(self, u: np.ndarray, rows: np.ndarray) -> list:
+        """The steps that apply consecutive stacks of ``u``, rows[i].sum()
+        unitaries for step i, to the points rows[i] of a lane."""
+        if self.n == 1:
+            return list(u)
+        ends = np.cumsum(rows.sum(-1)).tolist()
+        return [u[a:b] if r.all() else _Rows(u[a:b], r) for a, b, r in zip([0, *ends], ends, rows)]
+
+
+class _PeriodicPlan(_Plan):
+    """The plan of a periodic stack.  A span between two samples is a head
+    window of the period it starts in, whole periods, and a tail window (0, r]
+    of the period it ends in.  A slice a window clips applies its key for the
+    clipped length, so constant slices stay exact; whole-period walks clip to
+    (0, period] too.  One unitary per distinct (key, duration)."""
+
+    def __init__(self, table: _UnitaryCache, schedules: CompiledSchedule, times, policy, chain):
+        super().__init__(table, schedules, times, chain)
+        tau, elapsed, durations = schedules.periods, self.elapsed, schedules.durations.T
+        last = np.broadcast_to(elapsed[-1], tau.shape)
+        if (beyond := last > 2.0 ** 53 * tau).any():
+            b = int(np.argmax(beyond))
+            raise HorizonError(f"t = {last[b]:.6e} s lies more than "
+                               f"2**53 periods of {tau[b]:.6e} s after its run's start, where "
+                               "float64 times cannot place a period boundary")
+        k0, r0 = np.divmod(np.concatenate([np.zeros((1, elapsed.shape[1])), elapsed[:-1]]), tau)
+        k1, r1 = np.divmod(elapsed, tau)
+        same = k1 == k0
+        n_whole = np.where(same, 0, k1 - k0 - 1).astype(int)  # (times, points)
+        # period-local windows (lo, hi] of each span: its head, then its tail
+        lo, hi = np.zeros((2, self.n_times, 2, 1, self.n_points))
+        lo[:, 0, 0], hi[:, 0, 0], hi[:, 1, 0] = r0, np.where(same, r1, tau), np.where(same, 0, r1)
+        bounds = np.concatenate([np.zeros((1, self.n_points)), np.cumsum(durations, axis=0)])
+        # the length a whole-period walk gives each slice: a clipped slice
+        # reuses its key, and every length is capped at the slice duration
+        walk_tau = np.minimum(np.minimum(bounds[1:], tau) - bounds[:-1], durations)
+        jumps = (n_whole > 0) & policy.fast_forward
+        lengths = np.array([walk_tau, durations] if jumps.any() else [walk_tau])
+        # one unitary per distinct (key, length), found as the distinct
+        # complex numbers key + i length
+        pairs, where = np.unique(self.keys + 1j * lengths, return_inverse=True)
+        self.full = self.unitaries(pairs.real.astype(int), pairs.imag)
+        walk_u, product_u = where.reshape(lengths.shape)[[0, -1]]
+        self.lane_u = self.lanes(walk_u)  # (lanes, slices, points of a lane)
+        self.shared = (self.lane_u == self.lane_u[..., :1]).all(-1)
+        self.powers, which = _period_powers(self.full, product_u, n_whole, jumps)
+        self.lo, self.hi, count, self.hops, self.which = map(self.items,
+                                                             (lo, hi, n_whole, jumps, which))
+        self.base, self.top, self.walk_tau = map(self.lanes, (bounds[:-1], bounds[1:], walk_tau))
+        # an item's windows: its head window, its jump (one more slice), one
+        # period per group of points with as many whole periods left as the
+        # group's least (repeated k times), and its tail window
+        self.windows = windows = 3 if policy.fast_forward else 3 + self.n
+        upto = np.sort(count, -1)[:, :windows - 3]
+        self.k = np.ones((len(count), windows), dtype=int)  # the repeats of each window
+        self.k[:, 2:-1] = np.diff(upto, axis=-1, prepend=0)
+        self.grouped = (self.k[:, 2:-1, None] > 0) & (count[:, None] >= upto[..., None])
+        # per item: 24 bytes per (window, slice or jump, point) of masks and steps, and a unitary
+        # per point for each span end inside a period (a clipped slice) and, in a lane of
+        # several points, for a jump (a copied power)
+        self.cost = 24 * windows * (self.n_slices + 1) * self.n + 16 * self.vecs.shape[1] ** 2 * (
+            self.items(np.count_nonzero([r0, r1], axis=0)) + (self.n > 1) * self.hops).sum(-1)
+
+    def __call__(self, i0: int, i1: int) -> tuple[list, np.ndarray]:
+        n, n_times, n_slices, windows = self.n, self.n_times, self.n_slices, self.windows
+        full, lane_u, hops, which = self.full, self.lane_u, self.hops[i0:i1], self.which[i0:i1]
+        lane, l0, l1 = np.arange(i0, i1) // n_times, i0 // n_times, (i1 - 1) // n_times + 1
+        take = (np.minimum(self.top[lane, None], self.hi[i0:i1])
+                - np.maximum(self.base[lane, None], self.lo[i0:i1]))
+        walk = self.walk_tau[lane, None]
+        # a window clips a slice it takes less of than a whole-period walk
+        clipped = (take > 0) & (take < walk)
+        whole = (take > 0) & ~clipped
+        wholes = np.concatenate([whole[:, :1], np.zeros_like(whole[:, :1]),
+                                 self.grouped[i0:i1, :, None] & (walk > 0), whole[:, 1:]], 1)
+        part = np.zeros((*wholes.shape[:2], n_slices + 1, 2), dtype=bool)
+        part[..., :-1, 0], part[:, ::windows - 1, :-1, 1] = wholes.any(-1), clipped.any(-1)
+        part[:, 1, -1, 0] = hops.any(-1)  # (items, windows, slices + jump, parts)
+        e, w, s, kind = np.nonzero(part)  # (item, window, slice, whole or clipped)
+        t = np.minimum(s, n_slices - 1)
+        rows = np.where(kind[:, None] == 1, clipped[e, np.minimum(w, 1), t], wholes[e, w, t])
+        kind[s == n_slices], rows[s == n_slices] = 2, hops[e[s == n_slices]]  # jumps
+        # the whole steps of each lane's slices, then the other steps
+        steps = [full[u] for u in lane_u[l0:l1, :, 0].ravel().tolist()]
+        for i in np.flatnonzero(~self.shared[l0:l1]).tolist():  # points with their own
+            steps[i] = full[lane_u[l0 + i // n_slices, i % n_slices]]
+        lane, some = lane[e], (kind == 0) & ~rows.all(-1)
+        ids = (lane - l0) * n_slices + t
+        c_e, _, c_s, c_i = np.nonzero(clipped)  # clipped slices in walk order
+        for mask, u in ((kind == 1, self.unitaries(self.keys[c_s, (i0 + c_e) // n_times * n + c_i],
+                                                   take[clipped])),
+                        (kind == 2, [self.powers[i] for i in which[hops].tolist()]
+                         if n == 1 else self.powers[which[hops]]),
+                        (some, full[lane_u[lane[some], t[some]][rows[some]]])):
+            ids[mask] = len(steps) + np.arange(mask.sum())
+            steps += self.lane_steps(u, rows[mask])
+        return list(map(steps.__getitem__, ids.tolist())), part.sum((2, 3))
+
+
+class _ConstantPlan(_Plan):
+    """The plan of a stack of constant keys: each span is equal slices of the
+    lane's keys, and the horizon is 2**53 periods of the fastest eigenphase."""
+
+    def __init__(self, table: _UnitaryCache, schedules: CompiledSchedule, times, policy, chain):
+        super().__init__(table, schedules, times, chain)
+        rate, last = float(np.abs(self.vals).max()), float(self.elapsed[-1].max())
+        if rate * last > TWO_PI * 2.0 ** 53:
+            raise HorizonError(f"t = {last:.6e} s lies more than 2**53 periods of the fastest "
+                               f"eigenphase ({rate:.6e} rad/s), where float64 cannot resolve it")
+        span = self.lanes(np.diff(self.elapsed, axis=0, prepend=0.0) + np.zeros(self.n_points))
+        self.span = span = span[..., 0].ravel()
+        self.count = _slice_counts(span[:, None], span[:, None] > 0, policy.max_step)[:, 0]
+        self.cost = 128 * self.count + 16 * self.vecs.shape[1] ** 2 * self.n
+        self.k = np.ones((len(self.count), 1), dtype=int)
+
+    def __call__(self, i0: int, i1: int) -> tuple[list, np.ndarray]:
+        n, count = self.n, self.count
+        go = np.flatnonzero(count[i0:i1]) + i0
+        u = self.unitaries(self.keys[0, (go[:, None] // self.n_times * n + np.arange(n)).ravel()],
+                           np.repeat(self.span[go] / count[go], n))
+        return ([v for v, c in zip(self.lane_steps(u, np.ones((len(go), n), dtype=bool)),
+                                   count[go].tolist()) for _ in range(c)], count[i0:i1, None])
+
+
+class _Walk:
+    """The walk of a plan's lanes: the lane ``l``, the interval-check counters
+    and the sample buffer.  The state is checked every unitarity_check_interval
+    applied steps, at the end of the window, jump or period that reaches the
+    count, and at every sample; samples are read in STACK_BYTES chunks, before
+    every interval check and at the end of each lane; a failure names when in
+    the run it happened (a sample time, or the span of samples it fell in)."""
+
+    def __init__(self, plan: _Plan, policy: IntegrationPolicy, observables: Sequence[Observable]):
+        self.plan, self.tolerance, self.n_observables = plan, policy.tolerance, len(observables)
+        self.stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
+        self.values = np.empty((plan.n_times, plan.n_lanes, plan.n, len(observables)), complex)
+        self.interval = self.due = policy.unitarity_check_interval
+        self.l = self.applied = self.queued = 0
+        # a one-point lane holds its state and steps as 2-D arrays
+        self.mul = np.ndarray.dot if plan.n == 1 else operator.matmul
+
+    def start(self, lane_states: QuantumState | Sequence[QuantumState]) -> np.ndarray:
+        """Lane l's state from ``lane_states``, one for all points or one each."""
+        n = self.plan.n
+        self.weights, psi = ((np.repeat(a[None], n, axis=0) for a in lane_states.branches)
+                             if isinstance(lane_states, QuantumState) else
+                             (np.array(a) for a in zip(*(s.branches for s in lane_states))))
+        chunk = STACK_BYTES // (psi.nbytes * (1 + self.n_observables))  # snapshots and product
+        self.snapshots = np.empty((min(max(chunk, 1), self.plan.n_times), *psi.shape), complex)
+        self.taken = 0
+        return psi[0] if n == 1 else psi
+
+    def at_sample(self, i: int, point: int) -> str:
+        """Where queued sample i of lane l is."""
+        t = self.plan.times[self.taken - self.queued + i, self.l * self.plan.n]
+        return f"at point {point} at sample t = {t:.6e}"
+
+    def between(self, _: int, point: int) -> str:
+        """Where an interval check of lane l is: between its last and next samples."""
+        times, taken, column = self.plan.times, self.taken, self.l * self.plan.n
+        return (f"between t = {times[taken - 1, column] if taken else 0.0:.6e} and "
+                f"t = {times[taken, column]:.6e} at point {point} after {self.applied} slices")
+
+    def flush(self) -> None:
+        """Check and read the queued samples of lane l: one BLAS product per
+        (sample, point), so a point's bits do not depend on its stack or
+        chunk, and one einsum."""
+        if queued := self.queued:
+            snapshots = self.snapshots[:queued]
+            block = snapshots.reshape(-1, *snapshots.shape[2:])
+            _check_health(snapshots, self.tolerance, self.at_sample)
+            o_psi = (self.stacked @ block).reshape(len(block), self.n_observables, -1)
+            # weighted <psi_b| of each point
+            bra = (snapshots.conj() * self.weights[:, None]).reshape(len(block), -1)
+            self.values[self.taken - queued:self.taken, self.l] = np.einsum(
+                "zok,zk->zo", o_psi, bra).reshape(queued, self.plan.n, -1)
+            self.queued = 0
+
+    def replay(self, psi: np.ndarray, steps: list, blocks: zip) -> np.ndarray:
+        """Walk the blocks (a, b, k, event) of a step program: steps a to b - 1
+        k times, then a sample read (event 1) or a read and the end of a lane
+        (event 2), which starts the next lane, if any, from the chain map of
+        the state this lane ended in."""
+        applied, due, mul, interval = self.applied, self.due, self.mul, self.interval
+        for a, b, k, event in blocks:
+            run = steps[a:b]
+            for _ in range(k):
+                for u in run:
+                    psi = mul(u, psi)
+                applied += b - a
+                if applied >= due:
+                    due, self.applied = (applied // interval + 1) * interval, applied
+                    self.flush()
+                    _check_health(psi.reshape(1, -1, *psi.shape[-2:]), self.tolerance,
+                                  self.between)
+            if event:
+                self.snapshots[self.queued] = psi
+                self.queued, self.taken = self.queued + 1, self.taken + 1
+                if self.queued == len(self.snapshots):
+                    self.flush()
+            if event == 2:
+                psi = psi.reshape(-1, *psi.shape[-2:])
+                self.flush()
+                self.l += 1
+                if self.l < self.plan.n_lanes:
+                    psi = self.start([self.plan.chain[self.l - 1](_normalized(w, v))
+                                      for w, v in zip(self.weights, psi)])
+        self.applied, self.due = applied, due
+        return psi
+
+
 def _evolve(table: _UnitaryCache,
             schedules: CompiledSchedule, times: Sequence[float] | np.ndarray,
             states: QuantumState | Sequence[QuantumState], policy: IntegrationPolicy,
@@ -360,271 +639,41 @@ def _evolve(table: _UnitaryCache,
     points, observables) and the last lane's branch weights (n, branches)
     and final branch vectors (n, dim, branches).
 
-    A span between two samples is a head window of the period it starts
-    in, whole periods, and a tail window (0, r] of the period it ends in.
-    A slice a window clips applies its key for the clipped length, so
-    constant slices stay exact; whole-period walks clip to (0, period] too.
-    The stack shares the eigenpairs of the distinct keys from ``table`` (one
-    eigh over those it does not hold), one unitary per distinct (key,
-    duration) and one power of each point's polar-projected period product
-    per distinct exponent.  The walk is planned and replayed one chunk of
-    (lane, span) items at a time, a chunk's plan within 3/4 of STACK_BYTES
-    or one item: its window masks and clipped unitaries, a flat list of its
-    steps' unitaries in walk order (2-D for a one-point lane), built in
-    array passes, and its blocks (a, b, k, event): a window, a jump or a
-    period of slices (repeated k times, without fast-forward), then a sample
-    read (event 1) or a read and the end of a lane (event 2).  The state is
-    checked every unitarity_check_interval applied steps, at the end of the
-    window, jump or period that reaches the count, and at every sample;
-    samples are read in STACK_BYTES chunks, before every interval check and
-    at the end of each lane; a failure names when in the run it happened (a
-    sample time or, for an interval check, the span of samples it fell in).
+    The stack is planned (_PeriodicPlan or _ConstantPlan) and walked (_Walk)
+    one chunk of (lane, span) items at a time, a chunk's plan (its window
+    masks, clipped unitaries, steps and blocks) within 3/4 of STACK_BYTES.
     """
-    # the distinct keys in the order they first appear, point by point
-    distinct, first, index = np.unique(schedules.keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    vals, vecs = table.eigenpairs(distinct[order].tolist())
-    keys = np.argsort(order)[index].reshape(schedules.keys.shape).T  # (slices, points)
-    durations = schedules.durations.T
-    n_times, n_slices, n_points = len(times), len(keys), len(schedules)
-    n_lanes = 1 if chain is None else len(chain) + 1
-    n = n_points // n_lanes
-    times = np.asarray(times, dtype=float).reshape(n_times, -1)
-    elapsed = times if chain is None else times - times[0]
-
-    def lanes(a: np.ndarray) -> np.ndarray:
-        """(..., points) -> (lanes, ..., points of a lane)."""
-        a = a.reshape(*a.shape[:-1], n_lanes, n)
-        return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
-
-    def items(a: np.ndarray) -> np.ndarray:
-        """(times, ..., points) -> (items l * n_times + j, ..., points of lane l)."""
-        return lanes(a).reshape(n_lanes * n_times, *a.shape[1:-1], n)
-
-    stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
-    values = np.empty((n_times, n_lanes, n, len(observables)), dtype=complex)
-    interval = policy.unitarity_check_interval
-    l, applied, due, queued, taken, weights, snapshots = 0, 0, interval, 0, 0, None, None
-    # a one-point lane holds its state and steps as 2-D arrays
-    mul = np.ndarray.dot if n == 1 else operator.matmul
-
-    def unitaries(k: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        return _slice_unitaries(vals[k], vecs[k], taus)
-
-    def check_health(stacks: np.ndarray, where: Callable[[int, int], str]) -> None:
-        """Raise for the first of the point ``stacks`` (in time order) that
-        is not finite or whose largest branch-norm defect fails, at ``where(stack, point)``."""
-        defect = np.abs(np.linalg.norm(stacks, axis=-2) - 1.0).max(axis=-1)
-        defect[~np.isfinite(stacks).all(axis=(-2, -1))] = np.nan
-        i = int(np.argmax(~(defect.max(axis=1) < policy.tolerance)))
-        if not defect[i].max() < policy.tolerance:
-            point = int(defect[i].argmax())  # the first NaN, if any
-            raise PropagationError("state became non-finite" if np.isnan(defect[i]).any() else
-                                   f"state drift {defect[i].max():.3e} >= {policy.tolerance} "
-                                   + where(i, point), point)
-
-    def flush() -> None:
-        """Check and read the queued samples of lane l: one BLAS product per
-        (sample, point), so a point's bits do not depend on its stack or
-        chunk, and one einsum."""
-        nonlocal queued
-        if queued:
-            first, block = taken - queued, snapshots[:queued].reshape(-1, *snapshots.shape[2:])
-            check_health(snapshots[:queued], lambda i, point: (
-                f"at point {point} at sample t = {times[first + i, l * n]:.6e}"))
-            o_psi = (stacked @ block).reshape(len(block), len(observables), -1)
-            # weighted <psi_b| of each point
-            bra = (snapshots[:queued].conj() * weights[:, None]).reshape(len(block), -1)
-            values[first:taken, l] = np.einsum("zok,zk->zo", o_psi, bra).reshape(queued, n, -1)
-            queued = 0
-
-    def sample(psi: np.ndarray) -> None:
-        nonlocal queued, taken
-        snapshots[queued] = psi
-        queued, taken = queued + 1, taken + 1
-        if queued == len(snapshots):
-            flush()
-
-    def start(lane_states: QuantumState | Sequence[QuantumState]) -> np.ndarray:
-        """Lane l's state from ``lane_states``, one for all points or one each."""
-        nonlocal weights, snapshots, taken
-        weights, psi = ((np.repeat(a[None], n, axis=0) for a in lane_states.branches)
-                        if isinstance(lane_states, QuantumState) else
-                        (np.array(a) for a in zip(*(s.branches for s in lane_states))))
-        chunk = STACK_BYTES // (psi.nbytes * (1 + len(observables)))  # snapshots and product
-        snapshots, taken = np.empty((min(max(chunk, 1), n_times), *psi.shape), dtype=complex), 0
-        return psi[0] if n == 1 else psi
-
-    def replay(psi: np.ndarray, steps: list, blocks: zip) -> np.ndarray:
-        """Walk a step program (see the docstring); event 2 starts the next
-        lane, if any, from the chain map of the state this lane ended in."""
-        nonlocal l, applied, due
-        for a, b, k, event in blocks:
-            run = steps[a:b]
-            for _ in range(k):
-                for u in run:
-                    psi = mul(u, psi)
-                applied += b - a
-                if applied >= due:
-                    due = (applied // interval + 1) * interval
-                    flush()
-                    check_health(psi.reshape(1, n, *psi.shape[-2:]), lambda _, point: (
-                        f"between t = {times[taken - 1, l * n] if taken else 0.0:.6e} and "
-                        f"t = {times[taken, l * n]:.6e} at point {point} after {applied} slices"))
-            if event:
-                sample(psi)
-            if event == 2:
-                psi = psi.reshape(n, *psi.shape[-2:])
-                flush()
-                l += 1
-                if l < n_lanes:
-                    psi = start([chain[l - 1](_normalized(w, v)) for w, v in zip(weights, psi)])
-        return psi
-
-    def lane_steps(u: np.ndarray, rows: np.ndarray) -> list:
-        """The steps that apply consecutive stacks of ``u``, rows[i].sum()
-        unitaries for step i, to the points rows[i] of a lane."""
-        if n == 1:
-            return list(u)
-        ends = np.cumsum(rows.sum(-1)).tolist()
-        return [u[a:b] if r.all() else _Rows(u[a:b], r) for a, b, r in zip([0, *ends], ends, rows)]
-
-    if schedules.periods is not None:
-        tau = schedules.periods
-        last = np.broadcast_to(elapsed[-1], tau.shape)
-        if (beyond := last > 2.0 ** 53 * tau).any():
-            b = int(np.argmax(beyond))
-            raise HorizonError(f"t = {last[b]:.6e} s lies more than "
-                               f"2**53 periods of {tau[b]:.6e} s after its run's start, where "
-                               "float64 times cannot place a period boundary")
-        k0, r0 = np.divmod(np.concatenate([np.zeros((1, elapsed.shape[1])), elapsed[:-1]]), tau)
-        k1, r1 = np.divmod(elapsed, tau)
-        same = k1 == k0
-        n_whole = np.where(same, 0, k1 - k0 - 1).astype(int)  # (times, points)
-        # period-local windows (lo, hi] of each span: its head, then its tail
-        lo, hi = np.zeros((2, n_times, 2, 1, n_points))
-        lo[:, 0, 0], hi[:, 0, 0], hi[:, 1, 0] = r0, np.where(same, r1, tau), np.where(same, 0, r1)
-        bounds = np.concatenate([np.zeros((1, n_points)), np.cumsum(durations, axis=0)])
-        # the length a whole-period walk gives each slice: a clipped slice
-        # reuses its key, and every length is capped at the slice duration
-        walk_tau = np.minimum(np.minimum(bounds[1:], tau) - bounds[:-1], durations)
-        jumps = (n_whole > 0) & policy.fast_forward
-        lengths = np.array([walk_tau, durations] if jumps.any() else [walk_tau])
-        # one unitary per distinct (key, length), found as the distinct
-        # complex numbers key + i length
-        table, where = np.unique(keys + 1j * lengths, return_inverse=True)
-        full = unitaries(table.real.astype(int), table.imag)
-        walk_u, product_u = where.reshape(lengths.shape)[[0, -1]]
-        lane_u = lanes(walk_u)  # (lanes, slices, points of a lane)
-        shared = (lane_u == lane_u[..., :1]).all(-1)
-        powers, which = full[:0], np.zeros(jumps.shape, dtype=int)
-        if jumps.any():
-            need = jumps.any(0)
-            product = np.repeat(np.eye(vecs.shape[1], dtype=complex)[None], need.sum(), axis=0)
-            for s in range(n_slices):
-                product = full[product_u[s, need]] @ product
-            # the polar projection removes the rounding accumulated over the
-            # composition, so large powers stay unitary
-            w, _, vh = np.linalg.svd(product)
-            # one power per distinct (point, exponent), coded as exponent * B + row
-            row = (np.cumsum(need) - 1)[np.nonzero(jumps)[1]]
-            pairs, power_of = np.unique(n_whole[jumps] * n_points + row, return_inverse=True)
-            powers = _matrix_powers((w @ vh)[pairs % n_points], pairs // n_points)
-            which[jumps] = power_of
-        lo, hi, count, hops, which = map(items, (lo, hi, n_whole, jumps, which))
-        base, top, walk_tau = lanes(bounds[:-1]), lanes(bounds[1:]), lanes(walk_tau)  # per slice
-        # an item's windows: its head window, its jump (one more slice), one
-        # period per group of points with as many whole periods left as the
-        # group's least (repeated k times), and its tail window
-        windows = 3 if policy.fast_forward else 3 + n
-        upto = np.sort(count, -1)[:, :windows - 3]
-        k = np.ones((len(count), windows), dtype=int)  # the repeats of each window
-        k[:, 2:-1] = np.diff(upto, axis=-1, prepend=0)
-        grouped = (k[:, 2:-1, None] > 0) & (count[:, None] >= upto[..., None])  # points per group
-        # per item: 24 bytes per (window, slice or jump, point) of masks and steps, and a unitary
-        # per point for each span end inside a period (a clipped slice) and, in a lane of
-        # several points, for a jump (a copied power)
-        cost = 24 * windows * (n_slices + 1) * n + 16 * vecs.shape[1] ** 2 * (
-            items(np.count_nonzero([r0, r1], axis=0)) + (n > 1) * hops).sum(-1)
-
-        def program(i0: int, i1: int) -> tuple[list, np.ndarray]:
-            """The steps of items i0 to i1 - 1 in walk order, and the step
-            count of each of their windows."""
-            lane, l0, l1 = np.arange(i0, i1) // n_times, i0 // n_times, (i1 - 1) // n_times + 1
-            take = np.minimum(top[lane, None], hi[i0:i1]) - np.maximum(base[lane, None], lo[i0:i1])
-            walk = walk_tau[lane, None]
-            # a window clips a slice it takes less of than a whole-period walk
-            clipped = (take > 0) & (take < walk)
-            whole = (take > 0) & ~clipped
-            wholes = np.concatenate([whole[:, :1], np.zeros_like(whole[:, :1]),
-                                     grouped[i0:i1, :, None] & (walk > 0), whole[:, 1:]], 1)
-            part = np.zeros((*wholes.shape[:2], n_slices + 1, 2), dtype=bool)
-            part[..., :-1, 0], part[:, ::windows - 1, :-1, 1] = wholes.any(-1), clipped.any(-1)
-            part[:, 1, -1, 0] = hops[i0:i1].any(-1)  # (items, windows, slices + jump, parts)
-            e, w, s, kind = np.nonzero(part)  # (item, window, slice, whole or clipped)
-            t = np.minimum(s, n_slices - 1)
-            rows = np.where(kind[:, None] == 1, clipped[e, np.minimum(w, 1), t], wholes[e, w, t])
-            kind[s == n_slices], rows[s == n_slices] = 2, hops[i0 + e[s == n_slices]]  # jumps
-            # the whole steps of each lane's slices, then the other steps
-            steps = [full[u] for u in lane_u[l0:l1, :, 0].ravel().tolist()]
-            for i in np.flatnonzero(~shared[l0:l1]).tolist():  # points with their own
-                steps[i] = full[lane_u[l0 + i // n_slices, i % n_slices]]
-            lane, some = lane[e], (kind == 0) & ~rows.all(-1)
-            ids = (lane - l0) * n_slices + t
-            c_e, _, c_s, c_i = np.nonzero(clipped)  # clipped slices in walk order
-            for mask, u in ((kind == 1, unitaries(keys[c_s, (i0 + c_e) // n_times * n + c_i],
-                                                  take[clipped])),
-                            (kind == 2, [powers[i] for i in which[i0:i1][hops[i0:i1]].tolist()]
-                             if n == 1 else powers[which[i0:i1][hops[i0:i1]]]),
-                            (some, full[lane_u[lane[some], t[some]][rows[some]]])):
-                ids[mask] = len(steps) + np.arange(mask.sum())
-                steps += lane_steps(u, rows[mask])
-            return list(map(steps.__getitem__, ids.tolist())), part.sum((2, 3))
-    else:
-        # a constant drive: each span is equal slices of the lane's keys, and the horizon
-        # is 2**53 periods of the fastest eigenphase
-        rate, last = float(np.abs(vals).max()), float(elapsed[-1].max())
-        if rate * last > TWO_PI * 2.0 ** 53:
-            raise HorizonError(f"t = {last:.6e} s lies more than 2**53 periods of the fastest "
-                               f"eigenphase ({rate:.6e} rad/s), where float64 cannot resolve it")
-        span = lanes(np.diff(elapsed, axis=0, prepend=0.0) + np.zeros(n_points))[..., 0].ravel()
-        count = _slice_counts(span[:, None], span[:, None] > 0, policy.max_step)[:, 0]
-        cost, k = 128 * count + 16 * vecs.shape[1] ** 2 * n, np.ones((len(count), 1), dtype=int)
-
-        def program(i0: int, i1: int) -> tuple[list, np.ndarray]:
-            go = np.flatnonzero(count[i0:i1]) + i0
-            u = unitaries(keys[0, (go[:, None] // n_times * n + np.arange(n)).ravel()],
-                          np.repeat(span[go] / count[go], n))
-            return ([v for v, c in zip(lane_steps(u, np.ones((len(go), n), dtype=bool)),
-                                       count[go].tolist()) for _ in range(c)],
-                    count[i0:i1, None])
-
-    psi, i1, total, event = start(states), 0, np.append(0, np.cumsum(cost)), np.zeros_like(k)
-    event[:, -1] = np.where(np.arange(1, len(k) + 1) % n_times, 1, 2)
+    plan = (_ConstantPlan if schedules.periods is None else _PeriodicPlan)(
+        table, schedules, times, policy, chain)
+    walk = _Walk(plan, policy, observables)
+    k, cost, interval = plan.k, plan.cost, policy.unitarity_check_interval
+    psi, i1, total, event = walk.start(states), 0, np.append(0, np.cumsum(cost)), np.zeros_like(k)
+    event[:, -1] = np.where(np.arange(1, len(k) + 1) % plan.n_times, 1, 2)
     # plan and walk chunks of items costing at most 3/4 of STACK_BYTES, or one item: a program
     # lives on until the next is built, so freed pages are reused, not returned and faulted in
     while i1 < len(cost):
         i0, i1 = i1, max(i1 + 1, np.searchsorted(total, total[i1] + STACK_BYTES * 3 // 4,
                                                  "right") - 1)
-        steps, size = program(i0, i1)
+        steps, size = plan(i0, i1)
         # blocks (a, b, k, event) of the items' windows in walk order, an item's last
         # window followed by its event; consecutive single runs that no check or event
         # separates are one block
         ks, events, ends = k[i0:i1].ravel(), event[i0:i1].ravel(), np.cumsum(size)
         # checks due so far, before and after each window
-        reach = np.concatenate([[applied], applied + np.cumsum(size.ravel() * ks)]) // interval
+        reach = (walk.applied + np.append(0, np.cumsum(size.ravel() * ks))) // interval
         join = (ks[:-1] == 1) & (ks[1:] == 1) & (events[:-1] == 0) & (reach[1:-1] == reach[:-2])
         first = np.flatnonzero(np.concatenate([[True], ~join]))
         last = np.append(first[1:], len(ks)) - 1
-        psi = replay(psi, steps, zip((ends - size.ravel())[first].tolist(), ends[last].tolist(),
-                                     ks[last].tolist(), events[last].tolist()))
-    imag = np.abs(values.imag).max()
+        psi = walk.replay(psi, steps, zip((ends - size.ravel())[first].tolist(),
+                                          ends[last].tolist(), ks[last].tolist(),
+                                          events[last].tolist()))
+    imag = np.abs(walk.values.imag).max()
     if imag >= 1e-10:
         raise PropagationError(f"observable developed imaginary part {imag:.3e}")
-    values = values.real.reshape(n_times, n_points, -1)
+    values = walk.values.real.reshape(plan.n_times, plan.n_points, -1)
     for i, o in enumerate(observables):
         _check_bounds(o.name, values[..., i])
-    return values, weights, psi
+    return values, walk.weights, psi
 
 
 def propagate_compiled(hamiltonians_of: Callable[[list], np.ndarray],
@@ -744,6 +793,12 @@ def magnus_effective_hamiltonian(system: SpinSystem, w: DcsWaveform,
 
 _SPIN_PAIR_FLIPFLOP = np.kron(SPIN_MINUS, SPIN_PLUS)
 _SPIN_PAIR_FLIPFLOP = _SPIN_PAIR_FLIPFLOP + _SPIN_PAIR_FLIPFLOP.conj().T
+_SPIN_PAIR_Z = np.kron(SPIN_Z, np.eye(2)), np.kron(np.eye(2), SPIN_Z)  # S1z, S2z
+
+
+def _spin_pair_hamiltonians(omega_n: float, coupling: float, keys: list) -> np.ndarray:
+    omega_e, (s1z, s2z) = np.asarray(keys, dtype=float)[:, None, None], _SPIN_PAIR_Z
+    return omega_e * s1z + omega_n * s2z + coupling * _SPIN_PAIR_FLIPFLOP
 
 
 def propagate_spin_pair(w: Waveform, omega_n: float, coupling: float,
@@ -762,12 +817,7 @@ def propagate_spin_pair(w: Waveform, omega_n: float, coupling: float,
         raise ValueError("spin-pair model requires a two-spin (dimension 4) state")
     if not (math.isfinite(omega_n) and math.isfinite(coupling)):
         raise ValueError("omega_n and coupling must be finite")
-    s1z, s2z = np.kron(SPIN_Z, np.eye(2)), np.kron(np.eye(2), SPIN_Z)
-
-    def hamiltonians_of(keys: list) -> np.ndarray:
-        omega_e = np.asarray(keys, dtype=float)[:, None, None]
-        return omega_e * s1z + omega_n * s2z + coupling * _SPIN_PAIR_FLIPFLOP
-
+    s1z, s2z = _SPIN_PAIR_Z
     observables = [Observable(2 * s1z, name="sigma_z"), Observable(s2z, name="I_z[1]")]
-    return propagate_compiled(hamiltonians_of, compile_waveform(w, policy), state0, times,
-                              policy, observables)
+    return propagate_compiled(functools.partial(_spin_pair_hamiltonians, omega_n, coupling),
+                              compile_waveform(w, policy), state0, times, policy, observables)

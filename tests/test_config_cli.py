@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -602,6 +603,27 @@ def test_cli_rejects_values_the_propagator_cannot_take(tmp_path, capsys, block, 
     assert path in record["message"]
 
 
+@pytest.mark.parametrize("points", [10 ** 6 + 1, 10 ** 15, 2 ** 63])
+def test_cli_rejects_more_sweep_points_than_max_points(tmp_path, capsys, points):
+    """A grid of 10**15 points could not be allocated, and one of 2**63 ended in
+    an IndexError: each exits 2 before its grid is built."""
+    data = json.loads(SENSING_SPECTRUM.read_text())
+    data["sweep"]["points"] = points
+    record = _cli_config_error(tmp_path, capsys, data)
+    assert record["message"].endswith(".sweep.points: at most 1000000 sweep points")
+
+
+def test_integer_protocol_fields_are_floats(tmp_path):
+    """JSON integers in the protocol's float fields become floats: an
+    amplitude error of 10**20, past int64, made the drive arrays hold Python
+    objects and the finite check raise a TypeError."""
+    fields = ("amplitude_error", "switch_fraction", "t_initial")
+    config = parse_config({**EXPLICIT, "protocol": {**EXPLICIT["protocol"], **dict(
+        zip(fields, (10 ** 20, 0, 0)))}})
+    assert [type(getattr(config.protocol, field)) for field in fields] == [float] * 3
+    assert run_experiment(config, out_dir=tmp_path, workers=1)
+
+
 @pytest.mark.parametrize("change,path", [
     ({"max_step_ns": 0.005}, "integration.max_step_ns:"),
     ({"ramp_substeps": 20000}, "integration.ramp_substeps:"),
@@ -1040,6 +1062,90 @@ def test_a_field_of_another_json_type_exits_2_naming_the_field(case):
     assert code == 2, (name, data)
     record = json.loads(err.getvalue())
     assert f"{path}{name}" in record["message"], (name, record)
+
+
+# ---------------------------------------------------------------------------
+# config text: a mutant of a shipped config parses or raises ConfigError,
+# and a run of one exits 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+_TEXTS = {path.name: path.read_bytes() for path in sorted(_SHIPPED.glob("configs/*.json"))
+          + sorted(_SHIPPED.glob("perfbench/inputs/*.json"))}
+_NUMBER = re.compile(rb"(?<![\w.\"])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?![\w.\"])")
+_VALUE = re.compile(rb'(?<=: )(?:"[^"\\]*"|-?\d[\d.eE+-]*|true|false|null)')
+_KEY = re.compile(rb'(?<=")[^"\\]+(?=": )')
+
+
+def _replace_match(draw, text: bytes, pattern: re.Pattern, replacements) -> bytes:
+    """``text`` with one drawn match of ``pattern`` replaced by a drawn replacement."""
+    spans = [m.span() for m in pattern.finditer(text)]
+    if not spans:
+        return text
+    a, b = draw(st.sampled_from(spans))
+    return text[:a] + draw(replacements) + text[b:]
+
+
+@st.composite
+def text_mutants(draw, text: bytes, most: int = 3) -> bytes:
+    """``text`` after one to ``most`` mutations: a truncation, a flipped bit, a
+    NaN or Infinity literal or a huge integer for a number, a value of
+    another JSON type, or a key renamed (to another key of the text, so
+    perhaps given twice, or to a variant of its own name)."""
+    for _ in range(draw(st.integers(1, most))):
+        kind = draw(st.sampled_from(["truncate", "flip", "non-finite", "huge", "retype",
+                                     "rename"]))
+        if kind == "truncate":
+            text = text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+        elif kind == "flip" and text:
+            i = draw(st.integers(0, len(text) - 1))
+            text = text[:i] + bytes([text[i] ^ 1 << draw(st.integers(0, 7))]) + text[i + 1:]
+        elif kind == "non-finite":
+            text = _replace_match(draw, text, _NUMBER,
+                                  st.sampled_from([b"NaN", b"Infinity", b"-Infinity"]))
+        elif kind == "huge":
+            text = _replace_match(draw, text, _NUMBER, st.builds(
+                lambda sign, digits: sign + b"1" + b"0" * digits,
+                st.sampled_from([b"", b"-"]), st.integers(15, 5000)))
+        elif kind == "retype":
+            text = _replace_match(draw, text, _VALUE, st.sampled_from(
+                [b'"x"', b'""', b"0", b"2.5", b"-1", b"true", b"null", b"[]", b"{}", b"[1, 2]",
+                 b'{"a": 1}']))
+        elif kind == "rename":
+            names = sorted(set(_KEY.findall(text))) or [b"x"]
+            text = _replace_match(draw, text, _KEY, st.one_of(
+                st.sampled_from(names), st.sampled_from(names).map(bytes.upper),
+                st.sampled_from(names).map(lambda name: name + b"_x")))
+    return text
+
+
+def _cli_exit(text: bytes, tmp: str) -> int:
+    path = Path(tmp) / "cli.json"
+    path.write_bytes(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(path), "--out", str(Path(tmp) / "out"), "--workers", "1"])
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_mutated_config_text_parses_or_raises_config_error(data):
+    """Four mutants of a shipped config's text go through load_config, and
+    two single mutations of an explicit one at 3 sweep points through the CLI."""
+    text = _TEXTS[data.draw(st.sampled_from(sorted(_TEXTS)), label="config")]
+    swept = data.draw(st.sampled_from(sorted(name for name, raw in _TEXTS.items()
+                                             if b'"points": ' in raw)), label="run")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        for _ in range(4):
+            path.write_bytes(data.draw(text_mutants(text), label="mutant"))
+            with contextlib.suppress(ConfigError):
+                load_config(path)
+        short = re.sub(rb'"points": \d+', b'"points": 3', _TEXTS[swept])
+        for _ in range(2):
+            mutant = data.draw(text_mutants(short, most=1), label="run mutant")
+            assert _cli_exit(mutant, tmp) in (0, 2, 3)
 
 
 # ---------------------------------------------------------------------------

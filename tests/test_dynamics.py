@@ -434,7 +434,7 @@ def test_sample_chunks_equal_the_reference_loop_bit_for_bit(monkeypatch, chunk, 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("tolerance, message", [
-    (1e-9, "state became non-finite"),
+    (1e-9, "state became non-finite at point 0 at sample t = 1.000000e+01"),
     (1e-300, "state drift 2.220e-16 >= 1e-300 at point 0 at sample t = 1.000000e-09"),
 ])
 def test_a_non_finite_state_is_reported_after_an_earlier_drift(tolerance, message):

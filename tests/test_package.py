@@ -1,4 +1,5 @@
 """Properties that hold across every module of dcspin."""
+import ast
 import importlib
 import json
 import os
@@ -38,6 +39,21 @@ def test_every_lru_cache_is_bounded():
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: the most lines a function or method of dcspin may span, decorators excluded
+MAX_FUNCTION_LINES = 80
+
+
+def test_no_function_is_longer_than_the_limit():
+    """Long functions are split into named stages that pass their state
+    explicitly, so each stage can be read (and counted) on its own."""
+    long = []
+    for path in sorted((ROOT / "src" / "dcspin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.end_lineno - node.lineno + 1 > MAX_FUNCTION_LINES:
+                long.append(f"{path.name}:{node.lineno} {node.name}")
+    assert long == []
 
 #: import dcspin in a fresh interpreter and run ``python -m dcspin`` with
 #: the given arguments, if any; then list the scipy modules it imported

@@ -38,7 +38,8 @@ def test_tracer_spans_a_sensing_sweep_and_restores_everything(monkeypatch, carbo
     with tracing.Tracer() as tracer:
         protocols.run_dcs_sensing(carbon_system, carbon_rabi, grid, 0.02e-3, workers=1)
     totals = tracer.totals()
-    for span in ("dynamics.eigh", "sweep.parallel_map", "spincore.build_hamiltonian"):
+    for span in ("dynamics.eigh", "dynamics.svd", "sweep.parallel_map",
+                 "spincore.build_hamiltonian"):
         assert totals[span]["calls"] > 0, span
     # the three points evolve as one stack, without a per-point propagate
     assert "dynamics.propagate" not in totals

@@ -422,6 +422,12 @@ def reset_runs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(reset_runs())
+@example((SpinSystem(field_z=0.35, nuclei=()),  # a group of one segment, measured from its start
+          ProtocolSpec("dcs", "dnp_dcs", omega_max=12566370.614359172, t_initial="symmetric",
+                       reset_every=7.291666666666667e-08),
+          87964594.3005142, np.array([1.09375e-07, 2.1875e-07]),
+          IntegrationPolicy(ramp_substeps=1, unitarity_check_interval=1, fast_forward=False),
+          _SMALL_STACK))
 def test_chained_resets_equal_the_per_segment_loop_bit_for_bit(case):
     """The chain takes every step of every segment that the per-segment loop
     takes, normalizes and resets at the same points, and samples the same
@@ -495,6 +501,30 @@ def test_a_drift_error_names_the_grid_point_of_a_later_stack(monkeypatch, proton
                   policy=policy, workers=1)
     assert str(info.value).endswith("at grid point 7 (amplitude_error = 0.015) "
                                     "at sample t = 1.000000e-06")
+
+
+def test_a_non_finite_state_names_its_grid_point(monkeypatch, carbon_system, carbon_rabi):
+    """Only grid point 2 of a 3-point amplitude-error sweep steps through NaN
+    unitaries (its +omega_max slices, stepped period by period), so its
+    state is non-finite at the sample at T, and the error names grid point 2
+    and its sweep value, as a drift error does."""
+    spec = ProtocolSpec("dcs", omega_max=carbon_rabi)
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    grid = np.linspace(-0.02, 0.02, 3)
+    poisoned = spec.omega_max * (1 + apply_amplitude_error(spec, grid[2]).amplitude_error)
+    target = np.linalg.eigh(build_hamiltonian(carbon_system, poisoned).matrix)[0]
+    unitaries = dynamics._slice_unitaries
+
+    def non_finite(vals, vecs, durations):
+        u = unitaries(vals, vecs, durations)
+        return np.where((vals == target).all(-1)[:, None, None], np.nan, u)
+
+    monkeypatch.setattr(dynamics, "_slice_unitaries", non_finite)
+    with pytest.raises(PropagationError, match="^state became non-finite ") as info:
+        run_sweep(carbon_system, spec, "amplitude_error", grid, T=20e-6, point=omega_n,
+                  policy=IntegrationPolicy(fast_forward=False), workers=1)
+    assert str(info.value).endswith("at grid point 2 (amplitude_error = 0.02) "
+                                    "at sample t = 2.000000e-05")
 
 
 def _load_tracing(monkeypatch):
