@@ -29,6 +29,7 @@ import functools
 import math
 import numbers
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Callable, Hashable, NamedTuple, Sequence
 
@@ -65,10 +66,26 @@ MAX_SLICES = 10_000
 
 # bytes that the unitaries of one stack of sweep points or reset segments or
 # of one batch of clipped slices, one buffer of samples and their observable
-# product, or the eigenpairs of one key table may span: a 301-point grid of
-# one nucleus is one stack, and a 64-dimensional grid runs 2 to 4 points per
-# stack, keeping its arrays to a few hundred KB
+# product, the eigenpairs of one key table, or one scratch buffer may span: a
+# 301-point grid of one nucleus is one stack, and a 64-dimensional grid runs 2
+# to 4 points per stack, keeping its arrays to a few hundred KB
 STACK_BYTES = 1 << 19
+
+_SCRATCH = threading.local()  # this thread's scratch buffers by role (see _scratch)
+
+
+def _scratch(role: str, shape: tuple, dtype: type = complex) -> np.ndarray:
+    """An uninitialised ``shape`` array in the reused scratch buffer of
+    ``role``, grown to the largest request; a request over STACK_BYTES gets a
+    plain temporary.  Freed d = 64 temporaries would be returned to the
+    system and faulted in again on the next stack."""
+    size, store = math.prod(shape), vars(_SCRATCH)
+    buffer = store.get(role)
+    if buffer is None or buffer.size < size:
+        if size * np.dtype(dtype).itemsize > STACK_BYTES:
+            return np.empty(shape, dtype)
+        buffer = store[role] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
 
 
 class PropagationError(ArithmeticError):
@@ -220,9 +237,14 @@ def compile_waveform(w: Waveform, policy: IntegrationPolicy) -> CompiledSchedule
 
 
 def _slice_unitaries(vals: np.ndarray, vecs: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """V diag(exp(-i lambda tau)) V^H for a stack of eigenpairs, each checked unitary."""
-    u = (vecs * np.exp(-1j * vals * durations[:, None])[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    defect = np.max(np.abs(u.conj().swapaxes(1, 2) @ u - np.eye(u.shape[-1])), initial=0.0)
+    """V diag(exp(-i lambda tau)) V^H for a stack of eigenpairs, each checked
+    unitary: a fresh array, its temporaries in scratch buffers."""
+    phased, conj = _scratch("phased", vecs.shape), _scratch("conj", vecs.shape)
+    np.multiply(vecs, np.exp(-1j * vals * durations[:, None])[:, None, :], out=phased)
+    u = phased @ np.conj(vecs, out=conj).swapaxes(1, 2)
+    gram = np.matmul(np.conj(u, out=conj).swapaxes(1, 2), u, out=phased)
+    gram.reshape(-1, u.shape[-1] ** 2)[:, ::u.shape[-1] + 1] -= 1  # U^H U - 1
+    defect = np.abs(gram, out=_scratch("defect", gram.shape, float)).max(initial=0.0)
     if defect >= SEGMENT_UNITARITY_TOL:
         raise PropagationError(f"segment unitary defect {defect:.3e} >= {SEGMENT_UNITARITY_TOL}")
     return u
@@ -540,7 +562,13 @@ class _Walk:
 
     def __init__(self, plan: _Plan, policy: IntegrationPolicy, observables: Sequence[Observable]):
         self.plan, self.tolerance, self.n_observables = plan, policy.tolerance, len(observables)
-        self.stacked = np.concatenate([o.matrix for o in observables])  # (observables * dim, dim)
+        # a set of diagonal observables is read as diagonals (observables, dim, 1)
+        # times the state, any other set as one (observables * dim, dim) matrix
+        diagonals = [o.diagonal for o in observables]
+        if any(d is None for d in diagonals):
+            self.stacked, self.diagonals = np.concatenate([o.matrix for o in observables]), None
+        else:
+            self.stacked, self.diagonals = None, np.array(diagonals)[..., None]
         self.values = np.empty((plan.n_times, plan.n_lanes, plan.n, len(observables)), complex)
         self.interval = self.due = policy.unitarity_check_interval
         self.l = self.applied = self.queued = 0
@@ -570,14 +598,20 @@ class _Walk:
                 f"t = {times[taken, column]:.6e} at point {point} after {self.applied} slices")
 
     def flush(self) -> None:
-        """Check and read the queued samples of lane l: one BLAS product per
-        (sample, point), so a point's bits do not depend on its stack or
-        chunk, and one einsum."""
+        """Check and read the queued samples of lane l: one observable product
+        per (sample, point), so a point's bits do not depend on its stack or
+        chunk (diagonals x state for a diagonal set, which rounds as the dense
+        BLAS product: each of its entries has one nonzero term), and one einsum."""
         if queued := self.queued:
             snapshots = self.snapshots[:queued]
             block = snapshots.reshape(-1, *snapshots.shape[2:])
             _check_health(snapshots, self.tolerance, self.at_sample)
-            o_psi = (self.stacked @ block).reshape(len(block), self.n_observables, -1)
+            if self.stacked is None:
+                o_psi = _scratch("o_psi", (len(block), *self.diagonals.shape[:2], block.shape[2]))
+                np.multiply(self.diagonals, block.view(float)[:, None], out=o_psi.view(float))
+            else:
+                o_psi = self.stacked @ block
+            o_psi = o_psi.reshape(len(block), self.n_observables, -1)
             # weighted <psi_b| of each point
             bra = (snapshots.conj() * self.weights[:, None]).reshape(len(block), -1)
             self.values[self.taken - queued:self.taken, self.l] = np.einsum(

@@ -130,6 +130,12 @@ class Observable:
             raise ValueError(f"observable {self.name!r} is not Hermitian within {HERMITICITY_TOL}")
         object.__setattr__(self, "matrix", m)
 
+    @functools.cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The real diagonal, when the matrix is nothing else; otherwise None."""
+        diagonal = self.matrix.diagonal().real.copy()
+        return diagonal if np.array_equal(self.matrix, np.diag(diagonal)) else None
+
 
 class QuantumState:
     """A state of the composite system as weighted pure branches.

@@ -1,7 +1,12 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -33,6 +38,7 @@ from dcspin import (
     propagate,
     propagate_spin_pair,
     run_dcs_dnp,
+    run_dcs_sensing,
 )
 from dcspin import dynamics, presets
 from dcspin.dynamics import (
@@ -676,6 +682,157 @@ def test_sampling_a_64_dimensional_cluster_matches_a_four_operand_einsum(proton_
                                   engine.weights)
             assert abs(traj.observables[o.name][row] - reference) < 1e-13, (o.name, row)
     assert np.ptp(traj.observables["dense"]) > 1e-4  # the state moved
+
+
+def _eigenpairs(rng, n: int, d: int):
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    return np.linalg.eigh(a + a.conj().swapaxes(1, 2))
+
+
+def test_a_smaller_unitary_call_leaves_the_earlier_result_unchanged():
+    """Two consecutive d = 64 _slice_unitaries calls, the second one smaller
+    and so inside the first one's scratch buffers: each returns a fresh
+    array, the first keeps its bits, and both equal the product written
+    with temporaries, bit for bit."""
+    vals, vecs = _eigenpairs(np.random.default_rng(3), 4, 64)
+    durations = np.array([1e-3, 2e-3, 5e-4, 3e-3])
+    first = dynamics._slice_unitaries(vals, vecs, durations)
+    kept = first.copy()
+    second = dynamics._slice_unitaries(vals[1:3], vecs[1:3], 2 * durations[1:3])
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    for u, (v, w, t) in ((first, (vals, vecs, durations)),
+                         (second, (vals[1:3], vecs[1:3], 2 * durations[1:3]))):
+        plain = (w * np.exp(-1j * v * t[:, None])[:, None, :]) @ w.conj().swapaxes(1, 2)
+        assert u.tobytes() == plain.tobytes()
+
+
+def _scratch_bytes() -> list[int]:
+    return [buffer.nbytes for buffer in vars(dynamics._SCRATCH).values()]
+
+
+def test_the_scratch_store_stays_within_its_bound(monkeypatch, proton_cluster):
+    """A one-point d = 64 stack whose unitaries exceed STACK_BYTES (a ramped
+    drive: about 130 distinct unitaries of 64 KB) gets them as plain
+    temporaries; no scratch buffer grows past STACK_BYTES."""
+    unitaries, sizes = dynamics._slice_unitaries, []
+
+    def counted(vals, vecs, durations):
+        sizes.append(vecs.nbytes)
+        return unitaries(vals, vecs, durations)
+
+    monkeypatch.setattr(dynamics, "_slice_unitaries", counted)
+    vars(dynamics._SCRATCH).clear()
+    w = build_dcs_waveform(angular_from_mhz(2.0),
+                           nuclear_frequency(proton_cluster.nuclei[0], proton_cluster.field_z),
+                           switch_fraction=0.1)
+    propagate(proton_cluster, w, initial_state("dnp_dcs", proton_cluster), 3 * w.period)
+    assert max(sizes) > dynamics.STACK_BYTES
+    assert 0 < len(_scratch_bytes()) <= 4
+    assert max(_scratch_bytes()) <= dynamics.STACK_BYTES
+
+
+#: a one-point d = 64 sensing sweep of the proton cluster: its columns' digest
+_SMALL_SWEEP = """
+import hashlib, sys
+import numpy as np
+from dcspin import (SpinSystem, angular_from_khz, angular_from_mhz, nuclear_frequency,
+                    nucleus_from_isotope, run_dcs_sensing)
+khz = np.random.default_rng(0).uniform(0.3, 5.0, size=(5, 2))
+system = SpinSystem(field_z=0.35, nuclei=tuple(
+    nucleus_from_isotope("1H", angular_from_khz(ax), angular_from_khz(az)) for ax, az in khz))
+omega_n = nuclear_frequency(system.nuclei[0], system.field_z)
+result = run_dcs_sensing(system, angular_from_mhz(2.0), [omega_n + angular_from_khz(40.0)], 20e-6)
+digest = hashlib.sha256(b"".join(c.tobytes() for c in result.columns.values())).hexdigest()
+if __name__ == "__main__":
+    sys.stdout.write(digest)
+"""
+
+
+def test_a_sweep_after_a_larger_one_keeps_its_fresh_process_bits(proton_cluster):
+    """The scratch buffers that larger runs left grown (a 6-point sweep and a
+    41-sample trace, both at d = 64) hold stale values past what a one-point
+    sweep uses; that sweep's columns equal those of a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(dynamics.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    fresh = subprocess.run([sys.executable, "-c", _SMALL_SWEEP], env=env, check=True,
+                           capture_output=True, text=True).stdout
+    scope: dict = {}
+    vars(dynamics._SCRATCH).clear()
+    exec(_SMALL_SWEEP, scope)
+    small = _scratch_bytes()
+    omega_n = nuclear_frequency(proton_cluster.nuclei[0], proton_cluster.field_z)
+    run_dcs_sensing(proton_cluster, angular_from_mhz(2.0),
+                    omega_n + angular_from_khz(10.0) * np.arange(-3.0, 3.0), 20e-6)
+    run_dcs_dnp(proton_cluster, angular_from_mhz(2.0), omega_n, np.linspace(0.0, 20e-6, 41))
+    assert sum(_scratch_bytes()) > sum(small)
+    exec(_SMALL_SWEEP, scope)
+    assert scope["digest"] == fresh
+
+
+def _with_zeros(rng, shape, dtype=float) -> np.ndarray:
+    """Normal draws, about a quarter of them 0.0 and a quarter -0.0."""
+    parts = rng.normal(size=(2, *shape)) if dtype is complex else rng.normal(size=(1, *shape))
+    draw = rng.random(parts.shape)
+    parts[draw < 0.25], parts[(draw >= 0.25) & (draw < 0.5)] = 0.0, -0.0
+    if dtype is float:
+        return parts[0]
+    out = np.empty(shape, complex)
+    out.real, out.imag = parts
+    return out
+
+
+def _read(observables, weights, states, dense: bool) -> np.ndarray:
+    """The values one _Walk.flush reads from ``states`` (samples, points, dim,
+    branches), through the dense stacked product when ``dense``."""
+    samples, points = states.shape[:2]
+    plan = SimpleNamespace(n_times=samples, n_lanes=1, n=points,
+                           times=np.zeros((samples, points)))
+    walk = dynamics._Walk(plan, IntegrationPolicy(tolerance=1e300), observables)
+    assert walk.stacked is None
+    if dense:
+        walk.stacked = np.concatenate([o.matrix for o in observables])
+    walk.weights, walk.snapshots, walk.queued = weights, states, samples
+    walk.taken = samples
+    walk.flush()
+    return walk.values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 4, 16, 64]), st.integers(1, 32), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_the_diagonal_read_equals_the_dense_product_bit_for_bit(d, branches, points, samples,
+                                                                n_observables, seed):
+    """Diagonal observables (sigma_z and I_z values, or any reals, zeros of
+    both signs included) read as diagonal x state give the values of the
+    dense stacked product bit for bit, from states with exact and negative
+    zeros and weights that are zero, for some points all of them."""
+    rng = np.random.default_rng(seed)
+    diagonals = np.where(rng.random((n_observables, 1)) < 0.5,
+                         rng.choice([1.0, -1.0, 0.5, -0.5], (n_observables, d)),
+                         _with_zeros(rng, (n_observables, d)))
+    observables = [Observable(np.diag(row), name=f"D{i}") for i, row in enumerate(diagonals)]
+    weights = np.abs(_with_zeros(rng, (points, branches)))
+    weights[rng.random(points) < 0.25] = 0.0
+    states = _with_zeros(rng, (samples, points, d, branches), complex)
+    diagonal = _read(observables, weights, states, dense=False)
+    assert diagonal.tobytes() == _read(observables, weights, states, dense=True).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(drives())
+def test_a_set_with_non_diagonal_observables_equals_the_reference_loop(case):
+    """sigma_z and every I_z read alongside sigma_x and every I_x, which take
+    the dense stacked product, equal the reference loop bit for bit."""
+    system, spec, point, times, policy = case
+    observables = [*standard_observables(system), sigma_x_observable(system),
+                   *(nuclear_x_observable(system, j) for j in range(1, system.n_nuclei + 1))]
+    hamiltonians_of, schedule = _one_point(system, spec, point, policy)
+    state0 = initial_state(spec.initial_state_kind, system)
+    new, old = (run(hamiltonians_of, schedule, state0, times, policy, observables)
+                for run in (propagate_compiled, _reference_propagate))
+    for name, series in old.observables.items():
+        assert np.array_equal(new.observables[name], series), name
 
 
 def test_max_step_split_is_exact_for_constant_segments(carbon_system, carbon_rabi):

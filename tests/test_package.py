@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,22 @@ def test_no_function_is_longer_than_the_limit():
                     and node.end_lineno - node.lineno + 1 > MAX_FUNCTION_LINES:
                 long.append(f"{path.name}:{node.lineno} {node.name}")
     assert long == []
+
+#: what tuning the C allocator from Python looks like: setting one of glibc's
+#: MALLOC_* variables, calling mallopt or malloc_trim, or loading libc
+_MALLOC_TUNING = re.compile(r"MALLOC_[A-Z_]*|\bmallopt\b|\bmalloc_\w+|\bctypes\b")
+
+
+def test_dcspin_does_not_tune_the_allocator():
+    """Freed d = 64 temporaries are avoided by reusing scratch buffers, not
+    by padding or holding the heap through the allocator's settings, which
+    would act on the whole process that imports dcspin."""
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted((ROOT / "src" / "dcspin").glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if _MALLOC_TUNING.search(line)]
+    assert found == []
+
 
 #: import dcspin in a fresh interpreter and run ``python -m dcspin`` with
 #: the given arguments, if any; then list the scipy modules it imported
