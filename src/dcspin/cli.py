@@ -4,7 +4,8 @@ Subcommands
 -----------
 run <config.json>   execute a config (preset or explicit blocks), write CSVs
 preset <name>       execute a named preset
-verify <name>       run a preset and evaluate its acceptance checks
+verify <name>       run a preset and evaluate its acceptance checks (--json:
+                    as one JSON object)
 list-presets        list available presets
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
@@ -17,6 +18,7 @@ be read or written exits 2 with the same record.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -155,12 +157,14 @@ def _cmd_verify(args) -> int:
     if args.name not in PRESETS:
         raise ConfigError(f"unknown preset {args.name!r}; known: {sorted(PRESETS)}")
     checks = verify_preset(args.name, workers=args.workers)
-    failures = 0
-    for check in checks:
-        status = "PASS" if check.passed else "FAIL"
-        failures += not check.passed
-        print(f"[{status}] {args.name}: {check.name} ({check.tolerance}) -- {check.detail}")
-    print(f"{args.name}: {len(checks) - failures}/{len(checks)} checks passed")
+    failures = sum(not check.passed for check in checks)
+    if args.json:
+        print(json.dumps({"preset": args.name, "checks": [dataclasses.asdict(c) for c in checks]}))
+    else:
+        for check in checks:
+            status = "PASS" if check.passed else "FAIL"
+            print(f"[{status}] {args.name}: {check.name} ({check.tolerance}) -- {check.detail}")
+        print(f"{args.name}: {len(checks) - failures}/{len(checks)} checks passed")
     return 1 if failures else 0
 
 
@@ -201,6 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a preset and check its assertions")
     p_verify.add_argument("name")
     p_verify.add_argument("--workers", type=_positive_int, default=None)
+    p_verify.add_argument("--json", action="store_true",
+                          help="print the checks as one JSON object")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_list = sub.add_parser("list-presets", help="list available presets")

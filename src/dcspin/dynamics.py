@@ -622,7 +622,7 @@ class _Walk:
         """Walk the blocks (a, b, k, event) of a step program: steps a to b - 1
         k times, then a sample read (event 1) or a read and the end of a lane
         (event 2), which starts the next lane, if any, from the chain map of
-        the state this lane ended in."""
+        the state this lane ended in (next_lane)."""
         applied, due, mul, interval = self.applied, self.due, self.mul, self.interval
         for a, b, k, event in blocks:
             run = steps[a:b]
@@ -645,10 +645,22 @@ class _Walk:
                 self.flush()
                 self.l += 1
                 if self.l < self.plan.n_lanes:
-                    psi = self.start([self.plan.chain[self.l - 1](_normalized(w, v))
-                                      for w, v in zip(self.weights, psi)])
+                    psi = self.next_lane(psi)
         self.applied, self.due = applied, due
         return psi
+
+    def next_lane(self, psi: np.ndarray) -> np.ndarray:
+        """Lane l's state from the one lane l - 1 ended in, (points, dim,
+        branches): the chain map of each point's normalized state, or, with no
+        map (None), the branch vectors normalized in place as _normalized does,
+        with the weights and sample buffer kept."""
+        link = self.plan.chain[self.l - 1]
+        if link is not None:
+            return self.start([link(_normalized(w, v)) for w, v in zip(self.weights, psi)])
+        for v in psi:
+            v /= np.linalg.norm(v, axis=0)
+        self.taken = 0
+        return psi[0] if self.plan.n == 1 else psi
 
 
 def _evolve(table: _UnitaryCache,
@@ -668,10 +680,11 @@ def _evolve(table: _UnitaryCache,
     or one per point); without ``chain`` it is the only lane, from t = 0.
     With ``chain`` (a state map per later lane) lane l is segment l of n
     runs: point i starts at its first sample time, t = 0 of its schedule,
-    from ``chain[l - 1]`` of its normalized final state in lane l - 1, so
-    branch weights are kept per point.  Returns the observables (times,
-    points, observables) and the last lane's branch weights (n, branches)
-    and final branch vectors (n, dim, branches).
+    from ``chain[l - 1]`` of its normalized final state in lane l - 1 (from
+    that state itself where the map is None), so branch weights are kept
+    per point.  Returns the observables (times, points, observables) and the
+    last lane's branch weights (n, branches) and final branch vectors (n,
+    dim, branches).
 
     The stack is planned (_PeriodicPlan or _ConstantPlan) and walked (_Walk)
     one chunk of (lane, span) items at a time, a chunk's plan (its window

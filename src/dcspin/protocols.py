@@ -464,12 +464,14 @@ def _evolve_stack(system: SpinSystem, spec: ProtocolSpec, table: _UnitaryCache,
         return _evolve(table, schedules, times, state, policy, obs)
     bounds, segments = schedules.bounds, schedules.segments
     electron = _ELECTRON_VECTORS[InitialStateKind(spec.initial_state_kind)]
-    links = [(lambda state: _reset_electron(state, electron)) if reset else (lambda state: state)
+    # no link (None) where no reset follows a segment
+    links = [(lambda state: _reset_electron(state, electron)) if reset else None
              for reset in schedules.at_reset]
     n, ends = len(schedules), []
     for g in _stack_groups([(s.keys.shape[1],) for s in segments], system.dimension, n):
         if g[0]:
-            state = [links[g[0] - 1](_normalized(w, v)) for w, v in zip(weights, psi)]
+            link = links[g[0] - 1] or (lambda state: state)
+            state = [link(_normalized(w, v)) for w, v in zip(weights, psi)]
         lanes = CompiledSchedule(*(np.concatenate([getattr(segments[s], a) for s in g])
                                    for a in ("periods", "keys", "durations")))
         values, weights, psi = _evolve(table, lanes, np.repeat(bounds[:, g], n, axis=1), state,

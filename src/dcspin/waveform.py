@@ -377,42 +377,70 @@ def coherence_factor(delta_phi: float, n_periods: int) -> complex:
     return complex(np.exp(0.5j * (n - 1) * delta_phi) * ratio)
 
 
-def _integral_quadratic_phase(c1: np.ndarray, c2: np.ndarray, dt: np.ndarray,
-                              rel_tol: float) -> np.ndarray:
-    """Adaptive Gauss integrals of exp(i(c1 s + c2 s^2)) over s in [0, dt], per span.
+def _gauss_nodes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The midpoints of the intervals [a, b] and, on a new last-but-one axis
+    of [a, b] whole and its two halves, the half widths and (on a new last
+    axis) the 15 Gauss-Legendre nodes."""
+    mid = 0.5 * (a + b)
+    lo, hi = np.stack((a, a, mid), -1), np.stack((b, mid, b), -1)
+    half_width = 0.5 * (hi - lo)
+    return mid, half_width, half_width[..., None] * _GL_NODES + (0.5 * (lo + hi))[..., None]
 
-    Every span is integrated from phase 0; the caller rotates it to its start
-    phase.  Refinement is breadth-first: each round evaluates every pending
-    interval whole and in halves with 15-point Gauss-Legendre in one np.exp,
-    accepts the intervals whose halves agree with the whole (or that reached
-    _QUAD_MAX_DEPTH) and splits the rest.  |exp(i phi)| = 1, so tolerances
-    are measured relative to the span dt.  Spans never mix, so a span's
-    integral has the same bits whatever other spans share the call.
+
+def _first_round(c2: np.ndarray, dt: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The parts of the ramp quadrature's first round over s in [0, dt] that
+    do not depend on c1, one entry per (c2, dt): the midpoints, the half
+    widths, the nodes s and c2 s^2, with a later round's expressions."""
+    mid, half_width, s = _gauss_nodes(np.zeros(len(dt)), dt)
+    return mid, half_width, s, c2[:, None, None] * s * s
+
+
+def _integral_quadratic_phase(c1: np.ndarray, c2: np.ndarray, dt: np.ndarray,
+                              rel_tol: float, round1: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Adaptive Gauss integrals of exp(i(c1 s + c2 s^2)) over s in [0, dt], per
+    (row, ramp shape).
+
+    c1 holds one entry per (row, ramp shape), row after row; c2, dt and the
+    first round's arrays ``round1`` (_first_round of c2 and dt, which a span
+    plan caches) one per ramp shape.  Every span is integrated from phase 0;
+    the caller rotates it to its start phase.  Refinement is breadth-first:
+    each round evaluates every pending interval whole and in halves with
+    15-point Gauss-Legendre in one np.exp, accepts the intervals whose halves
+    agree with the whole (or that reached _QUAD_MAX_DEPTH) and splits the
+    rest.  The first round covers every (row, shape) as a (rows, shapes)
+    grid, broadcasting ``round1``; a later round computes its nodes with the
+    same expressions.  |exp(i phi)| = 1, so tolerances are measured relative
+    to the span dt.  Spans never mix, so a span's integral has the same bits
+    whatever other spans share the call.
     """
-    total = np.zeros(len(dt), dtype=complex)
-    span = np.arange(len(dt))
-    a, b = np.zeros(len(dt)), dt
+    total = np.zeros(len(c1), dtype=complex)
+    span = np.arange(len(c1)).reshape(-1, len(dt))  # the (row, shape) entry of each interval
+    mid, half_width, s, c2ss = round1
+    phase = c1.reshape(span.shape)[..., None, None] * s + c2ss
+    a, b, width = np.zeros(len(dt)), dt, dt
     depth = 0
     worst = 0.0
     while span.size:
-        mid = 0.5 * (a + b)
-        lo, hi = np.array((a, a, mid)), np.array((b, mid, b))
-        half_width = 0.5 * (hi - lo)
-        s = half_width[..., None] * _GL_NODES + (0.5 * (lo + hi))[..., None]
-        phase = c1[span, None] * s + c2[span, None] * s * s
-        whole, left, right = half_width * (_GL_WEIGHTS * np.exp(1j * phase)).sum(-1)
-        halves = left + right
+        if depth:
+            shape = span % len(dt)
+            mid, half_width, s = _gauss_nodes(a, b)
+            phase = c1[span, None, None] * s + c2[shape, None, None] * s * s
+            width = dt[shape]
+        sums = half_width * (_GL_WEIGHTS * np.exp(1j * phase)).sum(-1)
+        whole, halves = sums[..., 0], sums[..., 1] + sums[..., 2]
         err = np.abs(whole - halves)
-        done = err <= rel_tol * dt[span]
+        done = err <= rel_tol * width
         if depth >= _QUAD_MAX_DEPTH:
-            worst = float(np.max(err / dt[span]))
+            worst = float(np.max(err / width))
             done[:] = True
         np.add.at(total, span[done], halves[done])
         split = ~done
         span = span[split]
         if span.size:
+            # the first round's a, mid and b are per shape, a later round's per interval
+            pick = split if depth else np.nonzero(split)[1]
             span = np.concatenate((span, span))
-            a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+            a, b = np.concatenate((a[pick], mid[pick])), np.concatenate((mid[pick], b[pick]))
         depth += 1
     if worst > rel_tol:
         raise QuadratureError(requested=rel_tol, achieved=worst)
@@ -432,17 +460,20 @@ def _span_plan(w, t0: float, t1: float) -> tuple[np.ndarray, ...]:
     Per span: (dur, va, c2 dur^2, shape).  shape numbers each span's shape:
     the whole spans of one drive piece share one, a span clipped by t0 or
     t1 has its own.  Per shape, read from its first span, its
-    representative: (va, dur), then the indices of the ramped shapes and
-    their (c2, dur).  The arrays are read-only because every caller shares
-    them.  A sweep over omega_n at a fixed drive and T uses two entries,
-    [0, T] and [0, tau], whether it is one array call or a call per point.
+    representative: (va, dur), then the indices of the ramped shapes, their
+    (c2, dur) and the first round of their quadrature (_first_round), each
+    array ramp shape first.  The arrays are read-only because every caller
+    shares them.  A sweep over omega_n at a fixed drive and T uses two
+    entries, [0, T] and [0, tau], whether it is one array call or a call per
+    point.
     """
     dur, va, vb, key = _linear_spans(w, t0, t1)
     c2 = -0.5 * (vb - va) / dur
     _, rep, shape = np.unique(key, return_index=True, return_inverse=True)
     bent = np.flatnonzero(va[rep] != vb[rep])
-    plan = (dur, va, c2 * dur * dur, shape, va[rep], dur[rep], bent, c2[rep][bent],
-            dur[rep][bent])
+    c2_bent, dur_bent = c2[rep][bent], dur[rep][bent]
+    plan = (dur, va, c2 * dur * dur, shape, va[rep], dur[rep], bent, c2_bent, dur_bent,
+            *_first_round(c2_bent, dur_bent))
     for a in plan:
         a.flags.writeable = False
     return plan
@@ -467,7 +498,8 @@ def _exp_phase_integral(w, omega_n, t1: float, rel_tol: float,
     window); the head's shapes and start phases are those of a pass over the
     head's window, so the head integral is bit for bit that pass.
     """
-    dur, va, quad, shape, va_rep, dur_rep, bent, c2_bent, dur_bent = _span_plan(w, 0.0, t1)
+    dur, va, quad, shape, va_rep, dur_rep, bent, c2_bent, dur_bent, *round1 = _span_plan(
+        w, 0.0, t1)
     omega = np.asarray(omega_n, dtype=float).reshape(-1, 1)
     rows = max(1, _BLOCK_BYTES // (16 * max(1, len(dur))))
     total = np.empty(len(omega), dtype=complex)
@@ -486,9 +518,9 @@ def _exp_phase_integral(w, omega_n, t1: float, rel_tol: float,
             x = x[small]
             base[small] = np.broadcast_to(dur_rep, small.shape)[small] * (
                 1.0 + 1j * x / 2.0 - x * x / 6.0 - 1j * x ** 3 / 24.0)
-        base[:, bent] = _integral_quadratic_phase(
-            c.take(bent, 1).ravel(), c2_bent[None].repeat(n, 0).ravel(),
-            dur_bent[None].repeat(n, 0).ravel(), rel_tol).reshape(n, -1)
+        if bent.size:
+            base[:, bent] = _integral_quadratic_phase(
+                c.take(bent, 1).ravel(), c2_bent, dur_bent, rel_tol, round1).reshape(n, -1)
         terms = np.exp(1j * start) * base.take(shape, 1)
         terms.sum(1, out=total[lo:lo + n])
         if head:

@@ -719,6 +719,24 @@ def test_cli_verification_failure_exit_code(monkeypatch, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_cli_verify_json_prints_the_checks_as_one_object(monkeypatch, capsys):
+    from dcspin import presets as presets_module
+    assert main(["verify", "fig1f", "--workers", "1", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["preset"] == "fig1f" and list(report) == ["preset", "checks"]
+    assert report["checks"] and all(c["passed"] is True for c in report["checks"])
+    assert all(list(c) == ["name", "tolerance", "passed", "detail"] for c in report["checks"])
+    checks = [presets_module.Check("kept", "none", True, "fine"),
+              presets_module.Check("forced", "< 1", False, "forced failure")]
+    monkeypatch.setitem(
+        presets_module.PRESETS, "fig1f",
+        presets_module.Preset("fig1f", "d", lambda workers=None: [], lambda results: checks))
+    assert main(["verify", "fig1f", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"preset": "fig1f", "checks": [
+        {"name": "kept", "tolerance": "none", "passed": True, "detail": "fine"},
+        {"name": "forced", "tolerance": "< 1", "passed": False, "detail": "forced failure"}]}
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     from dcspin import presets as presets_module
     from dcspin.dynamics import PropagationError

@@ -455,6 +455,52 @@ def test_chained_resets_equal_the_per_segment_loop_bit_for_bit(case):
     assert np.array_equal(new.final_state.density_matrix(), old.final_state.density_matrix())
 
 
+def test_identity_links_build_a_quantum_state_only_at_resets(carbon_system, carbon_rabi):
+    """201 samples over 1 ms and a reset every 0.3 ms: most links of the
+    chain are no reset.  Inside the walk only the reset links build a
+    QuantumState (the normalized state and the reset one), and the samples
+    equal, bit for bit, those of a run whose every link maps a QuantumState."""
+    omega_n = nuclear_frequency(carbon_system.nuclei[0], carbon_system.field_z)
+    evolve, replay, init = protocols._evolve, dynamics._Walk.replay, QuantumState.__init__
+    chains, walking, built = [], [], []
+
+    def counted_init(self, *args):
+        built.append(bool(walking))
+        init(self, *args)
+
+    def counted_replay(self, *args):
+        walking.append(True)
+        try:
+            return replay(self, *args)
+        finally:
+            walking.pop()
+
+    def run(every_link_maps):
+        def chained(*args, chain=None):
+            chains.append(chain)
+            if every_link_maps:
+                chain = [link or (lambda state: state) for link in chain]
+            return evolve(*args, chain=chain)
+
+        chains.clear(), built.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(protocols, "_evolve", chained)
+            patch.setattr(QuantumState, "__init__", counted_init)
+            patch.setattr(dynamics._Walk, "replay", counted_replay)
+            return run_dcs_dnp(carbon_system, carbon_rabi, omega_n, np.linspace(0.0, 1e-3, 201),
+                               reset_every=0.3e-3)
+
+    cheap = run(every_link_maps=False)
+    links = [link for chain in chains for link in chain]
+    resets = sum(link is not None for link in links)
+    assert resets == 3 and len(links) - resets > 150
+    assert sum(built) == 2 * resets
+    mapped = run(every_link_maps=True)
+    assert sum(built) == 2 * resets + len(links) - resets
+    for name, values in mapped.columns.items():
+        assert cheap.columns[name].tobytes() == values.tobytes(), name
+
+
 def test_a_failure_in_a_reset_run_names_the_time_of_the_run(monkeypatch, carbon_system,
                                                             carbon_rabi):
     """Samples at 10 and 20 us come before the first reset at 25 us.  A reset

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -421,6 +421,87 @@ def test_ramp_quadrature_raises_at_the_depth_cap(monkeypatch):
         period_coupling_factor(w, 3.0, rel_tol=1e-14)
     assert info.value.requested == 1e-14
     assert info.value.achieved > 1e-14
+
+
+def _scratch_quadrature(c1, c2, dt, rel_tol):
+    """The ramp quadrature with every round's nodes computed, one (c1, c2,
+    dt) per interval: the integrals and the number of rounds taken."""
+    total = np.zeros(len(dt), dtype=complex)
+    span = np.arange(len(dt))
+    a, b = np.zeros(len(dt)), dt
+    depth = 0
+    worst = 0.0
+    while span.size:
+        mid = 0.5 * (a + b)
+        lo, hi = np.array((a, a, mid)), np.array((b, mid, b))
+        half_width = 0.5 * (hi - lo)
+        s = half_width[..., None] * waveform._GL_NODES + (0.5 * (lo + hi))[..., None]
+        phase = c1[span, None] * s + c2[span, None] * s * s
+        whole, left, right = half_width * (waveform._GL_WEIGHTS * np.exp(1j * phase)).sum(-1)
+        halves = left + right
+        err = np.abs(whole - halves)
+        done = err <= rel_tol * dt[span]
+        if depth >= waveform._QUAD_MAX_DEPTH:
+            worst = float(np.max(err / dt[span]))
+            done[:] = True
+        np.add.at(total, span[done], halves[done])
+        split = ~done
+        span = span[split]
+        if span.size:
+            span = np.concatenate((span, span))
+            a, b = np.concatenate((a[split], mid[split])), np.concatenate((mid[split], b[split]))
+        depth += 1
+    if worst > rel_tol:
+        raise QuadratureError(requested=rel_tol, achieved=worst)
+    return total, depth
+
+
+@st.composite
+def ramp_blocks(draw):
+    """(c1, c2, dt, rel_tol, depth cap) of a block of 1-4 rows of 1-4 ramp
+    shapes: phase sweeps c1 dt of up to 50 rad and chirps c2 dt^2 from 0
+    (one round) to 3000 rad (about ten rounds), under the real depth cap or
+    one that a strong chirp reaches."""
+    rows, shapes = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    dt = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=shapes, max_size=shapes)))
+    chirp = draw(st.lists(st.sampled_from([0.0, 1e-3, 1.0, 30.0, 3e3]) | st.floats(-3e3, 3e3),
+                          min_size=shapes, max_size=shapes))
+    sweep = draw(st.lists(st.sampled_from([0.0, 0.5]) | st.floats(-50.0, 50.0),
+                          min_size=rows * shapes, max_size=rows * shapes))
+    return (np.array(sweep) / np.tile(dt, rows), np.array(chirp) / dt ** 2, dt,
+            draw(st.sampled_from([1e-6, 1e-10, 1e-13])),
+            draw(st.sampled_from([1, 3, waveform._QUAD_MAX_DEPTH])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ramp_blocks())
+@example((np.array([0.5, 30.0, 1000.0, 0.0, -20.0, 3.0]), np.array([0.0, 3.0, 800.0]),
+          np.array([1.0, 2.0, 2.0]), 1e-10, waveform._QUAD_MAX_DEPTH))  # rounds 1 to about 10
+@example((np.array([0.5, 10.0]), np.array([0.0, 3e3]), np.array([1.0, 1.0]), 1e-13,
+          3))  # the chirp reaches the cap
+def test_a_first_round_from_the_span_plan_equals_one_computed_from_scratch(block):
+    """The first round's nodes are read-only arrays per ramp shape, broadcast
+    over the rows; the intervals that split take the same later rounds, so
+    every integral, and a failure at the depth cap, keeps its bits."""
+    c1, c2, dt, rel_tol, cap = block
+    first = waveform._first_round(c2, dt)
+    for a in first:
+        a.flags.writeable = False
+    rows = len(c1) // len(dt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(waveform, "_QUAD_MAX_DEPTH", cap)
+        try:
+            scratch, rounds = _scratch_quadrature(c1, np.tile(c2, rows), np.tile(dt, rows),
+                                                  rel_tol)
+        except QuadratureError as exc:
+            event("depth cap reached")
+            with pytest.raises(QuadratureError) as info:
+                waveform._integral_quadratic_phase(c1, c2, dt, rel_tol, first)
+            assert (info.value.requested, info.value.achieved) == (exc.requested, exc.achieved)
+            return
+        cached = waveform._integral_quadratic_phase(c1, c2, dt, rel_tol, first)
+    event(f"{rounds} rounds")
+    assert cached.tobytes() == scratch.tobytes()
 
 
 # ---------------------------------------------------------------------------
